@@ -11,7 +11,7 @@ that workload twice:
 * **pass B (fast)** -- one plan-batched pass per scenario
   (:class:`~repro.measure.batch.ScenarioBatch`: graph built once,
   placement-independent compile shared, per-config rebind into the
-  wave-batched :class:`~repro.runtime.simfast.FastSimulator`), fanned
+  flat-plan :class:`~repro.runtime.simfast.FastSimulator`), fanned
   over ``workers`` processes, with the memoized makespans serving the
   remaining repetitions.
 

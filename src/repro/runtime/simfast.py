@@ -1,56 +1,35 @@
-"""Wave-batched fast path for the discrete-event simulator.
+"""Flat-plan fast path for the discrete-event simulator.
 
 :class:`FastSimulator` is a drop-in replacement for
 :class:`~repro.runtime.simulator.Simulator` that produces **bit-identical**
 results -- the same :class:`~repro.runtime.simulator.SimulationResult`,
 the same ``TaskRecord``/``TransferRecord`` streams, the same obs trace
-bytes, and the same error behaviour -- while running several times
-faster on the panel/update floods that dominate Cholesky iterations and
-on the long homogeneous waves of the fuzzer's workload families.
+bytes, and the same error behaviour.  It runs the same task-by-task
+event loop as the reference; what it saves is the work the reference
+repeats on every run.
 
-Three mechanisms provide the speedup; each is exact, never approximate:
+Two mechanisms, each exact, never approximate:
 
-1. **Flat compilation** (:func:`compile_plan`): the per-task quantities
-   the reference engine re-derives inside its event loop -- queue class,
-   per-kind durations, deduplicated read sets, eager-push plans, worker
-   preferences -- are precomputed once per graph, with the duration and
-   classification arithmetic vectorized over numpy float64 (elementwise
-   IEEE-754 ops match the reference's scalar CPython ops bit for bit).
+1. **Flat compilation** (:func:`compile_template` + :meth:`PlanTemplate.bind`):
+   the per-task quantities the reference engine re-derives inside its
+   event loop -- queue class, per-kind durations, deduplicated read
+   sets, eager-push plans, worker preferences -- are precomputed as flat
+   lists, with the duration and classification arithmetic vectorized
+   over numpy float64 (elementwise IEEE-754 ops match the reference's
+   scalar CPython ops bit for bit).  The graph's structure is compiled
+   once into a :class:`PlanTemplate`; each placement binds it into a
+   :class:`GraphPlan`.  An iteration graph's structure does not depend
+   on ``n_fact``, so a sweep compiles once per scenario and binds once
+   per configuration instead of rebuilding and re-deriving per run.
 
-2. **Hierarchical trigger-ranked events**: events live in one heap per
-   node plus a lazy global index of (head time, node), so a wave drain
-   absorbs only its own node's events.  The reference's single heap
-   breaks ties by push sequence number, and because it pushes in strict
-   simulated chronology those numbers encode the *trigger* of each
-   READY event -- the (time, assignment, successor position) of the
-   task's final indegree decrement.  This engine records that triple
-   per task and stamps it on the event as an explicit heap rank, so
-   ordering is reproduced even when a wave commits assignments in a
-   different wall-clock order than the reference would.  Worker-free
-   events that share a timestamp ride a single entry listing the freed
-   lanes (the reference applies all events at a timestamp before
-   dispatching, so grouping cannot change a decision); cross-node
-   same-time ordering is immaterial because enqueues land in disjoint
-   per-node ready queues.
-
-3. **Wave batching**: when a node's ready queue holds a long run of
-   *drainable* tasks -- no eager pushes to issue, successors all on the
-   same node, eligible worker kinds -- the engine leaves the global
-   event loop and retires the wave node-locally, batching
-   uniform-duration runs through a lane-rotation scan with fused
-   successor bookkeeping (the Cholesky ``gemm``/``syrk`` floods, MSR
-   single-node map waves).  A *horizon guard* makes this sound: an
-   insertion into the draining node is a READY event triggered by a
-   foreign assignment of a task with a cross-node successor, so the
-   wave only advances strictly below ``H = min(A, F + dmin_glob) +
-   min_xdur[nd]`` where ``F`` is the earliest foreign event, ``A`` the
-   earliest foreign event on a node currently holding a
-   cross-successor task (queued or pending READY), ``dmin_glob`` the
-   global minimum task duration, and ``min_xdur[nd]`` the minimum
-   duration over tasks with cross edges into ``nd``.  Anything
-   non-uniform -- transfers, priority inversions, heterogeneity,
-   duration jitter -- falls back to the task-by-task path, which
-   replicates the reference engine operation for operation.
+2. **One ordered heap**: events live in a single heap ordered by
+   ``(time, push sequence)``, exactly like the reference's.  Both
+   engines push in strict simulated chronology and in the same order
+   within a timestamp (dirty nodes dispatch in sorted order, successors
+   in list order), so a sequence number reproduces every tie-break.
+   Worker-free events that share a timestamp and node ride a single
+   entry listing the freed lanes: the reference applies all events at a
+   timestamp before dispatching, so grouping cannot change a decision.
 
 Replication contract (enforced by ``tests/runtime/differential``):
 
@@ -68,11 +47,9 @@ Replication contract (enforced by ``tests/runtime/differential``):
   dirty nodes dispatch in sorted order, queue ties break by insertion
   sequence, the worker is the first rate-maximum over free CPUs then
   free GPUs (so rate ties favour the lowest CPU lane);
-* jitter RNG draw order, phase-span accumulation, record field-for-field
-  equality -- task records of a batched run are re-sorted by
-  ``(start, node)``, which is provably the reference's append order
-  (its event loop advances strictly in time, dispatches dirty nodes in
-  sorted order, and appends per-node in assignment order);
+* jitter RNG draw order (one draw per assignment, in assignment order),
+  phase-span accumulation, and record field-for-field equality in the
+  reference's append order;
 * empty-graph early return, cycle ``ValueError``, ineligible-worker
   ``RuntimeError``, and the ``simulator.run`` tracer event/counter.
 """
@@ -82,6 +59,7 @@ from __future__ import annotations
 import heapq
 import os
 from bisect import insort
+from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -92,19 +70,12 @@ from .dag import TaskGraph
 from .perfmodel import CPU, GPU, PerfModel
 from .simulator import SimulationResult, Simulator, TaskRecord, TransferRecord
 
-# Event kinds (superset of the reference engine's).
+# Event kinds (the reference engine's).
 _TASK_READY = 0
 _WORKER_FREE = 1
 
-#: Queue length at which entering a wave drain (which scans and rebuilds
-#: the global event heap) pays for itself.
-WAVE_MIN = 16
-#: Uniform-prefix length at which numpy-vectorized retirement beats the
-#: scalar drain loop.
-VEC_MIN = 48
-
 #: Mutations the seeded-defect harness may inject (`_defects` parameter).
-DEFECT_KINDS = ("wave_boundary", "drop_transfer", "tie_break")
+DEFECT_KINDS = ("drop_transfer", "tie_break")
 
 #: Environment variable turning the fast engine on at construction sites
 #: that consult :func:`simulator_factory`.
@@ -123,11 +94,8 @@ class GraphPlan:
         "n_tasks", "n_nodes", "names", "phases", "nodes", "prios",
         "reads_dedup", "writes", "succs", "indeg0", "push_after",
         "initial_push", "qclass", "eligible", "dur_cpu", "dur_gpu",
-        "prefer_gpu", "drain_ok", "vec_ok", "succ_prio_max",
-        "sizes", "homes", "gpu_counts", "cpu_slot_counts", "slot_rates",
-        "gpu_rates", "bw", "latency", "n_streams", "min_xdur",
-        "has_xsucc", "dmin_glob",
-        "node_type_names",
+        "prefer_gpu", "sizes", "homes", "gpu_counts", "cpu_slot_counts",
+        "bw", "latency", "n_streams", "node_type_names",
     )
 
 
@@ -144,32 +112,14 @@ class PlanTemplate:
     """
 
     __slots__ = (
-        "n_tasks", "n_nodes", "names", "phases", "prios", "reads_raw",
+        "n_tasks", "n_nodes", "names", "phases", "prios",
         "reads_dedup", "writes", "succs", "indeg0", "sizes",
-        "succ_prio_max", "gpu_counts", "cpu_slot_counts", "slot_rates",
-        "gpu_rates", "node_type_names", "bw", "latency", "n_streams",
+        "gpu_counts", "cpu_slot_counts", "node_type_names", "bw",
+        "latency", "n_streams",
         "flops", "can_c", "can_g_base", "eff_c", "eff_g",
         "slot_rates_np", "gpu_rates_np", "gpu_nonzero", "slot_nonzero",
-        "csr_val", "csr_src", "csr_starts", "csr_nonempty", "overhead_s",
-        "rp_tid", "rp_hid", "rp_w", "n_handles",
+        "overhead_s", "rp_tid", "rp_hid", "rp_w", "n_handles",
     )
-
-    def _segment_all(self, edge_flags: np.ndarray) -> np.ndarray:
-        """Per-task AND over its successor edges (True for no successors).
-
-        ``edge_flags`` is a bool array over the CSR edge list;
-        ``minimum.reduceat`` over the non-empty row starts reduces each
-        row exactly (empty rows occupy no edge slots, so consecutive
-        non-empty starts delimit single rows).
-        """
-        out = np.ones(self.n_tasks, dtype=bool)
-        nonempty = self.csr_nonempty
-        if len(self.csr_val) and nonempty.any():
-            red = np.minimum.reduceat(
-                edge_flags.astype(np.int8), self.csr_starts
-            )
-            out[nonempty] = red.astype(bool)
-        return out
 
     def bind(self, nodes: List[int], homes: Dict[int, int]) -> GraphPlan:
         """Produce the :class:`GraphPlan` for one placement assignment.
@@ -192,11 +142,8 @@ class PlanTemplate:
         plan.succs = self.succs
         plan.indeg0 = self.indeg0
         plan.sizes = self.sizes
-        plan.succ_prio_max = self.succ_prio_max
         plan.gpu_counts = self.gpu_counts
         plan.cpu_slot_counts = self.cpu_slot_counts
-        plan.slot_rates = self.slot_rates
-        plan.gpu_rates = self.gpu_rates
         plan.node_type_names = self.node_type_names
         plan.bw = self.bw
         plan.latency = self.latency
@@ -279,61 +226,6 @@ class PlanTemplate:
             self.gpu_nonzero[node_arr] & (qclass_np != 0)
         )
         plan.eligible = elig_np.tolist()
-
-        # Per-task wave safety facts.
-        val = self.csr_val
-        if len(val):
-            edge_src = self.csr_src
-            cross_edge = node_arr[val] != node_arr[edge_src]
-            cross_cnt = np.bincount(edge_src[cross_edge], minlength=n)
-        else:
-            cross_cnt = np.zeros(n, dtype=np.intp)
-
-        no_push = np.fromiter(
-            (not p for p in push_after), dtype=bool, count=n
-        )
-        drain_np = (
-            no_push & (cross_cnt == 0) & elig_np
-            & self._segment_all(elig_np[val] if len(val) else elig_np[:0])
-        )
-        plan.drain_ok = drain_np.tolist()
-        # A vector block may commit rounds beyond a task only when every
-        # successor of that task is itself drainable in the same queue
-        # class: otherwise the successor's readiness re-enters the
-        # global loop (lowering the horizon) and its dispatch -- which
-        # the reference interleaves *between* rounds -- must not observe
-        # decrements from later rounds.
-        if len(val):
-            vec_edge = drain_np[val] & (qclass_np[val] == qclass_np[edge_src])
-        else:
-            vec_edge = drain_np[:0]
-        plan.vec_ok = (drain_np & self._segment_all(vec_edge)).tolist()
-
-        # Horizon ingredient, per destination node: the minimum duration
-        # of any task on *another* node with a successor on this one.  A
-        # foreign event at time T can insert work into node ``nd``'s
-        # queues no earlier than T + this bound, because the inserting
-        # completion is, by definition, such a task.  (The per-node
-        # minimum is far deeper than a global one: tiny reduction tasks
-        # late in the DAG only tighten the few nodes they actually
-        # feed.)
-        dmin = np.minimum(
-            np.where(can_c, dur_c, np.inf), np.where(can_g, dur_g, np.inf)
-        )
-        min_xdur = np.full(self.n_nodes, np.inf)
-        if len(val) and cross_edge.any():
-            np.minimum.at(
-                min_xdur, node_arr[val[cross_edge]],
-                dmin[edge_src[cross_edge]],
-            )
-        plan.min_xdur = min_xdur.tolist()
-        # Cross-capability facts for the two-hop horizon: a foreign node
-        # whose queues and pending READY events contain *no* task with a
-        # cross-node successor cannot insert work anywhere with a single
-        # assignment -- it must first assign something (>= dmin_glob)
-        # that readies such a task.
-        plan.has_xsucc = (cross_cnt > 0).tolist()
-        plan.dmin_glob = float(dmin.min()) if n else 0.0
         return plan
 
 
@@ -365,14 +257,11 @@ def compile_template(
         type_names.append(nt.name)
     tmpl.gpu_counts = gpu_counts
     tmpl.cpu_slot_counts = slot_counts
-    tmpl.slot_rates = slot_rates
-    tmpl.gpu_rates = gpu_rates
     tmpl.node_type_names = type_names
 
     tmpl.names = [t.name for t in tasks]
     tmpl.phases = [t.phase for t in tasks]
     tmpl.prios = [t.priority for t in tasks]
-    tmpl.reads_raw = [t.reads for t in tasks]
     # The reference deduplicates reads with set() on every readiness
     # computation; an int set's iteration order depends only on its
     # contents and insertion sequence, so one materialization is exact.
@@ -381,10 +270,6 @@ def compile_template(
     tmpl.succs = graph.successors
     tmpl.indeg0 = graph.indegree
     tmpl.sizes = graph.registry.sizes()
-    prios = tmpl.prios
-    tmpl.succ_prio_max = [
-        max((prios[s] for s in ss), default=-(1 << 60)) for ss in tmpl.succs
-    ]
 
     eff = perfmodel.efficiency
     tmpl.flops = np.array([t.flops for t in tasks], dtype=np.float64)
@@ -406,20 +291,6 @@ def compile_template(
     tmpl.slot_nonzero = np.array([s > 0 for s in slot_counts], dtype=bool)
     tmpl.overhead_s = perfmodel.overhead_s
 
-    # Successor CSR in edge form, for per-bind cross-edge scans and
-    # segment reductions (row starts of non-empty rows only, so
-    # ``reduceat`` reduces each row exactly).
-    counts = np.array([len(s) for s in tmpl.succs], dtype=np.intp)
-    total = int(counts.sum())
-    tmpl.csr_val = np.fromiter(
-        (s for ss in tmpl.succs for s in ss), dtype=np.intp, count=total
-    )
-    tmpl.csr_src = np.repeat(np.arange(n, dtype=np.intp), counts)
-    ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(counts, out=ptr[1:])
-    tmpl.csr_nonempty = counts > 0
-    tmpl.csr_starts = ptr[:-1][tmpl.csr_nonempty]
-
     # Flattened (reader, handle, last-writer) read-occurrence stream in
     # submission order.  The STF last-writer chain is structural --
     # placement never affects edges -- so it binds to any node vector.
@@ -428,7 +299,7 @@ def compile_template(
     rp_hid: List[int] = []
     rp_w: List[int] = []
     for tid in range(n):
-        for hid in tmpl.reads_raw[tid]:
+        for hid in tasks[tid].reads:
             rp_tid.append(tid)
             rp_hid.append(hid)
             rp_w.append(last_writer.get(hid, -1))
@@ -518,10 +389,6 @@ class FastSimulator:
         self.jitter_sd = jitter_sd
         self.seed = seed
         self.defects = frozenset(_defects)
-        #: Wave statistics of the most recent run (``waves``,
-        #: ``wave_tasks``, ``vector_tasks``) -- the differential suite
-        #: uses them to assert the fast path actually engaged.
-        self.last_run_stats: Dict[str, int] = {}
 
     def run(self, graph: TaskGraph) -> SimulationResult:
         """Execute ``graph``; bit-identical to ``Simulator.run``."""
@@ -565,16 +432,12 @@ class FastSimulator:
         dur_cpu = plan.dur_cpu
         dur_gpu = plan.dur_gpu
         prefer_gpu = plan.prefer_gpu
-        drain_ok = plan.drain_ok
-        vec_ok = plan.vec_ok
-        succ_prio_max = plan.succ_prio_max
         sizes = plan.sizes
         homes = plan.homes
         gpu_counts = plan.gpu_counts
         latency = plan.latency
         bw = plan.bw
         n_streams = plan.n_streams
-        min_xdur = plan.min_xdur
         n_tasks = plan.n_tasks
         n_nodes = plan.n_nodes
         trace = self.trace
@@ -583,7 +446,6 @@ class FastSimulator:
         jitter_rng = (
             np.random.default_rng(self.seed) if jitter_sd > 0 else None
         )
-        defect_wave = "wave_boundary" in self.defects
         drop_pending = "drop_transfer" in self.defects
         if "tie_break" in self.defects:
             # Seeded defect: flip the class-2 rate tie-break toward GPUs
@@ -593,9 +455,8 @@ class FastSimulator:
                 for i, pg in enumerate(prefer_gpu)
             ]
 
-        # Plain lists, not numpy: the hot loops touch single elements
-        # (scalar numpy indexing costs ~10x a list index) and the wave
-        # path batches its edge updates in one fused python loop.
+        # Plain lists, not numpy: the loop touches single elements, and
+        # scalar numpy indexing costs ~10x a list index.
         indeg = list(plan.indeg0)
         pred_finish = [0.0] * n_tasks
 
@@ -617,54 +478,15 @@ class FastSimulator:
         comm_stats = [0, 0.0, 0.0]
         scheduled = 0
         makespan_v = 0.0
-        seq_c = 0
-        aid_c = 0
-        stats = {"waves": 0, "wave_tasks": 0, "vector_tasks": 0}
 
-        # Trigger ranks.  The reference pushes READY events in strict
-        # simulated chronology, so its tie-break sequence numbers encode
-        # the (assignment time, assignment, successor position) of each
-        # task's *final* indegree decrement.  A wave drain commits
-        # sim-future assignments before wall-clock-later foreign ones,
-        # so this engine cannot rely on push order; instead every READY
-        # event carries that trigger triple explicitly as its heap rank
-        # and ties resolve identically no matter when the push happened.
-        dec_t = [-1.0] * n_tasks
-        dec_aid = [0] * n_tasks
-        dec_pos = [0] * n_tasks
-
-        # Cross-capability tracking for the two-hop horizon.  A foreign
-        # node can insert work into a draining node only by *assigning*
-        # a task with a cross-node successor; such a task is visible in
-        # advance -- queued (``cnt_xq``) or carried by a pending READY
-        # event (``xready_cnt``).  A node holding neither needs one full
-        # extra assignment (>= dmin_glob) before it can produce one.
-        has_xsucc = plan.has_xsucc
-        dmin_glob = plan.dmin_glob
-        cnt_xq = [0] * n_nodes
-        xready_cnt = [0] * n_nodes
-
-        # Hierarchical event queue: one heap per node plus a lazy global
-        # index of (head time, node).  Within a node, events order by
-        # (time, trigger rank) exactly as in the reference's single
-        # heap; across nodes, same-time events land in different ready
-        # queues, so their relative order is unobservable.  The split
-        # makes a wave drain's absorption O(own events) instead of a
-        # scan over the whole heap.
-        inf = float("inf")
-        nodeheaps: List[List[tuple]] = [[] for _ in range(n_nodes)]
-        node_head: List[float] = [inf] * n_nodes
-        global_h: List[Tuple[float, int]] = []
+        # The reference's event heap: (time, seq, kind, tid or node,
+        # freed lanes), one sequence counter shared with the ready-queue
+        # entries.
+        events: List[tuple] = []
+        next_seq = count(1).__next__
         heappush = heapq.heappush
         heappop = heapq.heappop
-
-        def push_event(nd: int, ev: tuple) -> None:
-            if ev[2] == _TASK_READY and has_xsucc[ev[3]]:
-                xready_cnt[nd] += 1
-            heappush(nodeheaps[nd], ev)
-            if ev[0] < node_head[nd]:
-                node_head[nd] = ev[0]
-                heappush(global_h, (ev[0], nd))
+        inf = float("inf")
 
         def transfer(hid: int, src: int, dst: int, avail: float) -> float:
             nbytes = sizes[hid]
@@ -697,9 +519,6 @@ class FastSimulator:
                     TransferRecord(hid, src, dst, start, end, nbytes)
                 )
             return end
-
-        def send_free(nd: int) -> float:
-            return min(send_slots[nd])
 
         def pick_source(locs: Dict[int, float]) -> int:
             """Reference relay choice: min (max(send_free, avail), node).
@@ -738,19 +557,9 @@ class FastSimulator:
                     ready = t
             return ready
 
-        def flush_ready(buf: list) -> None:
-            """Emit buffered (time, tid) readiness as rank-stamped events."""
-            for t, tid in buf:
-                push_event(
-                    node_of[tid],
-                    (t, (dec_t[tid], dec_aid[tid], dec_pos[tid]),
-                     _TASK_READY, tid, 0),
-                )
-            del buf[:]
-
-        def complete(tid: int, now: float, end: float, ready_buf: list) -> None:
+        def complete(tid: int, end: float) -> None:
             """Reference ``complete``: writes, eager pushes, successors."""
-            nonlocal drop_pending, makespan_v, aid_c
+            nonlocal drop_pending, makespan_v
             if end > makespan_v:
                 makespan_v = end
             dst = node_of[tid]
@@ -768,45 +577,23 @@ class FastSimulator:
                         else pick_source(locs)
                     )
                     locs[consumer] = transfer(hid, src, consumer, locs[src])
-            aid_c += 1
-            aid = aid_c
-            pos = 0
             for s in succs[tid]:
                 if end > pred_finish[s]:
                     pred_finish[s] = end
-                if now >= dec_t[s]:
-                    dec_t[s] = now
-                    dec_aid[s] = aid
-                    dec_pos[s] = pos
-                pos += 1
                 indeg[s] -= 1
                 if indeg[s] == 0:
-                    ready_buf.append((ready_time(s), s))
-
-        def enqueue_ready(tid: int) -> None:
-            """Reference READY processing: eligibility check + queue push."""
-            nd = node_of[tid]
-            if not eligible[tid]:
-                raise RuntimeError(
-                    f"task {names[tid]!r} (tid={tid}) has no eligible "
-                    f"worker on node {nd} "
-                    f"({plan.node_type_names[nd]})"
-                )
-            nonlocal seq_c
-            seq_c += 1
-            prio = 0 if fifo else -prio_of[tid]
-            if has_xsucc[tid]:
-                cnt_xq[nd] += 1
-            heappush(queues[nd][qclass[tid]], (prio, seq_c, tid))
+                    heappush(
+                        events,
+                        (ready_time(s), next_seq(), _TASK_READY, s, ()),
+                    )
 
         def dispatch(nd: int, now: float) -> None:
             """Greedy assignment at one timestamp (reference ``dispatch``)."""
-            nonlocal scheduled, seq_c
+            nonlocal scheduled
             fc = free_c[nd]
             fg = free_g[nd]
             qs = queues[nd]
             q0, q1, q2 = qs
-            ready_buf: list = []
             ends: Dict[float, list] = {}
             while fc or fg:
                 best_key = None
@@ -822,8 +609,6 @@ class FastSimulator:
                 if best_q < 0:
                     break
                 tid = heappop(qs[best_q])[2]
-                if has_xsucc[tid]:
-                    cnt_xq[nd] -= 1
                 if best_q == 0:
                     gpu = False
                 elif best_q == 1:
@@ -837,7 +622,7 @@ class FastSimulator:
                         0.1, 1.0 + jitter_rng.normal(0.0, jitter_sd)
                     )
                 end = now + duration
-                complete(tid, now, end, ready_buf)
+                complete(tid, end)
                 scheduled += 1
                 ph = phases_of[tid]
                 span = phase_spans.get(ph)
@@ -861,461 +646,7 @@ class FastSimulator:
                 else:
                     bucket.append(lane)
             for end, lanes in ends.items():
-                seq_c += 1
-                push_event(
-                    nd,
-                    (end, (now, seq_c, -1), _WORKER_FREE, nd,
-                     tuple(lanes)),
-                )
-            flush_ready(ready_buf)
-
-        def try_drain(nd: int, now: float) -> bool:
-            """Retire a homogeneous wave on node ``nd`` node-locally.
-
-            Returns False (caller falls back to ``dispatch``) unless a
-            profitable wave is present.  See the module docstring for
-            the soundness argument.
-            """
-            nonlocal scheduled, makespan_v, aid_c
-            if jitter_rng is not None:
-                return False
-            qs = queues[nd]
-            nonempty = [qi for qi in (0, 1, 2) if qs[qi]]
-            if len(nonempty) != 1:
-                return False
-            qi = nonempty[0]
-            queue = qs[qi]
-            if len(queue) < WAVE_MIN or not drain_ok[queue[0][2]]:
-                return False
-
-            # Absorb this node's events (the whole of its heap), derive
-            # the horizon H below which no foreign activity can insert
-            # work into this node.  Absorbed READY events keep their
-            # trigger ranks; in-wave emissions are stamped with theirs
-            # at emission, so re-pushing at wave exit needs no
-            # re-sequencing to preserve reference tie-breaks.
-            # Two-hop horizon.  An insertion into this node is a READY
-            # event whose final decrement is a *foreign assignment of a
-            # task with a cross-node successor*.  Nodes currently
-            # holding such a task (queued, or pending as a READY event)
-            # can produce one at their next event; all others must first
-            # ready one via an ordinary assignment, adding >= dmin_glob.
-            # Either way the inserting completion itself contributes its
-            # duration, >= min_xdur[nd] for edges into this node.
-            foreign_min = inf
-            avail_min = inf
-            for j in range(n_nodes):
-                if j == nd:
-                    continue
-                t = node_head[j]
-                if t < foreign_min:
-                    foreign_min = t
-                if t < avail_min and (cnt_xq[j] or xready_cnt[j]):
-                    avail_min = t
-            lo = foreign_min + dmin_glob
-            if avail_min < lo:
-                lo = avail_min
-            H = lo + min_xdur[nd]
-            if H <= now:
-                return False  # nothing can safely retire
-            # Profitability gate: skip the (heavier) absorption and
-            # state rebuild when the horizon window cannot plausibly
-            # hold a WAVE_MIN-deep wave.  Pure heuristic -- attempting
-            # or not attempting a drain never changes the results.
-            if H < inf:
-                h = queue[0][2]
-                d0 = dur_gpu[h] if qi == 1 else dur_cpu[h]
-                lanes_n = plan.cpu_slot_counts[nd] + gpu_counts[nd]
-                if (H - now) * lanes_n < WAVE_MIN * d0:
-                    return False
-            asides: List[tuple] = []
-            pend: List[Tuple[float, int]] = []  # (free time, lane)
-            joiners: List[tuple] = []  # (ready time, rank, tid)
-            for ev in nodeheaps[nd]:
-                if ev[2] == _WORKER_FREE:
-                    for lane in ev[4]:
-                        pend.append((ev[0], lane))
-                else:
-                    tid = ev[3]
-                    if drain_ok[tid] and qclass[tid] == qi:
-                        joiners.append((ev[0], ev[1], tid))
-                    else:
-                        if ev[0] < H:
-                            H = ev[0]
-                        asides.append(ev)
-            heapq.heapify(pend)
-            heapq.heapify(joiners)
-
-            # Lane state: idle lanes (ascending index) are the live free
-            # lists; busy lanes sit in `pend` with their free times.
-            idle_c = free_c[nd]
-            idle_g = free_g[nd]
-            use_c = qi != 1 and plan.cpu_slot_counts[nd] > 0
-            use_g = qi != 0 and gpu_counts[nd] > 0
-            stats["waves"] += 1
-            wave_n = 0
-            ready_buf: List[tuple] = []  # (time, rank, tid), non-wave
-            cur = now
-            stop_dummy = False
-            overran = False
-
-            def drain_ready_time(s: int) -> float:
-                dst = node_of[s]
-                ready = pred_finish[s]
-                for hid in reads_dedup[s]:
-                    locs = valid.get(hid)
-                    if locs is None:
-                        locs = valid[hid] = {homes[hid]: 0.0}
-                    t = locs.get(dst)
-                    if t is None:
-                        # Unreachable for STF-built graphs: every read
-                        # is covered by an eager push whose writer is a
-                        # finished predecessor.  Bail out loudly rather
-                        # than schedule a transfer out of order.
-                        raise RuntimeError(
-                            "simfast: wave drain met an uncovered read "
-                            f"(hid={hid}, task={s})"
-                        )
-                    if t > ready:
-                        ready = t
-                return ready
-
-            def emit_succs(tid: int, start: float, end: float) -> None:
-                """Successor bookkeeping for one in-wave completion."""
-                nonlocal H, aid_c
-                aid_c += 1
-                aid = aid_c
-                pos = 0
-                for s in succs[tid]:
-                    if end > pred_finish[s]:
-                        pred_finish[s] = end
-                    if start >= dec_t[s]:
-                        dec_t[s] = start
-                        dec_aid[s] = aid
-                        dec_pos[s] = pos
-                    pos += 1
-                    indeg[s] -= 1
-                    if indeg[s] == 0:
-                        r = drain_ready_time(s)
-                        rank = (dec_t[s], dec_aid[s], dec_pos[s])
-                        if drain_ok[s] and qclass[s] == qi:
-                            heappush(joiners, (r, rank, s))
-                        else:
-                            if r < H:
-                                H = r
-                            ready_buf.append((r, rank, s))
-
-            def retire(tid: int, start: float, end: float, lane: int,
-                       gpu: bool) -> None:
-                nonlocal wave_n, makespan_v, scheduled
-                if end > makespan_v:
-                    makespan_v = end
-                dst = node_of[tid]
-                for hid in writes_of[tid]:
-                    valid[hid] = {dst: end}
-                emit_succs(tid, start, end)
-                scheduled += 1
-                wave_n += 1
-                ph = phases_of[tid]
-                span = phase_spans.get(ph)
-                if span is None:
-                    phase_spans[ph] = [start, end]
-                else:
-                    if start < span[0]:
-                        span[0] = start
-                    if end > span[1]:
-                        span[1] = end
-                if trace:
-                    task_records.append(
-                        TaskRecord(
-                            tid, names[tid], ph, nd,
-                            GPU if gpu else CPU, start, end, worker=lane,
-                        )
-                    )
-
-            gcnt = gpu_counts[nd]
-            l_total = gcnt if use_g else plan.cpu_slot_counts[nd]
-            single_kind = (use_c != use_g) and l_total > 0
-            vec_skip = None
-            vec_dead = False
-            heapreplace = heapq.heapreplace
-
-            while True:
-                # Batched retirement of a uniform single-kind prefix: a
-                # run of equal-priority, equal-duration drainable tasks
-                # whose successors cannot outrank them.  The reference
-                # assigns the j-th such task to the j-th same-kind
-                # lane-free event in (time, lane) order (rate ties pick
-                # the lowest free lane), so a small rotation heap over
-                # lane free-times reproduces every start bit for bit --
-                # each end is the same single float addition -- and the
-                # scan pops a queue entry only once its assignment is
-                # committed, so nothing is ever pushed back.  Long
-                # batches switch to CSR-vectorized successor
-                # bookkeeping; short ones retire scalar-wise.
-                if (
-                    single_kind
-                    and not vec_dead
-                    and len(queue) >= WAVE_MIN
-                    and queue[0] is not vec_skip
-                    and drain_ok[queue[0][2]]
-                ):
-                    durs = dur_gpu if use_g else dur_cpu
-                    idle_kind = idle_g if use_g else idle_c
-                    pk0 = queue[0][0]
-                    d0 = durs[queue[0][2]]
-                    # Assignments stop strictly before the earliest
-                    # instant other work could claim a lane: the
-                    # horizon, or a pending joiner that outranks the
-                    # prefix (lower-or-equal-priority joiners lose the
-                    # reference's insertion-order tie-break until the
-                    # prefix is exhausted).
-                    stop = H
-                    if not fifo:
-                        for jr, _jrk, jt in joiners:
-                            if -prio_of[jt] < pk0 and jr < stop:
-                                stop = jr
-                    rot = [(cur, l) for l in idle_kind]
-                    del idle_kind[:]
-                    if pend:
-                        keep = []
-                        for e in pend:
-                            if (e[1] < gcnt) == use_g:
-                                rot.append(e)
-                            else:
-                                keep.append(e)
-                        pend = keep
-                        heapq.heapify(pend)
-                    heapq.heapify(rot)
-                    prefix: List[int] = []
-                    starts: List[float] = []
-                    ends: List[float] = []
-                    lanes_seq: List[int] = []
-                    cap = inf
-                    while queue:
-                        t0, l0 = rot[0]
-                        if t0 >= stop:
-                            # Lane times only grow and `stop` only
-                            # shrinks within one drain: batching is
-                            # exhausted until the next drain.
-                            vec_dead = True
-                            break
-                        if t0 >= cap:
-                            break
-                        pk, _qs2, t = queue[0]
-                        if (
-                            pk != pk0
-                            or not drain_ok[t]
-                            or durs[t] != d0
-                            or (not fifo and succ_prio_max[t] > -pk0)
-                        ):
-                            if defect_wave and not overran and prefix:
-                                # Seeded defect: off-by-one wave
-                                # boundary -- sweep the first
-                                # non-matching task in.
-                                overran = True
-                            else:
-                                break
-                        heappop(queue)
-                        if cap == inf and not vec_ok[t]:
-                            # This task's successors re-enter the
-                            # global loop when ready (at or after
-                            # t0 + d0); no later assignment may
-                            # pre-empt that dispatch.
-                            cap = t0 + d0
-                        e0 = t0 + d0
-                        heapreplace(rot, (e0, l0))
-                        prefix.append(t)
-                        starts.append(t0)
-                        ends.append(e0)
-                        lanes_seq.append(l0)
-                    P = len(prefix)
-                    # Restore lane state: rotation entries still at
-                    # `cur` never ran and stay idle; the rest are
-                    # busy until their recorded free times.
-                    for t0, l0 in rot:
-                        if t0 == cur:
-                            insort(idle_kind, l0)
-                        else:
-                            heappush(pend, (t0, l0))
-                    if not P:
-                        # Skip re-attempts until the queue head changes.
-                        vec_skip = queue[0] if queue else None
-                    elif P < VEC_MIN:
-                        # Too short for the numpy path to pay off;
-                        # retire in assignment order, which is exactly
-                        # the reference's completion-bookkeeping order.
-                        for k in range(P):
-                            retire(
-                                prefix[k], starts[k], ends[k],
-                                lanes_seq[k], use_g,
-                            )
-                        continue
-                    else:
-                        stats["vector_tasks"] += P
-                        # Batched successor bookkeeping: one fused loop
-                        # over the wave's edge stream -- decrements,
-                        # pred-finish maxima, trigger-rank stamps, and
-                        # zero detection together.  Sequential order
-                        # means a task hits indegree zero exactly at its
-                        # final decrement, so `newly` carries the right
-                        # rank without a second pass.
-                        aid0 = aid_c
-                        aid_c += P
-                        newly: List[int] = []
-                        for k in range(P):
-                            t = prefix[k]
-                            end_t = ends[k]
-                            dst_t = node_of[t]
-                            for hid in writes_of[t]:
-                                valid[hid] = {dst_t: end_t}
-                            sl = succs[t]
-                            if sl:
-                                t0k = starts[k]
-                                ak = aid0 + 1 + k
-                                pos = 0
-                                for s in sl:
-                                    if end_t > pred_finish[s]:
-                                        pred_finish[s] = end_t
-                                    if t0k >= dec_t[s]:
-                                        dec_t[s] = t0k
-                                        dec_aid[s] = ak
-                                        dec_pos[s] = pos
-                                    pos += 1
-                                    left = indeg[s] - 1
-                                    indeg[s] = left
-                                    if left == 0:
-                                        newly.append(s)
-                        for s in newly:
-                            r = drain_ready_time(s)
-                            rank = (dec_t[s], dec_aid[s], dec_pos[s])
-                            if drain_ok[s] and qclass[s] == qi:
-                                heappush(joiners, (r, rank, s))
-                            else:
-                                if r < H:
-                                    H = r
-                                ready_buf.append((r, rank, s))
-                        scheduled += P
-                        wave_n += P
-                        if ends[-1] > makespan_v:
-                            makespan_v = ends[-1]
-                        ph0 = phases_of[prefix[0]]
-                        if all(phases_of[t] == ph0 for t in prefix):
-                            span = phase_spans.get(ph0)
-                            if span is None:
-                                phase_spans[ph0] = [starts[0], ends[-1]]
-                            else:
-                                if starts[0] < span[0]:
-                                    span[0] = starts[0]
-                                if ends[-1] > span[1]:
-                                    span[1] = ends[-1]
-                        else:
-                            for k in range(P):
-                                ph = phases_of[prefix[k]]
-                                span = phase_spans.get(ph)
-                                if span is None:
-                                    phase_spans[ph] = [starts[k], ends[k]]
-                                else:
-                                    if starts[k] < span[0]:
-                                        span[0] = starts[k]
-                                    if ends[k] > span[1]:
-                                        span[1] = ends[k]
-                        if trace:
-                            kind_s = GPU if use_g else CPU
-                            for k in range(P):
-                                t = prefix[k]
-                                task_records.append(
-                                    TaskRecord(
-                                        t, names[t], phases_of[t], nd,
-                                        kind_s, starts[k], ends[k],
-                                        worker=lanes_seq[k],
-                                    )
-                                )
-                        continue
-
-                # Scalar dispatch at `cur`.
-                while queue:
-                    tid = queue[0][2]
-                    if not (drain_ok[tid] and qclass[tid] == qi):
-                        if defect_wave and not overran:
-                            overran = True  # seeded defect: sweep one in
-                        else:
-                            stop_dummy = True
-                            break
-                    if qi == 0:
-                        if not idle_c:
-                            break
-                        gpu = False
-                    elif qi == 1:
-                        if not idle_g:
-                            break
-                        gpu = True
-                    else:
-                        hc = bool(idle_c) and use_c
-                        hg = bool(idle_g) and use_g
-                        if not (hc or hg):
-                            break
-                        gpu = hg and (not hc or prefer_gpu[tid])
-                    heappop(queue)
-                    lane = (idle_g if gpu else idle_c).pop(0)
-                    end = cur + (dur_gpu[tid] if gpu else dur_cpu[tid])
-                    retire(tid, cur, end, lane, gpu)
-                    heappush(pend, (end, lane))
-                if stop_dummy:
-                    break
-
-                # Advance to the next lane-free / joiner time.
-                t_next = pend[0][0] if pend else float("inf")
-                if joiners and joiners[0][0] < t_next:
-                    t_next = joiners[0][0]
-                if t_next == float("inf"):
-                    break  # wave fully drained
-                if t_next >= H:
-                    break  # foreign activity could interleave: hand back
-                cur = t_next
-                while pend and pend[0][0] == cur:
-                    lane = heappop(pend)[1]
-                    if lane < gpu_counts[nd]:
-                        insort(idle_g, lane)
-                    else:
-                        insort(idle_c, lane)
-                while joiners and joiners[0][0] == cur:
-                    enqueue_ready(heappop(joiners)[2])
-
-            # Hand control back: rebuild the node's heap from every
-            # outstanding item, ranks intact, so ordering against
-            # post-wave foreign pushes reproduces the reference's
-            # sequence-number tie-breaks.
-            nh: List[tuple] = []
-            ends_map: Dict[float, list] = {}
-            for t, lane in pend:
-                bucket = ends_map.get(t)
-                if bucket is None:
-                    ends_map[t] = [lane]
-                else:
-                    bucket.append(lane)
-            for t, lanes_l in ends_map.items():
-                nh.append((t, (t, 0, -1), _WORKER_FREE, nd, tuple(lanes_l)))
-            for r, rank, tid in joiners:
-                nh.append((r, rank, _TASK_READY, tid, 0))
-            nh.extend(asides)
-            for r, rank, tid in ready_buf:
-                if has_xsucc[tid]:
-                    xready_cnt[nd] += 1
-                nh.append((r, rank, _TASK_READY, tid, 0))
-            if stop_dummy:
-                # A non-drainable task surfaced at `cur`: an empty free
-                # event resumes the generic dispatcher right there.
-                nh.append((cur, (0.0, 0, -1), _WORKER_FREE, nd, ()))
-            heapq.heapify(nh)
-            nodeheaps[nd] = nh
-            if nh:
-                node_head[nd] = nh[0][0]
-                heappush(global_h, (nh[0][0], nd))
-            else:
-                node_head[nd] = inf
-            stats["wave_tasks"] += wave_n
-            return True
+                heappush(events, (end, next_seq(), _WORKER_FREE, nd, lanes))
 
         # -- initial state ---------------------------------------------------
 
@@ -1327,55 +658,37 @@ class FastSimulator:
 
         for tid in range(n_tasks):
             if indeg[tid] == 0:
-                # Initial readiness precedes every decrement-triggered
-                # push; tid order matches the reference's submission
-                # loop.
-                push_event(
-                    node_of[tid],
-                    (ready_time(tid), (-1.0, tid, 0), _TASK_READY, tid, 0),
+                heappush(
+                    events, (ready_time(tid), next_seq(), _TASK_READY, tid, ())
                 )
 
         # -- main loop -------------------------------------------------------
 
-        while global_h:
-            now, nd0 = global_h[0]
-            if node_head[nd0] != now:
-                heappop(global_h)  # stale index entry
-                continue
+        while events:
+            # Apply every state change at this timestamp before
+            # dispatching, so simultaneous arrivals compete by priority.
+            now = events[0][0]
             dirty = set()
-            while global_h and global_h[0][0] == now:
-                nd = heappop(global_h)[1]
-                if node_head[nd] != now:
-                    continue
-                nh = nodeheaps[nd]
-                g = gpu_counts[nd]
-                fc = free_c[nd]
-                fg = free_g[nd]
-                while nh and nh[0][0] == now:
-                    ev = heappop(nh)
-                    if ev[2] == _WORKER_FREE:
-                        for lane in ev[4]:
-                            if lane < g:
-                                insort(fg, lane)
-                            else:
-                                insort(fc, lane)
-                    else:
-                        if has_xsucc[ev[3]]:
-                            xready_cnt[nd] -= 1
-                        enqueue_ready(ev[3])
-                if nh:
-                    node_head[nd] = nh[0][0]
-                    heappush(global_h, (nh[0][0], nd))
+            while events and events[0][0] == now:
+                _t, _s, kind, a, lanes = heappop(events)
+                if kind == _TASK_READY:
+                    nd = node_of[a]
+                    if not eligible[a]:
+                        raise RuntimeError(
+                            f"task {names[a]!r} (tid={a}) has no eligible "
+                            f"worker on node {nd} "
+                            f"({plan.node_type_names[nd]})"
+                        )
+                    prio = 0 if fifo else -prio_of[a]
+                    heappush(queues[nd][qclass[a]], (prio, next_seq(), a))
+                    dirty.add(nd)
                 else:
-                    node_head[nd] = inf
-                dirty.add(nd)
-            if len(dirty) == 1:
-                nd = dirty.pop()
-                if not try_drain(nd, now):
-                    dispatch(nd, now)
-            else:
-                for nd in sorted(dirty):
-                    dispatch(nd, now)
+                    g = gpu_counts[a]
+                    for lane in lanes:
+                        insort(free_g[a] if lane < g else free_c[a], lane)
+                    dirty.add(a)
+            for nd in sorted(dirty):
+                dispatch(nd, now)
 
         if scheduled != n_tasks:
             raise ValueError(
@@ -1383,14 +696,6 @@ class FastSimulator:
                 f"tasks ran"
             )
 
-        if trace and stats["waves"]:
-            # Waves append their records out of global chronological
-            # order; the reference appends in event-loop order, which is
-            # exactly (start, node) with per-(timestamp, node) assignment
-            # order preserved -- a stable sort restores it.
-            task_records.sort(key=lambda r: (r.start, r.node))
-
-        self.last_run_stats = dict(stats)
         return SimulationResult(
             makespan=makespan_v,
             task_count=n_tasks,

@@ -155,7 +155,7 @@ class TestWallClockAllowlist:
 
 
 class TestFastEngineIdioms:
-    """Fixture pair for the wave-batched fast engine's RNG discipline.
+    """Fixture pair for the flat-plan fast engine's RNG discipline.
 
     The fast path replays the reference's jitter stream, so the one
     thing DET001 must keep out of it is hidden global RNG state: the

@@ -65,20 +65,19 @@ def _assert_same_stream(label, ref, fast):
     )
 
 
-def assert_equivalent(graph, cluster, perfmodel=None, policy="priority"):
+def assert_equivalent(
+    graph, cluster, perfmodel=None, policy="priority", jitter_sd=0.0, seed=0
+):
     """Oracle: reference and fast engines agree bit for bit on ``graph``.
 
-    Returns ``(result, fast_stats)`` so callers can additionally assert
-    that the wave/vector machinery actually engaged
-    (``fast_stats["wave_tasks"]`` etc.) -- a differential suite that
-    only ever exercises the task-by-task fallback proves nothing.
+    ``jitter_sd``/``seed`` configure both engines' duration jitter, so a
+    jittered run also pins the RNG draw order.  Returns the reference
+    result.
     """
     pm = perfmodel if perfmodel is not None else PerfModel()
-    ref, ref_lines = traced_run(
-        Simulator(cluster, pm, trace=True, policy=policy), graph
-    )
-    fast_sim = FastSimulator(cluster, pm, trace=True, policy=policy)
-    fast, fast_lines = traced_run(fast_sim, graph)
+    opts = dict(trace=True, policy=policy, jitter_sd=jitter_sd, seed=seed)
+    ref, ref_lines = traced_run(Simulator(cluster, pm, **opts), graph)
+    fast, fast_lines = traced_run(FastSimulator(cluster, pm, **opts), graph)
     for name in RESULT_FIELDS:
         assert getattr(fast, name) == getattr(ref, name), (
             f"{name}: ref={getattr(ref, name)!r} fast={getattr(fast, name)!r}"
@@ -88,4 +87,4 @@ def assert_equivalent(graph, cluster, perfmodel=None, policy="priority"):
         "transfer_records", ref.transfer_records, fast.transfer_records
     )
     assert fast_lines == ref_lines, "obs trace bytes diverge"
-    return ref, fast_sim.last_run_stats
+    return ref

@@ -1,10 +1,10 @@
-"""Hand-built adversarial DAGs aimed at the fast path's weak points.
+"""Hand-built adversarial DAGs aimed at the fast engine's weak points.
 
-The wave engine's correctness argument rests on a handful of guards
-(uniform-wave detection, the two-hop cross-node horizon, NIC lane
-accounting, trigger-rank tie-breaking).  Each test here constructs a
-graph whose *only* purpose is to stress one guard and then demands bit
-identity through the package oracle.
+The fast engine reproduces the reference through precompiled plans
+(eager-push lists, queue classes, worker preferences), NIC stream
+accounting and push-sequence tie-breaking.  Each test here constructs
+a graph whose *only* purpose is to stress one of them and then demands
+bit identity through the package oracle.
 """
 
 from repro.platform import Cluster, NetworkModel, NodeType
@@ -51,9 +51,8 @@ def make_cluster(n_unit=2, n_gpu=0, streams=4):
 def test_cross_node_chain():
     """A deep chain ping-ponging between nodes: every edge is a push.
 
-    Defeats wave formation entirely (each task's predecessor lives on
-    the other node) and stresses the eager-push bookkeeping plus the
-    horizon's cross-capability tracking.
+    Each task's predecessor lives on the other node, so every edge
+    exercises the eager-push bookkeeping.
     """
     cluster = make_cluster(2)
     g = TaskGraph(DataRegistry())
@@ -67,11 +66,10 @@ def test_cross_node_chain():
 
 
 def test_cross_node_chains_interleaved_with_wave():
-    """A homogeneous wave on node 0 racing a cross-node chain.
+    """A homogeneous flood on node 0 racing a cross-node chain.
 
-    The chain keeps inserting work into the draining node from outside;
-    the two-hop horizon must stop the wave before any foreign
-    assignment could land inside it.
+    The chain keeps inserting work into the busy node from outside, so
+    foreign readiness interleaves with local completions at every step.
     """
     cluster = make_cluster(2)
     g = TaskGraph(DataRegistry())
@@ -84,8 +82,7 @@ def test_cross_node_chains_interleaved_with_wave():
         reads = [prev] if prev is not None else []
         g.submit("t", "p", 3e8, reads=reads, writes=[h])
         prev = h
-    _, stats = assert_equivalent(g, cluster, PM)
-    assert stats["wave_tasks"] >= 0  # engagement depends on the horizon
+    assert_equivalent(g, cluster, PM)
 
 
 def test_nic_contention_single_stream():
@@ -152,10 +149,9 @@ def test_priority_ties_break_identically():
 
 
 def test_broken_wave_heterogeneous_member():
-    """A single slow task in the middle of an otherwise uniform wave.
+    """A single slow task in the middle of an otherwise uniform flood.
 
-    The wave detector must either exclude it or fall back; both engines
-    must agree on the resulting schedule exactly.
+    Both engines must agree on the resulting schedule exactly.
     """
     cluster = make_cluster(1)
     g = TaskGraph(DataRegistry())
@@ -180,14 +176,13 @@ def test_wave_with_gpu_preference_split():
 
 
 def test_vector_path_engages_and_matches():
-    """A wide uniform wave large enough for the vectorized retire path."""
+    """A wide uniform flood: long runs of equal-priority queue ties."""
     cluster = make_cluster(1)
     g = TaskGraph(DataRegistry())
     for i in range(100):
         h = g.registry.register(f"h{i}", 0, home=0)
         g.submit("t", "p", 1e9, writes=[h])
-    _, stats = assert_equivalent(g, cluster, PM)
-    assert stats["vector_tasks"] >= 100
+    assert_equivalent(g, cluster, PM)
 
 
 def test_diamond_fan_out_fan_in_across_nodes():

@@ -37,7 +37,7 @@ def _scenario_graph(key="b", n_fact=1):
 
 
 def test_defect_kinds_is_the_locked_set():
-    assert DEFECT_KINDS == ("wave_boundary", "drop_transfer", "tie_break")
+    assert DEFECT_KINDS == ("drop_transfer", "tie_break")
 
 
 def test_unknown_defect_rejected():
@@ -47,27 +47,11 @@ def test_unknown_defect_rejected():
 
 
 def test_clean_run_matches_reference():
-    """Sanity: with no defects injected the engines agree (wave-heavy)."""
+    """Sanity: with no defects injected the engines agree."""
     graph, cluster = _scenario_graph()
     ref = Simulator(cluster, PerfModel(), trace=True).run(graph)
-    fast_sim = FastSimulator(cluster, PerfModel(), trace=True)
-    fast = fast_sim.run(graph)
+    fast = FastSimulator(cluster, PerfModel(), trace=True).run(graph)
     assert not results_differ(ref, fast)
-    assert fast_sim.last_run_stats["wave_tasks"] > 100
-
-
-def test_wave_boundary_defect_is_caught():
-    """Retiring one task too many per wave must be visible.
-
-    Scenario b at n_fact=1 drains hundreds of generation tasks through
-    waves, so a mis-placed wave boundary perturbs the schedule.
-    """
-    graph, cluster = _scenario_graph()
-    ref = Simulator(cluster, PerfModel(), trace=True).run(graph)
-    bad = FastSimulator(
-        cluster, PerfModel(), trace=True, _defects=("wave_boundary",)
-    ).run(graph)
-    assert results_differ(ref, bad)
 
 
 def test_drop_transfer_defect_is_caught():
@@ -121,9 +105,7 @@ def test_every_defect_kind_has_a_catching_workload(kind):
     if kind == "tie_break":
         test_tie_break_defect_is_caught()
         return
-    graph, cluster = _scenario_graph(
-        n_fact=1 if kind == "wave_boundary" else 2
-    )
+    graph, cluster = _scenario_graph(n_fact=2)
     ref = Simulator(cluster, PerfModel(), trace=True).run(graph)
     bad = FastSimulator(
         cluster, PerfModel(), trace=True, _defects=(kind,)

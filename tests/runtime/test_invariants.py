@@ -129,7 +129,7 @@ def test_simulation_deterministic(spec, cspec):
 
 
 # ---------------------------------------------------------------------------
-# Metamorphic properties of the wave-batched fast engine.
+# Metamorphic properties of the flat-plan fast engine.
 #
 # A fixed family of stdlib-random DAGs (seeds 0..23, reproducible without
 # hypothesis) is pushed through FastSimulator and checked against
