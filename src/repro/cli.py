@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -204,8 +205,15 @@ def _cmd_timeline(args) -> None:
         print(f"  {kind:6} : {path}")
 
 
+def _ledger_error_exit(err) -> NoReturn:
+    """Unreadable ledger: a usage-class failure (2), never a regression (1)."""
+    print(f"error: {err}", file=sys.stderr)
+    sys.exit(2)
+
+
 def _cmd_perf_record(args) -> None:
     from .obs.ledger import (
+        LedgerError,
         PerfLedger,
         collect_metrics,
         make_entry,
@@ -216,15 +224,14 @@ def _cmd_perf_record(args) -> None:
         args.scenario,
         n_fact=args.n_fact or None,
         n_gen=args.n_gen or None,
-        bench_path=args.bench or None,
-        simfast_path=args.simfast_bench or None,
-        forensics_path=args.forensics_bench or None,
-        serve_path=args.serve_bench or None,
     )
     label = args.label or args.scenario
     ledger = PerfLedger(args.ledger)
-    entry = ledger.append(make_entry(label, metrics, config=cfg,
-                                     note=args.note))
+    try:
+        entry = ledger.append(make_entry(label, metrics, config=cfg,
+                                         note=args.note))
+    except LedgerError as err:
+        _ledger_error_exit(err)
     print(f"perf record [{label}]: {len(metrics)} metrics appended to "
           f"{ledger.path} ({len(ledger.entries())} entries)")
     if args.root_out:
@@ -239,6 +246,7 @@ def _cmd_perf_check(args) -> None:
     import json
 
     from .obs.ledger import (
+        LedgerError,
         PerfLedger,
         check_against_ledger,
         collect_metrics,
@@ -253,16 +261,15 @@ def _cmd_perf_check(args) -> None:
         args.scenario,
         n_fact=args.n_fact or None,
         n_gen=args.n_gen or None,
-        bench_path=args.bench or None,
-        simfast_path=args.simfast_bench or None,
-        forensics_path=args.forensics_bench or None,
-        serve_path=args.serve_bench or None,
     )
     label = args.label or args.scenario
-    report = check_against_ledger(
-        PerfLedger(args.ledger), label, metrics, config=cfg,
-        threshold=args.threshold,
-    )
+    try:
+        report = check_against_ledger(
+            PerfLedger(args.ledger), label, metrics, config=cfg,
+            threshold=args.threshold,
+        )
+    except LedgerError as err:
+        _ledger_error_exit(err)
     if args.format == "json":
         print(json.dumps(
             {
@@ -923,9 +930,6 @@ def _cmd_bench(args) -> None:
         print(f"error: unknown scenario(s) {unknown}; valid keys: "
               f"{sorted(SCENARIOS)} or 'all'", file=sys.stderr)
         sys.exit(2)
-    if args.simfast:
-        _cmd_bench_simfast(args, keys)
-        return
     bad = [s for s in args.strategies if s not in registered_names()]
     if bad:
         print(f"error: unknown strategy(s) {bad}; registered: "
@@ -956,46 +960,6 @@ def _cmd_bench(args) -> None:
     print(f"  parallel : {report['parallel_seconds']:.2f} s "
           f"(speedup {report['speedup']:.2f}x, warm cache hit rate "
           f"{cache['hit_rate']:.0%})")
-    print(f"  identical: {report['identical']}")
-    print(f"  report   : {out}")
-    if root is not None:
-        print(f"  root copy: {root}")
-
-
-def _cmd_bench_simfast(args, keys) -> None:
-    """``repro bench --simfast``: the batched fast-engine section."""
-    from pathlib import Path
-
-    from .evaluate.bench_simfast import (
-        DEFAULT_OUT,
-        ROOT_OUT,
-        run_simfast_benchmark,
-    )
-
-    if args.reps < 1:
-        print(f"error: --reps must be >= 1, got {args.reps}",
-              file=sys.stderr)
-        sys.exit(2)
-    out = Path(args.out) if args.out else DEFAULT_OUT
-    root = Path(args.root_out) if args.root_out else None
-    if root is not None and root.name == "BENCH_harness.json":
-        root = ROOT_OUT  # the harness default does not fit this section
-    report = run_simfast_benchmark(
-        scenario_keys=keys,
-        reps=args.reps,
-        workers=args.workers,
-        out_path=out,
-        root_path=root,
-        progress=True,
-    )
-    print(f"simfast bench: {len(keys)} scenario(s), reps={args.reps}, "
-          f"workers={args.workers}")
-    for key, row in report["scenarios"].items():
-        print(f"  {key}: {row['configs']} configs  "
-              f"serial {row['serial_seconds']:.2f} s  "
-              f"batched {row['batched_seconds']:.2f} s  "
-              f"x{row['speedup']:.2f}")
-    print(f"  geomean  : {report['geomean_speedup']:.2f}x")
     print(f"  identical: {report['identical']}")
     print(f"  report   : {out}")
     if root is not None:
@@ -1128,20 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ledger label (default: the scenario key)")
         pp.add_argument("--ledger", default=str(DEFAULT_LEDGER),
                         help="ledger JSONL path")
-        pp.add_argument("--bench", default="",
-                        help="BENCH_harness.json to merge (informational "
-                             "bench.* metrics)")
-        pp.add_argument("--simfast-bench", default="",
-                        help="BENCH_simfast.json to merge (informational "
-                             "bench.simfast_* metrics plus the gated "
-                             "simfast.mismatches differential verdict)")
-        pp.add_argument("--forensics-bench", default="",
-                        help="BENCH_forensics.json to merge (informational "
-                             "forensics.* and convergence.* analytics)")
-        pp.add_argument("--serve-bench", default="",
-                        help="BENCH_serve.json to merge (serve.* metrics "
-                             "incl. the gated serve.propose_p99_ticks and "
-                             "serve.errors)")
 
     pp = perf_sub.add_parser(
         "record", help="append the current run's aggregates to the ledger"
@@ -1425,10 +1375,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "('' disables)")
     p.add_argument("--no-spill", action="store_true",
                    help="do not warm/persist the duration cache on disk")
-    p.add_argument("--simfast", action="store_true",
-                   help="benchmark the plan-batched fast simulator instead "
-                        "(BENCH_simfast.json; --strategies/--iterations are "
-                        "ignored, --root-out defaults to BENCH_simfast.json)")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("lint", help="static analysis (determinism, contracts)")

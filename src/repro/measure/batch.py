@@ -20,7 +20,7 @@ Every makespan produced this way is bit-identical to the naive
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..distribution import factorization_distribution, generation_distribution
 from ..geostat.phases import IterationPlan, build_iteration_parts
@@ -156,25 +156,3 @@ class ScenarioBatch:
             ).makespan
         return got
 
-
-def batch_measure(
-    scenario,
-    actions: Sequence[int],
-    include_rigid: bool = False,
-) -> Dict[int, Tuple[float, Optional[float]]]:
-    """All sweep measurements of a scenario in one batched pass.
-
-    Returns ``{n: (duration, rigid-or-None)}`` exactly as the naive
-    sweep loop produces them: the flexible duration is the plan
-    ``(n_fact=n, n_gen=N)`` and the rigid one ``(n_fact=n, n_gen=n)``.
-    """
-    cluster = scenario.build_cluster()
-    workload = Workload.from_name(scenario.workload)
-    batch = ScenarioBatch(cluster, workload)
-    n_total = len(cluster)
-    out: Dict[int, Tuple[float, Optional[float]]] = {}
-    for n in actions:
-        duration = batch.measure(int(n), n_total)
-        rigid = batch.measure(int(n), int(n)) if include_rigid else None
-        out[int(n)] = (duration, rigid)
-    return out

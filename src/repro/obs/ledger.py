@@ -9,8 +9,7 @@ the reproduction that durable layer:
   (``benchmarks/perf_ledger.jsonl`` by default) of per-run aggregates --
   the timeline analytics of :mod:`repro.obs.timeline` (makespan,
   per-phase makespans, idleness, critical-path length, communication
-  time) plus, when available, the harness bench aggregates
-  (``BENCH_harness.json``: speedup, cache hit rate);
+  time) of one traced iteration;
 * a **regression gate**: ``repro perf check`` recomputes the current
   metrics and compares them against the most recent ledger entry with a
   *matching experiment config* (scenario, workload, tile count, plan) --
@@ -19,8 +18,7 @@ the reproduction that durable layer:
 
 Only *simulated-time* metrics are gated: they are pure functions of the
 code, so a trip is a real code-induced regression, never machine noise.
-Wall-clock aggregates (``bench.*``) are recorded for trend analysis but
-never gated.
+Wall-clock cost is measured layer by layer by ``perfbench/``, not here.
 
 Ledger timestamps come from the repository's single audited calendar
 source (:class:`repro.obs.clock.WallClock`); no new wall-clock read is
@@ -30,9 +28,10 @@ introduced, so the DET001 allowlist stays at exactly one module.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .clock import Clock, WallClock
 
@@ -56,16 +55,6 @@ GATED_METRICS = (
     "critical_path_s",
     "mean_idleness",
     "comm_time_s",
-    # Fast-engine differential gate: 0.0 while BENCH_simfast.json says
-    # `identical: true`; any mismatch is an unbounded relative increase
-    # over a zero baseline, so it always trips.
-    "simfast.mismatches",
-    # Tuning-service gates (BENCH_serve.json): the per-tenant propose
-    # p99 is in deterministic shard ticks (lower is better, like every
-    # simulated-time metric), and errors sit on a zero baseline so any
-    # protocol refusal during the seeded bench trips the gate.
-    "serve.propose_p99_ticks",
-    "serve.errors",
 )
 
 #: Prefixes of additional gated metric families.
@@ -153,11 +142,49 @@ def compare_metrics(
     return checks
 
 
+class LedgerError(ValueError):
+    """A ledger line other than the final one does not parse."""
+
+
 class PerfLedger:
     """Append-only JSONL ledger of per-run performance aggregates."""
 
     def __init__(self, path: Union[str, Path] = DEFAULT_LEDGER) -> None:
         self.path = Path(path)
+
+    def _read(self) -> Tuple[List[dict], Optional[int]]:
+        """Parsed entries plus the byte offset of a torn final line.
+
+        An unparseable *final* line is what an interrupted append leaves
+        behind: it is skipped with a warning on stderr and its offset is
+        returned (``None`` when the file ends cleanly).  An unparseable
+        line anywhere else is corruption and raises :class:`LedgerError`.
+        """
+        if not self.path.exists():
+            return [], None
+        lines = self.path.read_bytes().splitlines(keepends=True)
+        last = max((i for i, raw in enumerate(lines) if raw.strip()),
+                   default=-1)
+        out: List[dict] = []
+        offset = 0
+        for i, raw in enumerate(lines):
+            if raw.strip():
+                try:
+                    entry = json.loads(raw)
+                except ValueError:
+                    entry = None
+                if not isinstance(entry, dict):
+                    if i < last:
+                        raise LedgerError(
+                            f"{self.path}:{i + 1}: unparseable ledger line"
+                        )
+                    print(f"warning: {self.path}:{i + 1}: skipping the "
+                          "unparseable final line (interrupted append?)",
+                          file=sys.stderr)
+                    return out, offset
+                out.append(entry)
+            offset += len(raw)
+        return out, None
 
     def entries(self) -> List[dict]:
         """All parseable entries, oldest first.
@@ -166,22 +193,23 @@ class PerfLedger:
         compatibility: an old checkout gating against a new ledger
         simply sees no baseline) -- blank lines are ignored.
         """
-        if not self.path.exists():
-            return []
-        out: List[dict] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            if int(entry.get("schema", 0)) <= LEDGER_SCHEMA_VERSION:
-                out.append(entry)
-        return out
+        return [
+            entry for entry in self._read()[0]
+            if int(entry.get("schema", 0)) <= LEDGER_SCHEMA_VERSION
+        ]
 
     def append(self, entry: dict) -> dict:
-        """Append one entry (stamped with the schema version)."""
+        """Append one entry (stamped with the schema version).
+
+        A torn final line left by an interrupted append is cut off first,
+        so the new entry starts on a line of its own.
+        """
         stamped = dict(entry, schema=LEDGER_SCHEMA_VERSION)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        torn = self._read()[1]
+        if torn is not None:
+            with self.path.open("r+b") as fh:
+                fh.truncate(torn)
         with self.path.open("a", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(stamped, sort_keys=True,
                                 separators=(",", ":")) + "\n")
@@ -231,161 +259,22 @@ def make_entry(
     return entry
 
 
-def merge_bench_metrics(
-    metrics: Dict[str, float], bench_path: Union[str, Path]
-) -> Dict[str, float]:
-    """Fold ``BENCH_harness.json`` aggregates into a metric dict.
-
-    The merged keys are prefixed ``bench.`` and are informational (never
-    gated: wall-clock speedups are machine-dependent).  Missing or
-    unreadable reports merge nothing.
-    """
-    path = Path(bench_path)
-    if not path.exists():
-        return dict(metrics)
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return dict(metrics)
-    out = dict(metrics)
-    for key in ("speedup", "serial_seconds", "parallel_seconds"):
-        if isinstance(report.get(key), (int, float)):
-            out[f"bench.{key}"] = float(report[key])
-    cache = report.get("cache")
-    if isinstance(cache, dict) and isinstance(
-        cache.get("hit_rate"), (int, float)
-    ):
-        out["bench.cache_hit_rate"] = float(cache["hit_rate"])
-    return out
-
-
-def merge_simfast_metrics(
-    metrics: Dict[str, float], bench_path: Union[str, Path]
-) -> Dict[str, float]:
-    """Fold ``BENCH_simfast.json`` into a metric dict.
-
-    The wall-clock aggregates are informational ``bench.*`` keys like
-    the harness bench's; the differential verdict becomes the **gated**
-    ``simfast.mismatches`` (0.0 when every batched makespan matched the
-    reference bit for bit).  Missing or unreadable reports merge
-    nothing.
-    """
-    path = Path(bench_path)
-    if not path.exists():
-        return dict(metrics)
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return dict(metrics)
-    out = dict(metrics)
-    if isinstance(report.get("geomean_speedup"), (int, float)):
-        out["bench.simfast_geomean_speedup"] = float(
-            report["geomean_speedup"]
-        )
-    scenarios = report.get("scenarios")
-    if isinstance(scenarios, dict):
-        for key, entry in scenarios.items():
-            if isinstance(entry, dict) and isinstance(
-                entry.get("speedup"), (int, float)
-            ):
-                out[f"bench.simfast_speedup.{key}"] = float(entry["speedup"])
-    if isinstance(report.get("identical"), bool):
-        out["simfast.mismatches"] = 0.0 if report["identical"] else 1.0
-    return out
-
-
-def merge_forensics_metrics(
-    metrics: Dict[str, float], bench_path: Union[str, Path]
-) -> Dict[str, float]:
-    """Fold ``BENCH_forensics.json`` into a metric dict.
-
-    The merged keys are the report's ``forensics.*`` (detector
-    precision/recall/F1/latency per schedule and family) and
-    ``convergence.*`` (iters-to-5%, cumulative regret, exploration
-    ratio, posterior-sd decay per strategy) entries -- all informational
-    analytics, never gated: they describe *how* the strategies learned,
-    not how fast the code ran.  Missing or unreadable reports merge
-    nothing.
-    """
-    path = Path(bench_path)
-    if not path.exists():
-        return dict(metrics)
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return dict(metrics)
-    out = dict(metrics)
-    body = report.get("metrics")
-    if isinstance(body, dict):
-        for key, value in body.items():
-            if key.startswith(("forensics.", "convergence.")) and isinstance(
-                value, (int, float)
-            ):
-                out[key] = float(value)
-    return out
-
-
-def merge_serve_metrics(
-    metrics: Dict[str, float], bench_path: Union[str, Path]
-) -> Dict[str, float]:
-    """Fold ``BENCH_serve.json`` into a metric dict.
-
-    Merges every ``serve.*`` metric of the tuning-service bench.  Two
-    of them are gated (``serve.propose_p99_ticks``,
-    ``serve.errors``); the rest -- tenants served, throughput per
-    tick, mean regret, bank-store reuse -- are informational.  All are
-    deterministic tick-clock quantities, never wall-clock.  Missing or
-    unreadable reports merge nothing.
-    """
-    path = Path(bench_path)
-    if not path.exists():
-        return dict(metrics)
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return dict(metrics)
-    out = dict(metrics)
-    body = report.get("metrics")
-    if isinstance(body, dict):
-        for key, value in body.items():
-            if key.startswith("serve.") and isinstance(value, (int, float)):
-                out[key] = float(value)
-    return out
-
-
 def collect_metrics(
     scenario_key: str,
     n_fact: Optional[int] = None,
     n_gen: Optional[int] = None,
-    bench_path: Optional[Union[str, Path]] = None,
-    simfast_path: Optional[Union[str, Path]] = None,
-    forensics_path: Optional[Union[str, Path]] = None,
-    serve_path: Optional[Union[str, Path]] = None,
 ):
     """Compute the current run's ledger metrics for one scenario.
 
     Returns ``(metrics, config)``: the flattened timeline analytics of a
-    deterministic traced iteration, optionally merged with bench
-    aggregates (``bench_path``), the fast-engine differential report
-    (``simfast_path``), the telemetry analytics report
-    (``forensics_path``) and the tuning-service bench report
-    (``serve_path``).
+    deterministic traced iteration.
     """
     from .timeline import analyze, flat_metrics, simulate_timeline
 
     result, cluster, graph, cfg = simulate_timeline(
         scenario_key, n_fact=n_fact, n_gen=n_gen
     )
-    metrics = flat_metrics(analyze(result, cluster, graph))
-    if bench_path is not None:
-        metrics = merge_bench_metrics(metrics, bench_path)
-    if simfast_path is not None:
-        metrics = merge_simfast_metrics(metrics, simfast_path)
-    if forensics_path is not None:
-        metrics = merge_forensics_metrics(metrics, forensics_path)
-    if serve_path is not None:
-        metrics = merge_serve_metrics(metrics, serve_path)
-    return metrics, cfg
+    return flat_metrics(analyze(result, cluster, graph)), cfg
 
 
 def check_against_ledger(

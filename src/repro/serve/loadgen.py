@@ -350,7 +350,7 @@ def run_bench(
         if not key.startswith("durations."):
             metrics[f"serve.banks.{key}"] = value
     ok = (p99 <= p99_bound and slo_failures == 0
-          and len(sessions) == len(specs))
+          and len(sessions) == len(specs) and metrics["serve.errors"] == 0)
     report: Dict[str, object] = {
         "label": "serve-bench",
         # The shard count is deliberately absent: the report is a pure

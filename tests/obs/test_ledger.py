@@ -1,6 +1,7 @@
 """Unit tests for the perf ledger and regression gate (repro.obs.ledger)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ METRICS = {
     "task_count": 100.0,
     "bench.speedup": 3.0,
 }
+REPO_ROOT = Path(__file__).resolve().parents[2]
 CONFIG = {"scenario": "b", "workload": "synth101", "tiles": 8,
           "n_fact": 4, "n_gen": 4, "nodes": 4}
 
@@ -102,6 +104,36 @@ class TestLedger:
         path.write_text(json.dumps(future) + "\n\n")
         assert lg.PerfLedger(path).entries() == []
 
+    def test_torn_final_line_skipped_with_warning(self, tmp_path, capsys):
+        ledger = lg.PerfLedger(tmp_path / "ledger.jsonl")
+        ledger.append(lg.make_entry("b", METRICS, clock=TickClock()))
+        with ledger.path.open("a") as fh:
+            fh.write('{"label": "b", "metr')  # interrupted append
+        (entry,) = ledger.entries()
+        assert entry["metrics"] == METRICS
+        assert "ledger.jsonl:2: skipping the unparseable final line" in (
+            capsys.readouterr().err)
+
+    def test_append_cuts_the_torn_final_line(self, tmp_path, capsys):
+        ledger = lg.PerfLedger(tmp_path / "ledger.jsonl")
+        ledger.append(lg.make_entry("b", METRICS, clock=TickClock()))
+        with ledger.path.open("a") as fh:
+            fh.write('{"label": "b", "metr')
+        ledger.append(lg.make_entry("c", METRICS, clock=TickClock()))
+        assert [e["label"] for e in ledger.entries()] == ["b", "c"]
+        assert len(ledger.path.read_text().splitlines()) == 2
+
+    def test_unparseable_earlier_line_raises(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        good = json.dumps({"schema": 1, "label": "b", "metrics": {}})
+        path.write_text(good + "\n{not json\n" + good + "\n")
+        ledger = lg.PerfLedger(path)
+        with pytest.raises(lg.LedgerError, match="ledger.jsonl:2"):
+            ledger.entries()
+        with pytest.raises(lg.LedgerError):
+            ledger.append(lg.make_entry("b", METRICS, clock=TickClock()))
+        assert len(path.read_text().splitlines()) == 3
+
     def test_baseline_matches_label_and_config(self, tmp_path):
         ledger = lg.PerfLedger(tmp_path / "ledger.jsonl")
         other_cfg = dict(CONFIG, tiles=40)
@@ -154,24 +186,24 @@ class TestCheckAgainstLedger:
         assert "FAIL" in rendered and "makespan_s" in rendered
 
 
-class TestBenchMerge:
-    def test_merges_wall_clock_aggregates(self, tmp_path):
-        bench = tmp_path / "BENCH_harness.json"
-        bench.write_text(json.dumps({
-            "speedup": 3.5, "serial_seconds": 7.0, "parallel_seconds": 2.0,
-            "cache": {"hit_rate": 0.9},
-        }))
-        merged = lg.merge_bench_metrics({"makespan_s": 1.0}, bench)
-        assert merged["bench.speedup"] == 3.5
-        assert merged["bench.cache_hit_rate"] == 0.9
-        assert merged["makespan_s"] == 1.0
+class TestGatedMetricsAreCompared:
+    """A gated metric the gate never sees would pass silently."""
 
-    def test_missing_or_garbage_report_merges_nothing(self, tmp_path):
-        base = {"makespan_s": 1.0}
-        assert lg.merge_bench_metrics(base, tmp_path / "nope.json") == base
-        garbage = tmp_path / "bad.json"
-        garbage.write_text("{not json")
-        assert lg.merge_bench_metrics(base, garbage) == base
+    def test_every_gated_metric_is_produced_and_baselined(self,
+                                                          monkeypatch):
+        monkeypatch.setenv("REPRO_TILES_101", "8")
+        monkeypatch.setenv("REPRO_TILES_128", "8")
+        produced, _ = lg.collect_metrics("b")
+        ledger = lg.PerfLedger(REPO_ROOT / lg.DEFAULT_LEDGER)
+        newest = [e for e in ledger.entries() if e.get("label") == "b"][-1]
+        baselined = newest["metrics"]
+        for name in lg.GATED_METRICS:
+            assert name in produced, name
+            assert name in baselined, name
+        for prefix in lg.GATED_PREFIXES:
+            family = {k for k in produced if k.startswith(prefix)}
+            assert family, prefix
+            assert family <= set(baselined), prefix
 
 
 class TestRootReport:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.geostat import IterationPlan
 from repro.geostat.phases import build_iteration_graph
-from repro.measure.batch import ScenarioBatch, batch_measure
+from repro.measure.batch import ScenarioBatch
 from repro.measure.sweep import scenario_actions, sweep_scenario
 from repro.platform import get_scenario
 from repro.runtime import PerfModel, Simulator
@@ -29,19 +29,22 @@ def _naive(cluster, workload, n_fact, n_gen):
 
 @pytest.mark.parametrize("key", ["a", "b", "c"])
 def test_batched_sweep_makespans_bit_identical(key):
+    """Every result field of every swept configuration, not just makespan."""
     scenario = get_scenario(key)
     cluster = scenario.build_cluster()
     workload = Workload.from_name(scenario.workload)
     batch = ScenarioBatch(cluster, workload)
     n_total = len(cluster)
     for n in scenario_actions(scenario, workload):
-        assert batch.measure(int(n), n_total) == _naive(
-            cluster, workload, int(n), n_total
-        ).makespan
-        # Rigid configuration (n_gen = n_fact), the Figure 5 yellow line.
-        assert batch.measure(int(n), int(n)) == _naive(
-            cluster, workload, int(n), int(n)
-        ).makespan
+        # Flexible (n_gen = N) and rigid (n_gen = n_fact, the Figure 5
+        # yellow line) configurations.
+        for n_gen in (n_total, int(n)):
+            ref = _naive(cluster, workload, int(n), n_gen)
+            fast = batch.simulate(IterationPlan(n_fact=int(n), n_gen=n_gen))
+            for name in RESULT_FIELDS:
+                assert getattr(fast, name) == getattr(ref, name), (
+                    key, int(n), n_gen, name)
+            assert batch.measure(int(n), n_gen) == ref.makespan
 
 
 def test_batched_records_match_reference():
@@ -61,19 +64,6 @@ def test_batched_records_match_reference():
             assert getattr(fast, name) == getattr(ref, name)
         assert fast.task_records == ref.task_records
         assert fast.transfer_records == ref.transfer_records
-
-
-def test_batch_measure_matches_sweep_loop():
-    """Module-level helper returns exactly the naive sweep's pairs."""
-    scenario = get_scenario("a")
-    cluster = scenario.build_cluster()
-    workload = Workload.from_name(scenario.workload)
-    actions = scenario_actions(scenario, workload)
-    got = batch_measure(scenario, actions, include_rigid=True)
-    for n in actions:
-        duration, rigid = got[int(n)]
-        assert duration == _naive(cluster, workload, int(n), len(cluster)).makespan
-        assert rigid == _naive(cluster, workload, int(n), int(n)).makespan
 
 
 def test_sweep_scenario_identical_under_fast_flag(monkeypatch):

@@ -171,3 +171,20 @@ class TestBenchExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--workers", "two"])
         assert exc.value.code == 2  # argparse usage error
+
+    def test_serial_parallel_divergence_exits_1(self, monkeypatch, capsys):
+        from repro.evaluate import bench
+
+        real = bench.run_harness_benchmark
+        monkeypatch.setattr(bench, "run_harness_benchmark",
+                            lambda **kw: dict(real(**kw), identical=False))
+        with pytest.raises(SystemExit) as exc:
+            main(BENCH_ARGS + ["--root-out", ""])
+        assert exc.value.code == 1
+        assert "identical: False" in capsys.readouterr().out
+
+    def test_simfast_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--simfast"])
+        assert exc.value.code == 2
+        assert "--simfast" in capsys.readouterr().err

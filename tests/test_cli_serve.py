@@ -30,6 +30,21 @@ class TestServeBench:
         assert blob["metrics"]["serve.tenants"] == 12.0
         assert blob["ok"] is True
 
+    def test_request_errors_fail_the_bench(self, capsys, monkeypatch):
+        from repro.serve.service import TuningService
+
+        handle = TuningService.handle
+
+        def erring(self, message):
+            self.registry.counter("serve.error").inc()
+            return handle(self, message)
+
+        monkeypatch.setattr(TuningService, "handle", erring)
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--out", ""])
+        assert exc.value.code == 1
+        assert "FAILED" in capsys.readouterr().out
+
     def test_empty_out_disables_the_artifact(self, capsys, tmp_path):
         assert main(self.ARGS + ["--out", ""]) == 0
         assert not (tmp_path / "BENCH_serve.json").exists()
