@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.analysis",
         description=(
             "Static analysis for the reproduction: determinism auditor, "
-            "strategy-contract linter, float-equality, hygiene and "
-            "registry-coverage rules."
+            "strategy-contract linter, float-equality, hygiene, "
+            "process-pool and registry-coverage rules."
         ),
     )
     parser.add_argument(
@@ -71,21 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select", metavar="IDS", default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--flow", action="store_true",
-        help=(
-            "enable the interprocedural flow rules (DET010-DET013, "
-            "PURE001, POOL001-POOL002); they need the whole src corpus"
-        ),
-    )
-    parser.add_argument(
-        "--graph", type=Path, metavar="PATH", default=None,
-        help="write the project call graph as JSON to PATH",
-    )
-    parser.add_argument(
-        "--write-purity", type=Path, metavar="PATH", default=None,
-        help="write the purity-inference artifact (analysis-purity.json)",
     )
     parser.add_argument(
         "--prune-baseline", action="store_true",
@@ -144,7 +129,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if args.select:
         only = [s.strip() for s in args.select.split(",") if s.strip()]
     try:
-        rules = all_rules(only=only, include_opt_in=args.flow)
+        rules = all_rules(only=only)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -152,10 +137,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if args.list_rules:
         for rule in rules:
             scopes = ",".join(rule.scopes) if rule.scopes else "all"
-            opt = " (opt-in)" if rule.opt_in else ""
             print(
                 f"{'/'.join(rule.ids):28} [{rule.severity}] "
-                f"(scope: {scopes}){opt} {rule.description}",
+                f"(scope: {scopes}) {rule.description}",
                 file=out,
             )
         return 0
@@ -209,11 +193,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         )
         return 0
 
-    if args.graph is not None or args.write_purity is not None:
-        code = _write_flow_artifacts(analyzer, args, out)
-        if code != 0:
-            return code
-
     if args.format == "json":
         _render_json(report, args.strict, out)
     elif args.format == "sarif":
@@ -221,34 +200,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     else:
         _render_text(report, args.strict, out)
     return report.exit_code(strict=args.strict)
-
-
-def _write_flow_artifacts(analyzer: Analyzer, args, out) -> int:
-    """Emit ``--graph`` / ``--write-purity`` artifacts from the run."""
-    from .flow import FlowContext, graph_to_json
-    from .flow.purity import purity_to_json
-
-    src_modules = [m for m in analyzer.modules if m.scope == "src"]
-    if not src_modules:
-        print("error: flow artifacts need src/ in the analyzed paths",
-              file=sys.stderr)
-        return 2
-    ctx = FlowContext.for_modules(analyzer.shared, src_modules)
-    if args.graph is not None:
-        args.graph.write_text(
-            json.dumps(graph_to_json(ctx.graph), indent=2,
-                       sort_keys=False) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote call graph to {args.graph}", file=out)
-    if args.write_purity is not None:
-        args.write_purity.write_text(
-            json.dumps(purity_to_json(ctx.purity), indent=2,
-                       sort_keys=False) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote purity artifact to {args.write_purity}", file=out)
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -90,14 +90,6 @@ class Rule:
     severity: Severity = Severity.ERROR
     #: Scopes (top-level directories) the rule applies to; None = all.
     scopes: Optional[Sequence[str]] = None
-    #: Opt-in rules are excluded from default runs (``repro lint``)
-    #: and enabled with ``--flow`` or an explicit ``--select``.  The
-    #: flow rules need the whole ``src`` corpus to be meaningful.
-    opt_in: bool = False
-    #: Per-run shared scratch space, assigned by :class:`Analyzer` so
-    #: project rules can memoize expensive whole-corpus structures
-    #: (the flow call graph) across rule instances.
-    shared: Optional[Dict[str, object]] = None
 
     @property
     def ids(self) -> Sequence[str]:
@@ -153,15 +145,8 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def all_rules(
-    only: Optional[Iterable[str]] = None,
-    include_opt_in: bool = False,
-) -> List[Rule]:
-    """Instantiate every registered rule (or the subset in ``only``).
-
-    Opt-in rules (``Rule.opt_in``) are skipped unless
-    ``include_opt_in`` is set or they are named explicitly in ``only``.
-    """
+def all_rules(only: Optional[Iterable[str]] = None) -> List[Rule]:
+    """Instantiate every registered rule (or the subset in ``only``)."""
     from . import rules as _rules  # noqa: F401  (import populates the registry)
 
     wanted = None if only is None else set(only)
@@ -172,16 +157,10 @@ def all_rules(
                 f"unknown rule ids {sorted(unknown)}; "
                 f"known: {sorted(_RULE_CLASSES)}"
             )
-    out: List[Rule] = []
-    for rule_id, cls in sorted(_RULE_CLASSES.items()):
-        if wanted is not None:
-            if rule_id in wanted:
-                out.append(cls())
-            continue
-        if cls.opt_in and not include_opt_in:
-            continue
-        out.append(cls())
-    return out
+    return [
+        cls() for rule_id, cls in sorted(_RULE_CLASSES.items())
+        if wanted is None or rule_id in wanted
+    ]
 
 
 def collect_files(root: Path, paths: Sequence[str]) -> List[Path]:
@@ -231,19 +210,11 @@ class Analyzer:
     ) -> None:
         self.rules = list(rules) if rules is not None else all_rules()
         self.baseline = baseline if baseline is not None else Baseline()
-        #: Last-run state, kept for artifact emitters (``--graph``,
-        #: ``--write-purity``) so the corpus is parsed exactly once.
-        self.modules: List[ParsedModule] = []
-        self.shared: Dict[str, object] = {}
 
     def run(self, modules: Sequence[ParsedModule]) -> Report:
         """Analyze parsed modules and return the reconciled report."""
         raw: List[Finding] = []
-        shared: Dict[str, object] = {}
-        self.modules = list(modules)
-        self.shared = shared
         for rule in self.rules:
-            rule.shared = shared
             for module in modules:
                 if rule.applies_to(module):
                     raw.extend(rule.check(module))

@@ -8,18 +8,13 @@ Adding a rule: create (or extend) a module here with a
 
 from __future__ import annotations
 
-from . import contracts, determinism, floats, hygiene, registry_sync
-from ..flow import determinism as flow_determinism
-from ..flow import pool as flow_pool
-from ..flow import purity as flow_purity
+from . import contracts, determinism, floats, hygiene, pool, registry_sync
 
 __all__ = [
     "contracts",
     "determinism",
     "floats",
-    "flow_determinism",
-    "flow_pool",
-    "flow_purity",
     "hygiene",
+    "pool",
     "registry_sync",
 ]

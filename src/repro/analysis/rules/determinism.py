@@ -11,6 +11,9 @@ Flagged inside ``src/``:
 * ``np.random.<fn>(...)`` global-state calls (``seed``, ``rand``,
   ``choice`` …) — anything except constructing an explicit, seedable
   ``default_rng`` / ``Generator`` / ``SeedSequence``;
+* an argument-less ``np.random.default_rng()`` or
+  ``np.random.SeedSequence()``: both draw fresh OS entropy, so the
+  stream differs on every run;
 * stdlib ``random`` module usage (imports and calls);
 * ``time.time()`` / ``datetime.now()`` / ``datetime.utcnow()`` /
   ``date.today()`` — wall-clock reads.  ``time.perf_counter`` is *not*
@@ -21,8 +24,9 @@ A single audited exemption exists: the per-symbol entries of
 :data:`WALL_CLOCK_ALLOWLIST` (``WallClock.wall_time``, the
 observability clock's one calendar read) may read the wall clock;
 everything else — including the rest of ``obs/clock.py`` — is still
-checked.  The interprocedural DET012 rule (``--flow``) tracks where
-that value then travels.
+checked.  Where a seeded or recorded value travels afterwards is left
+to the dynamic checks: serial-vs-parallel and shard-count byte identity,
+and the rerun `git diff` gates on the committed artifacts.
 """
 
 from __future__ import annotations
@@ -97,8 +101,9 @@ class DeterminismRule(Rule):
     id = "DET001"
     name = "determinism-auditor"
     description = (
-        "no global-state RNG (np.random.*, stdlib random) or wall-clock "
-        "reads in production code; use seeded np.random.default_rng"
+        "no global-state or unseeded RNG (np.random.*, stdlib random, "
+        "argument-less default_rng()/SeedSequence()) or wall-clock reads "
+        "in production code; use seeded np.random.default_rng"
     )
     severity = Severity.ERROR
     scopes = ("src",)
@@ -165,18 +170,26 @@ class DeterminismRule(Rule):
         symbol: str = "<module>",
     ) -> Iterator[Finding]:
         head, attr = chain[0], chain[-1]
+        is_np_random = (len(chain) >= 3 and chain[-2] == "random"
+                        and head in ("np", "numpy"))
         # np.random.<fn>() / numpy.random.<fn>() global-state calls.
-        if (
-            len(chain) >= 3
-            and chain[-2] == "random"
-            and head in ("np", "numpy")
-            and attr not in _NP_RANDOM_OK
-        ):
+        if is_np_random and attr not in _NP_RANDOM_OK:
             yield self.finding(
                 module, node,
                 f"np.random.{attr}() uses numpy's hidden global RNG state; "
                 "construct a seeded np.random.default_rng(seed) Generator "
                 "instead (see Strategy.__post_init__)",
+            )
+            return
+        # np.random.default_rng() / SeedSequence() with no seed: both
+        # fall back to fresh OS entropy.
+        if is_np_random and attr in ("default_rng", "SeedSequence") \
+                and not node.args and not node.keywords:
+            yield self.finding(
+                module, node,
+                f"np.random.{attr}() without a seed draws OS entropy and "
+                "differs on every run; pass a seed derived from the "
+                "experiment's base seed",
             )
             return
         # stdlib random module calls via `import random [as r]`.

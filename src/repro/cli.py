@@ -978,12 +978,6 @@ def _cmd_lint(args) -> None:
         argv.append("--write-baseline")
     if args.prune_baseline:
         argv.append("--prune-baseline")
-    if args.flow:
-        argv.append("--flow")
-    if args.graph:
-        argv.extend(["--graph", args.graph])
-    if args.write_purity:
-        argv.extend(["--write-purity", args.write_purity])
     argv.extend(["--format", args.format])
     code = lint_main(argv)
     if code != 0:
@@ -1386,13 +1380,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grandfather current findings into the baseline")
     p.add_argument("--prune-baseline", action="store_true",
                    help="drop stale baseline entries and rewrite the file")
-    p.add_argument("--flow", action="store_true",
-                   help="enable interprocedural flow rules "
-                        "(DET01x, PURE001, POOL00x)")
-    p.add_argument("--graph", metavar="PATH",
-                   help="write the call graph as JSON to PATH")
-    p.add_argument("--write-purity", metavar="PATH",
-                   help="write the purity report as JSON to PATH")
     p.add_argument("--format", choices=("text", "json", "sarif"),
                    default="text")
     p.set_defaults(fn=_cmd_lint)

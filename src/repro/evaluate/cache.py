@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional
@@ -213,6 +214,9 @@ class DurationCache:
         Silently ignores a missing file and discards spills written under
         a different format or sweep model version (their keys embed the
         old calibration, so they could never be requested again anyway).
+        An unparseable (e.g. truncated) spill loads nothing, with one
+        warning on stderr: only memo hits are lost, and the next
+        :meth:`spill` rewrites the file.
         """
         source = Path(path) if path is not None else self.spill_path
         if source is None:
@@ -221,7 +225,12 @@ class DurationCache:
             return 0
         from ..measure.sweep import MODEL_VERSION
 
-        payload = json.loads(source.read_text())
+        try:
+            payload = json.loads(source.read_text())
+        except ValueError:
+            print(f"warning: {source}: skipping the unparseable duration "
+                  "cache spill (interrupted write?)", file=sys.stderr)
+            return 0
         if payload.get("format") != SPILL_FORMAT_VERSION:
             return 0
         if payload.get("model_version") != MODEL_VERSION:

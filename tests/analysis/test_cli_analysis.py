@@ -92,7 +92,7 @@ class TestMain:
         code, out = run(["--list-rules"])
         assert code == 0
         for rule_id in ("DET001", "STRAT001", "FLT001", "MUT001",
-                        "EXC001", "REG001"):
+                        "EXC001", "REG001", "POOL001"):
             assert rule_id in out
 
     def test_explicit_paths(self, project):
@@ -161,48 +161,24 @@ class TestStaleSuppressions:
         assert run(["--root", str(project), "--strict"])[0] == 0
 
 
-class TestFlowFlags:
-    def test_flow_enables_opt_in_rules(self, project):
-        (project / "src" / "bad.py").write_text(
-            "import numpy as np\n\n"
-            "def make_rng():\n"
-            "    return np.random.default_rng()\n"
-        )
-        assert run(["--root", str(project)])[0] == 0
-        code, out = run(["--root", str(project), "--flow"])
-        assert code == 1
-        assert "DET010" in out
+class TestRemovedFlowFlags:
+    @pytest.mark.parametrize("flag", [["--flow"], ["--graph", "g.json"],
+                                      ["--write-purity", "p.json"]])
+    def test_analysis_cli_rejects(self, project, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["--root", str(project), *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
-    def test_list_rules_marks_opt_in(self):
-        _, out = run(["--list-rules", "--flow"])
-        assert "DET010" in out and "(opt-in)" in out
+    @pytest.mark.parametrize("flag", [["--flow"], ["--graph", "g.json"],
+                                      ["--write-purity", "p.json"]])
+    def test_repro_lint_rejects(self, capsys, flag):
+        from repro.cli import main as repro_main
 
-    def test_graph_artifact(self, project, tmp_path):
-        target = tmp_path / "callgraph.json"
-        code, out = run(["--root", str(project), "--graph", str(target),
-                         "src/clean.py"])
-        payload = json.loads(target.read_text())
-        assert payload["version"] == 1
-        assert "functions" in payload and "edges" in payload
-
-    def test_purity_artifact(self, project, tmp_path):
-        (project / "src" / "bad.py").unlink()
-        target = tmp_path / "purity.json"
-        code, out = run(["--root", str(project), "--write-purity",
-                         str(target)])
-        assert code == 0
-        payload = json.loads(target.read_text())
-        assert payload["version"] == 1
-        assert "hot_path" in payload
-
-    def test_artifacts_need_src_modules(self, project, tmp_path, capsys):
-        tests_dir = project / "tests"
-        tests_dir.mkdir()
-        (tests_dir / "test_x.py").write_text("def test_a():\n    pass\n")
-        code, _ = run(["--root", str(project), "--graph",
-                       str(tmp_path / "g.json"), "tests"])
-        assert code == 2
-        assert "need src/" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["lint", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestSarifFormat:
@@ -227,3 +203,20 @@ class TestModuleEntryPoint:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_strict_runs_pool001_by_default(self, project):
+        (project / "src" / "bad.py").write_text(
+            "from concurrent.futures import ProcessPoolExecutor\n\n"
+            "def go(items):\n"
+            "    with ProcessPoolExecutor() as pool:\n"
+            "        return list(pool.map(lambda x: x, items))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "--strict",
+             "--root", str(project)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "POOL001" in proc.stdout and "src/bad.py" in proc.stdout

@@ -51,6 +51,39 @@ class TestNumpyGlobalState:
         """)
 
 
+class TestUnseededConstruction:
+    def test_argless_default_rng_flagged(self):
+        out = findings("src/bad.py", """
+            import numpy as np
+
+            def make_rng():
+                return np.random.default_rng()
+        """)
+        assert [f.rule for f in out] == ["DET001"]
+        assert "without a seed" in out[0].message
+
+    def test_seeded_default_rng_ok(self):
+        assert not findings("src/bad.py", """
+            import numpy as np
+
+            def make_rng(seed):
+                return np.random.default_rng(seed)
+        """)
+
+    def test_argless_seed_sequence_flagged(self):
+        out = findings("src/m.py", """
+            import numpy
+            ss = numpy.random.SeedSequence()
+        """)
+        assert [f.rule for f in out] == ["DET001"]
+
+    def test_keyword_seed_sequence_ok(self):
+        assert not findings("src/m.py", """
+            import numpy as np
+            ss = np.random.SeedSequence(entropy=7)
+        """)
+
+
 class TestStdlibRandom:
     def test_module_call_flagged(self):
         out = findings("src/m.py", """

@@ -6,12 +6,11 @@ explicit baseline entry with a written reason, and the committed
 baseline contains no stale entries.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rules, run_analysis
+from repro.analysis import run_analysis
 from repro.analysis.baseline import Baseline, DEFAULT_BASELINE_NAME
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -46,56 +45,3 @@ class TestSelfHost:
             assert entry.reason.strip(), (
                 f"baseline entry {entry.fingerprint} has no reason"
             )
-
-
-@pytest.fixture(scope="module")
-def flow_report():
-    if not (REPO_ROOT / "pyproject.toml").exists():
-        pytest.skip("repo root not found (installed-package run)")
-    return run_analysis(REPO_ROOT, rules=all_rules(include_opt_in=True))
-
-
-class TestFlowSelfHost:
-    """The interprocedural rules also run clean over this repository."""
-
-    def test_repo_is_flow_clean(self, flow_report):
-        rendered = "\n".join(f.render() for f in flow_report.findings)
-        assert flow_report.findings == [], (
-            f"non-baselined flow findings:\n{rendered}"
-        )
-
-    def test_flow_rules_actually_ran(self, flow_report):
-        assert flow_report.rules_run >= 13
-
-
-class TestPurityArtifact:
-    """The committed analysis-purity.json matches a fresh inference run
-    and proves the simulator hot path clean."""
-
-    @pytest.fixture(scope="class")
-    def fresh(self):
-        if not (REPO_ROOT / "pyproject.toml").exists():
-            pytest.skip("repo root not found (installed-package run)")
-        from repro.analysis.engine import Analyzer
-        from repro.analysis.flow import FlowContext, purity_to_json
-
-        analyzer = Analyzer(rules=[])
-        analyzer.run_paths(REPO_ROOT, ["src"])
-        src_modules = [m for m in analyzer.modules if m.scope == "src"]
-        ctx = FlowContext.for_modules(analyzer.shared, src_modules)
-        return purity_to_json(ctx.purity)
-
-    def test_committed_artifact_is_current(self, fresh):
-        committed = json.loads(
-            (REPO_ROOT / "analysis-purity.json").read_text())
-        assert committed == fresh, (
-            "analysis-purity.json is stale; regenerate with "
-            "`repro lint --write-purity analysis-purity.json src`"
-        )
-
-    def test_hot_path_is_clean(self, fresh):
-        hot = fresh["hot_path"]
-        assert hot["root"] == "repro.runtime.simulator.Simulator.run"
-        assert hot["clean"] is True
-        assert hot["violations"] == []
-        assert len(hot["closure"]) >= 5

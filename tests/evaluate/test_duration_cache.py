@@ -194,6 +194,26 @@ class TestDiskSpill:
         cache = DurationCache(spill_path=path)
         assert cache.load() == 0
 
+    def test_truncated_spill_warns_and_loads_nothing(self, tmp_path, capsys):
+        path = tmp_path / "spill.json"
+        cache = DurationCache(spill_path=path)
+        for i in range(20):
+            cache.put(f"k{i}", float(i))
+        cache.spill()
+        good = path.read_bytes()
+        path.write_bytes(good[: len(good) // 2])  # interrupted write
+
+        fresh = DurationCache(spill_path=path)
+        assert fresh.load() == 0
+        assert len(fresh) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"warning: {path}: skipping the unparseable "
+                       "duration cache spill (interrupted write?)"]
+
+        cache.spill()  # the next spill rewrites the file
+        assert path.read_bytes() == good
+        assert DurationCache(spill_path=path).load() == 20
+
     def test_no_spill_path_raises(self):
         cache = DurationCache()
         with pytest.raises(ValueError):
