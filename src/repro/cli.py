@@ -23,11 +23,6 @@ Examples
     python -m repro fuzz run --count 24     # strategy properties on a corpus
     python -m repro fuzz replay             # committed regression scenarios
     python -m repro fuzz promote 4 --strategy UCB --check regret-bound
-    python -m repro obs series t.jsonl      # windowed series aggregates
-    python -m repro obs slo t.jsonl         # SLO verdicts over a trace
-    python -m repro obs forensics b --sweep # rank detector configurations
-    python -m repro obs convergence b       # learning-trajectory analytics
-    python -m repro obs dash b --out d.html # unified HTML dashboard
 """
 
 from __future__ import annotations
@@ -156,9 +151,17 @@ def _cmd_overhead(args) -> None:
 def _cmd_stats(args) -> None:
     import json
 
-    from .obs import load_trace, render_stats, stats_to_json
+    from .obs import TraceError, load_trace, render_stats, stats_to_json
 
-    stats = load_trace(args.trace_file)
+    try:
+        stats = load_trace(args.trace_file)
+    except TraceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except OSError as exc:
+        print(f"error: {args.trace_file}: {exc.strerror or exc}",
+              file=sys.stderr)
+        sys.exit(2)
     if args.format == "json":
         print(json.dumps(stats_to_json(stats), indent=2, sort_keys=True))
     else:
@@ -299,248 +302,6 @@ def _cmd_perf_check(args) -> None:
         return
     if not report.ok:
         sys.exit(1)
-
-
-def _cmd_obs_series(args) -> None:
-    from .evaluate import format_table
-    from .obs import read_trace, store_from_records
-
-    store = store_from_records(read_trace(args.trace_file),
-                               capacity=args.capacity)
-    snapshot = store.snapshot(window=args.window)
-    if not snapshot:
-        print("no mirrored series in this trace")
-        return
-    window_label = f"last {args.window}" if args.window > 0 else "all"
-    print(f"series store: {len(snapshot)} series ({window_label} points)")
-    print(format_table(
-        ["series", "count", "mean", "p50", "p95", "p99", "rate", "last"],
-        [[key, f"{s['count']:.0f}", f"{s['mean']:.4f}", f"{s['p50']:.4f}",
-          f"{s['p95']:.4f}", f"{s['p99']:.4f}", f"{s['rate']:.4f}",
-          f"{s['last']:.4f}"]
-         for key, s in snapshot.items()],
-    ))
-
-
-def _cmd_obs_slo(args) -> None:
-    from .obs import (
-        default_rules,
-        evaluate_rules,
-        read_trace,
-        render_verdicts,
-        rules_from_json,
-        store_from_records,
-    )
-
-    if args.rules:
-        try:
-            rules = rules_from_json(args.rules, is_path=True)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(2)
-    else:
-        rules = default_rules()
-    store = store_from_records(read_trace(args.trace_file))
-    verdicts = evaluate_rules(store, rules)
-    print(render_verdicts(verdicts))
-    if args.strict and any(not v["ok"] for v in verdicts):
-        sys.exit(1)
-
-
-def _obs_schedules(args, bank):
-    """Resolve ``--schedules`` against the canned family (exit 2 on typo)."""
-    from .faults import canned_schedules
-
-    canned = canned_schedules(bank.n_total, args.iterations, seed=args.seed)
-    unknown = [k for k in args.schedules if k not in canned]
-    if unknown:
-        print(f"error: unknown schedule(s) {unknown}; known: "
-              f"{sorted(canned)}", file=sys.stderr)
-        sys.exit(2)
-    return {key: canned[key] for key in args.schedules}
-
-
-def _obs_validate_strategies(args) -> None:
-    """Exit 2 on unregistered ``--strategies`` names."""
-    from .strategies.registry import registered_names
-
-    bad = [s for s in args.strategies if s not in registered_names()]
-    if bad:
-        print(f"error: unknown strategy(s) {bad}; registered: "
-              f"{registered_names()}", file=sys.stderr)
-        sys.exit(2)
-
-
-def _cmd_obs_forensics(args) -> None:
-    from .measure import cached_bank
-    from .obs.convergence import analyze_convergence, convergence_metrics
-    from .obs.forensics import (
-        analyze_detector,
-        default_configs,
-        forensics_metrics,
-        render_forensics_table,
-        render_resilience_table,
-        render_sweep_table,
-        sweep_detectors,
-        sweep_resilience,
-    )
-    from .platform import get_scenario
-
-    _obs_validate_strategies(args)
-    from .faults.resilience import RESILIENT_BASES
-
-    if args.sweep and args.inner not in RESILIENT_BASES:
-        print(f"error: unknown --inner {args.inner!r}; wrappable bases: "
-              f"{list(RESILIENT_BASES)}", file=sys.stderr)
-        sys.exit(2)
-    bank = cached_bank(get_scenario(args.scenario), progress=True)
-    schedules = _obs_schedules(args, bank)
-    ordered = [schedules[key] for key in sorted(schedules)]
-
-    if args.sweep:
-        rows = sweep_detectors(
-            bank, ordered, iterations=args.iterations, reps=args.reps,
-            base_seed=args.seed, horizon=args.horizon,
-        )
-        print(f"detector sweep on {bank.label}: {len(rows)} configs x "
-              f"{len(ordered)} schedule(s), reps={args.reps}, "
-              f"iterations={args.iterations}")
-        print(render_sweep_table(rows, top=args.top))
-        res_rows = sweep_resilience(
-            bank, ordered, inner=args.inner, iterations=args.iterations,
-            reps=args.reps, base_seed=args.seed,
-        )
-        print(f"resilience replay sweep on {bank.label}: "
-              f"{len(res_rows)} (window, cooldown) configs of "
-              f"Resilient({args.inner}), reps={args.reps}, "
-              f"iterations={args.iterations}")
-        print(render_resilience_table(res_rows, top=args.top))
-        return
-
-    configs = default_configs(cooldown=args.cooldown)
-    results = [
-        analyze_detector(bank, schedule, config,
-                         iterations=args.iterations, reps=args.reps,
-                         base_seed=args.seed, horizon=args.horizon)
-        for schedule in ordered
-        for config in configs
-    ]
-    print(f"fault forensics on {bank.label}: {len(ordered)} schedule(s) x "
-          f"{len(configs)} detector(s), reps={args.reps}, "
-          f"iterations={args.iterations}")
-    print(render_forensics_table(results))
-    if args.out:
-        from .obs.forensics import result_to_dict
-        from .obs.ledger import write_root_report
-
-        summaries = analyze_convergence(
-            bank, args.strategies, iterations=args.iterations,
-            reps=args.reps, base_seed=args.seed,
-        )
-        metrics = forensics_metrics(results)
-        metrics.update(convergence_metrics(summaries))
-        path = write_root_report(
-            label=f"obs-forensics {bank.label}",
-            metrics=metrics,
-            config={
-                "scenario": bank.label,
-                "iterations": args.iterations,
-                "reps": args.reps,
-                "horizon": args.horizon,
-                "schedules": sorted(schedules),
-                "strategies": list(args.strategies),
-            },
-            path=args.out,
-            extra={"results": [result_to_dict(r) for r in results]},
-        )
-        print(f"  report : {path}")
-
-
-def _cmd_obs_convergence(args) -> None:
-    from .measure import cached_bank
-    from .obs.convergence import analyze_convergence, render_convergence_table
-    from .platform import get_scenario
-
-    _obs_validate_strategies(args)
-    bank = cached_bank(get_scenario(args.scenario), progress=True)
-    summaries = analyze_convergence(
-        bank, args.strategies, iterations=args.iterations, reps=args.reps,
-        base_seed=args.seed,
-    )
-    print(f"convergence on {bank.label}: {len(summaries)} strategies, "
-          f"reps={args.reps}, iterations={args.iterations} "
-          f"(oracle n = {bank.best_action()})")
-    print(render_convergence_table(summaries))
-
-
-def _cmd_obs_dash(args) -> None:
-    from pathlib import Path
-
-    from .measure import cached_bank
-    from .obs.convergence import analyze_convergence
-    from .obs.dashboard import render_dashboard
-    from .obs.forensics import (
-        analyze_detector,
-        default_configs,
-        duration_stream,
-        fire_detector,
-    )
-    from .platform import get_scenario
-
-    _obs_validate_strategies(args)
-    bank = cached_bank(get_scenario(args.scenario), progress=True)
-    schedules = _obs_schedules(args, bank)
-    ordered = [schedules[key] for key in sorted(schedules)]
-    configs = default_configs(cooldown=args.cooldown)
-
-    summaries = analyze_convergence(
-        bank, args.strategies, iterations=args.iterations, reps=args.reps,
-        base_seed=args.seed,
-    )
-    results = []
-    alarm_indices = {}
-    for schedule in ordered:
-        stream = duration_stream(bank, schedule, args.iterations,
-                                 rep=0, base_seed=args.seed)
-        for config in configs:
-            results.append(analyze_detector(
-                bank, schedule, config, iterations=args.iterations,
-                reps=args.reps, base_seed=args.seed, horizon=args.horizon,
-            ))
-            alarm_indices[f"{schedule.label}/{config.key()}"] = \
-                fire_detector(config, stream)
-
-    store = None
-    slo_verdicts = None
-    if args.trace:
-        from .obs import (
-            default_rules,
-            evaluate_rules,
-            read_trace,
-            rules_from_json,
-            store_from_records,
-        )
-
-        store = store_from_records(read_trace(args.trace))
-        rules = (rules_from_json(args.rules, is_path=True) if args.rules
-                 else default_rules())
-        slo_verdicts = evaluate_rules(store, rules)
-
-    html = render_dashboard(
-        title=f"telemetry dashboard: {bank.label}",
-        convergence=summaries,
-        forensics=results,
-        schedules={s.label: s for s in ordered},
-        alarm_indices=alarm_indices,
-        slo_verdicts=slo_verdicts,
-        store=store,
-        window=args.window,
-    )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(html, encoding="utf-8", newline="\n")
-    print(f"dashboard: {len(summaries)} strategies, {len(results)} "
-          f"(schedule, detector) lanes -> {out} ({len(html)} bytes)")
 
 
 def _faults_schedules(args):
@@ -724,6 +485,7 @@ def _cmd_fuzz_run(args) -> None:
         sample_corpus,
         shrink,
     )
+    from .obs import write_atomic
 
     _fuzz_validate(args)
     if args.count < 1:
@@ -769,7 +531,7 @@ def _cmd_fuzz_run(args) -> None:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"  report : {out}")
 
     if report.ok:
@@ -1191,89 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--tick-interval", type=float, default=0.05,
                     help="seconds between shard ticks (batch cadence)")
     pp.set_defaults(fn=_cmd_serve_run)
-
-    p = sub.add_parser("obs", help="telemetry analytics (series, SLO, "
-                                   "forensics, convergence, dashboard)")
-    obs_sub = p.add_subparsers(dest="obs_command", required=True)
-
-    pp = obs_sub.add_parser(
-        "series", help="windowed time-series aggregates of a trace"
-    )
-    pp.add_argument("trace_file", help="JSONL trace written by --trace")
-    pp.add_argument("--window", type=int, default=0,
-                    help="points per series aggregated (0 = all buffered)")
-    pp.add_argument("--capacity", type=int, default=512,
-                    help="ring-buffer capacity per series")
-    pp.set_defaults(fn=_cmd_obs_series)
-
-    pp = obs_sub.add_parser(
-        "slo", help="evaluate SLO rules against a trace's series"
-    )
-    pp.add_argument("trace_file", help="JSONL trace written by --trace")
-    pp.add_argument("--rules", default="",
-                    help="JSON rules document (default: built-in rules)")
-    pp.add_argument("--strict", action="store_true",
-                    help="exit 1 when any rule is violated")
-    pp.set_defaults(fn=_cmd_obs_slo)
-
-    def _obs_analytics_common(pp) -> None:
-        pp.add_argument("scenario", nargs="?", default="b",
-                        help="scenario key a..p")
-        pp.add_argument("--schedules", nargs="+",
-                        default=["crash", "interference"],
-                        help="canned fault schedule names")
-        pp.add_argument("--strategies", nargs="+",
-                        default=["DC", "UCB", "GP-discontinuous"],
-                        help="strategy names of the convergence section")
-        pp.add_argument("--iterations", type=int, default=60)
-        pp.add_argument("--reps", type=int, default=3)
-        pp.add_argument("--seed", type=int, default=0,
-                        help="base seed (schedules and replay streams)")
-        pp.add_argument("--horizon", type=int, default=15,
-                        help="iterations after a change point within which "
-                             "an alarm still counts as a detection")
-        pp.add_argument("--cooldown", type=int, default=8,
-                        help="post-alarm suppression of the scored "
-                             "detectors")
-
-    pp = obs_sub.add_parser(
-        "forensics",
-        help="score change detectors against fault ground truth",
-    )
-    _obs_analytics_common(pp)
-    pp.add_argument("--sweep", action="store_true",
-                    help="grid both detector families plus the resilience "
-                         "(window, cooldown) replay knobs and rank the "
-                         "configurations instead of scoring the defaults")
-    pp.add_argument("--inner", default="UCB",
-                    help="inner strategy of the resilience replay sweep")
-    pp.add_argument("--top", type=int, default=0,
-                    help="rows of the ranked sweep table (0 = all)")
-    pp.add_argument("--out", default="",
-                    help="root-level BENCH_forensics.json artifact "
-                         "('' disables; includes convergence metrics)")
-    pp.set_defaults(fn=_cmd_obs_forensics)
-
-    pp = obs_sub.add_parser(
-        "convergence", help="learning-trajectory analytics per strategy"
-    )
-    _obs_analytics_common(pp)
-    pp.set_defaults(fn=_cmd_obs_convergence)
-
-    pp = obs_sub.add_parser(
-        "dash", help="unified self-contained HTML dashboard"
-    )
-    _obs_analytics_common(pp)
-    pp.add_argument("--out", default=str(Path("benchmarks") / "out"
-                                         / "dashboard.html"),
-                    help="output HTML path")
-    pp.add_argument("--trace", default="",
-                    help="JSONL trace feeding the series + SLO sections")
-    pp.add_argument("--rules", default="",
-                    help="SLO rules JSON of the --trace sections")
-    pp.add_argument("--window", type=int, default=0,
-                    help="series window of the --trace sections")
-    pp.set_defaults(fn=_cmd_obs_dash)
 
     p = sub.add_parser(
         "fuzz", help="seeded scenario fuzzing & strategy property tests"

@@ -30,6 +30,7 @@ import numpy as np
 
 from .. import config
 from ..measure.sweep import sweep_scenario
+from ..obs import write_atomic
 from ..platform import get_scenario
 from .cache import DurationCache
 from .parallel import (
@@ -205,10 +206,10 @@ def run_harness_benchmark(
     if out_path is not None:
         out_path = Path(out_path)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(rendered)
+        write_atomic(out_path, rendered)
     if root_path is not None:
         root_path = Path(root_path)
         if root_path.parent != Path("."):
             root_path.parent.mkdir(parents=True, exist_ok=True)
-        root_path.write_text(rendered)
+        write_atomic(root_path, rendered)
     return report

@@ -30,7 +30,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..obs import get_tracer
+from ..obs import get_tracer, write_atomic
 from ..platform.scenarios import Scenario
 from ..runtime import PerfModel
 
@@ -204,7 +204,7 @@ class DurationCache:
             "entries": dict(self._entries),
         }
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(payload, sort_keys=True))
+        write_atomic(target, json.dumps(payload, sort_keys=True))
         _obs_count("cache.spill", len(self._entries))
         return target
 

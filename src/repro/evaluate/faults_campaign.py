@@ -34,7 +34,7 @@ from ..faults.injector import FaultInjector
 from ..faults.models import FaultSchedule, canned_schedules
 from ..faults.resilience import resilient_name
 from ..measure.bank import MeasurementBank
-from ..obs import get_store, get_tracer
+from ..obs import get_tracer
 from .parallel import CellResult, plan_cells, run_cells
 
 #: Canonical root-level campaign artifact (see ``BENCH_harness.json``).
@@ -232,16 +232,6 @@ def run_campaign(
                     injector, means, oracle,
                 ))
             result.fingerprints[schedule.label] = schedule.fingerprint()
-    store = get_store()
-    if store is not None:
-        # Mirror the campaign aggregates into the opt-in series store
-        # (row order is deterministic, so the fed points are too).
-        for i, row in enumerate(result.rows):
-            labels = {"schedule": row.schedule, "strategy": row.strategy}
-            store.record("campaign.regret", row.mean_regret, labels,
-                         tick=float(i))
-            store.record("campaign.total", row.mean_total, labels,
-                         tick=float(i))
     return result
 
 

@@ -45,7 +45,6 @@ from ..obs import (
     TickClock,
     Tracer,
     WallClock,
-    get_store,
     get_tracer,
     scoped,
     set_tracer,
@@ -370,7 +369,6 @@ def run_cells(
             if progress is not None:
                 progress(i + 1, total)
         _merge_cell_events(results)
-        _feed_series_store(results)
         return results
 
     for key in sorted({c.scenario for c in cells}):
@@ -398,7 +396,6 @@ def run_cells(
             if progress is not None:
                 progress(i + 1, total)
     _merge_cell_events(results)
-    _feed_series_store(results)
     return results
 
 
@@ -415,27 +412,6 @@ def _merge_cell_events(results: Sequence[CellResult]) -> None:
     for result in results:
         for record in result.events or ():
             tracer.emit_raw(record)
-
-
-def _feed_series_store(results: Sequence[CellResult]) -> None:
-    """Mirror per-cell totals into the opt-in series store.
-
-    One point per cell, ticked by the cell's *input* index -- results
-    arrive in input order at every worker count, so the fed store is
-    worker-count independent.  With no active store (the default) this
-    is a single ``is None`` check.
-    """
-    store = get_store()
-    if store is None:
-        return
-    for i, result in enumerate(results):
-        store.record(
-            "harness.cell_total",
-            result.total,
-            {"scenario": result.cell.scenario,
-             "strategy": result.cell.strategy},
-            tick=float(i),
-        )
 
 
 # -- worker-side scenario rebuild -------------------------------------------------

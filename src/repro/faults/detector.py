@@ -19,9 +19,9 @@ Thresholds are expressed in units of the stream's own noise scale
 (estimated over the first ``burn_in`` observations), so the same
 defaults work for a 6-second scenario and a 60-second one.
 
-Both families were grid-swept against the canned fault schedules by the
-forensics analyzer (``repro obs forensics --sweep``); the ranked table
-lives in EXPERIMENTS.md under "Detector sweep".  The class defaults
+Both families were grid-swept once against the canned fault schedules;
+the frozen ranked table lives in EXPERIMENTS.md under "Detector sweep".
+The class defaults
 below are conservative stationary-trace settings (they carry the pinned
 false-positive bound); :class:`repro.faults.resilience.ResilientStrategy`
 overrides the Page-Hinkley knobs with the sweep's top-ranked

@@ -76,12 +76,11 @@ class ResilientStrategy(Strategy):
     window:
         Recent observations replayed into a rebuilt inner (replay-safe
         inners only).  The default is the top-ranked value of the
-        resilience replay sweep (``repro obs forensics --sweep``; ranked
-        table in EXPERIMENTS.md, "Resilience replay sweep"): ``window=40``
-        beats the previous ``window=20`` on mean expected regret across
-        the canned schedule family on every scenario swept (a larger
-        replay keeps more post-change evidence, so a rebuilt inner
-        converges faster).
+        resilience replay sweep (frozen ranked table in EXPERIMENTS.md,
+        "Resilience replay sweep"): ``window=40`` beats the previous
+        ``window=20`` on mean expected regret across the canned schedule
+        family on every scenario swept (a larger replay keeps more
+        post-change evidence, so a rebuilt inner converges faster).
     cooldown:
         Minimum iterations between two detector-triggered rebuilds.
         The sweep found regret indifferent to cooldown in 4..16
@@ -90,12 +89,12 @@ class ResilientStrategy(Strategy):
     detector_delta / detector_threshold:
         Page-Hinkley drift tolerance and alarm threshold, in noise-scale
         units (see :mod:`repro.faults.detector`).  The defaults are the
-        top-ranked Page-Hinkley configuration of the forensics sweep
-        (``repro obs forensics --sweep``; ranked table in
-        EXPERIMENTS.md, "Detector sweep"): ``delta=0.25``,
-        ``threshold=6.0`` roughly halves detection latency and more
-        than doubles mean F1 against the canned schedule family
-        compared to the previous ``delta=0.5``, ``threshold=12.0``.
+        top-ranked Page-Hinkley configuration of the detector sweep
+        (frozen ranked table in EXPERIMENTS.md, "Detector sweep"):
+        ``delta=0.25``, ``threshold=6.0`` roughly halves detection
+        latency and more than doubles mean F1 against the canned
+        schedule family compared to the previous ``delta=0.5``,
+        ``threshold=12.0``.
     max_retries:
         Immediate same-arm retries after a transient failure.
     failure_factor:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
+from ..obs import write_atomic
 from .platforms import FUZZ_SCHEMA_VERSION, FuzzConfig, FuzzedPlatform
 from .properties import (
     PropertyConfig,
@@ -235,8 +236,8 @@ def promote(
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / golden_name(platform, failure)
     payload = golden_payload(platform, failure, config, steps)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_atomic(path, json.dumps(payload, indent=2, sort_keys=True)
+                        + "\n")
 
 
 def load_golden(path: Path) -> dict:

@@ -16,6 +16,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from ..obs import write_atomic
 from ..strategies.base import ActionSpace
 
 
@@ -107,7 +108,7 @@ class MeasurementBank:
             "rigid": {str(n): float(v) for n, v in self.rigid.items()},
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload))
+        write_atomic(path, json.dumps(payload))
 
     @classmethod
     def load(cls, path: Path) -> "MeasurementBank":

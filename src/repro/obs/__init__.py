@@ -28,8 +28,10 @@ from .sink import (
     NullSink,
     Sink,
     TRACE_SCHEMA_VERSION,
+    TraceError,
     encode_record,
     read_trace,
+    write_atomic,
 )
 from .stats import (
     STATS_SCHEMA_VERSION,
@@ -38,23 +40,6 @@ from .stats import (
     load_trace,
     render_stats,
     stats_to_json,
-)
-from .series import (
-    SERIES_SCHEMA_VERSION,
-    Series,
-    SeriesSink,
-    SeriesStore,
-    get_store,
-    set_store,
-    store_from_records,
-)
-from .slo import (
-    SLO_SCHEMA_VERSION,
-    SloRule,
-    default_rules,
-    evaluate_rules,
-    render_verdicts,
-    rules_from_json,
 )
 from .trace import (
     NULL_TRACER,
@@ -68,17 +53,13 @@ from .trace import (
     trace_session,
 )
 
-# NOTE: repro.obs.timeline, repro.obs.ledger, repro.obs.forensics,
-# repro.obs.convergence and repro.obs.dashboard are intentionally NOT
-# imported here: they depend on repro.runtime / repro.platform /
-# repro.faults, which themselves import repro.obs at module load --
-# import them directly (`from repro.obs import forensics`) to keep the
-# package cycle-free.
+# NOTE: repro.obs.timeline and repro.obs.ledger are intentionally NOT
+# imported here: they depend on repro.runtime / repro.platform, which
+# themselves import repro.obs at module load -- import them directly
+# (`from repro.obs import timeline`) to keep the package cycle-free.
 
 __all__ = [
     "Clock",
-    "SERIES_SCHEMA_VERSION",
-    "SLO_SCHEMA_VERSION",
     "STATS_SCHEMA_VERSION",
     "Counter",
     "Gauge",
@@ -88,34 +69,25 @@ __all__ = [
     "NULL_TRACER",
     "NullSink",
     "Registry",
-    "Series",
-    "SeriesSink",
-    "SeriesStore",
     "Sink",
-    "SloRule",
     "Span",
     "TRACE_SCHEMA_VERSION",
     "TickClock",
+    "TraceError",
     "TraceStats",
     "Tracer",
     "WallClock",
     "aggregate",
-    "default_rules",
     "encode_record",
-    "evaluate_rules",
     "finish_trace",
-    "get_store",
     "get_tracer",
     "load_trace",
     "read_trace",
     "render_stats",
-    "render_verdicts",
-    "rules_from_json",
     "scoped",
-    "set_store",
     "set_tracer",
     "start_trace",
     "stats_to_json",
-    "store_from_records",
     "trace_session",
+    "write_atomic",
 ]

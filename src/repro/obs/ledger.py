@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from .clock import Clock, WallClock
+from .sink import write_atomic
 
 #: Bump when the ledger entry layout changes incompatibly.
 LEDGER_SCHEMA_VERSION = 1
@@ -43,10 +44,6 @@ DEFAULT_LEDGER = Path("benchmarks") / "perf_ledger.jsonl"
 
 #: Canonical root-level trajectory artifact written by `repro perf record`.
 ROOT_TIMELINE_OUT = Path("BENCH_timeline.json")
-
-#: Canonical root-level telemetry-analytics artifact written by
-#: ``repro obs forensics --out`` (sibling of ``BENCH_faults.json``).
-ROOT_FORENSICS_OUT = Path("BENCH_forensics.json")
 
 #: Metrics compared by the gate (all simulated-time, lower is better).
 #: Phase-level makespans are gated via the prefix.
@@ -327,9 +324,8 @@ def write_root_report(
     out = Path(path)
     if out.parent != Path("."):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8", newline="\n")
-    return out
+    return write_atomic(out, json.dumps(payload, indent=2, sort_keys=True)
+                        + "\n")
 
 
 def render_check_report(report: CheckReport, verbose: bool = False) -> str:

@@ -10,6 +10,8 @@ injected :class:`~repro.obs.clock.TickClock`).
 from __future__ import annotations
 
 import json
+import os
+import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -20,6 +22,26 @@ TRACE_SCHEMA_VERSION = 1
 def encode_record(record: Dict[str, object]) -> str:
     """Canonical one-line JSON rendering of a trace record."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def write_atomic(path: Union[str, Path], text: str) -> Path:
+    """Write ``text`` to ``path`` so a reader sees the old file or the new
+    one, never a torn mix.
+
+    The text goes to a sibling temp file first, which ``os.replace``
+    then renames over ``path``.  If anything fails, the temp file is
+    removed and a prior file at ``path`` is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 class Sink:
@@ -103,11 +125,34 @@ class JsonlSink(Sink):
             self._fh = None
 
 
+class TraceError(ValueError):
+    """A trace line other than the final one does not parse."""
+
+
 def read_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Parse a JSONL trace file back into records (blank lines skipped)."""
+    """Parse a JSONL trace file back into records (blank lines skipped).
+
+    An unparseable *final* line is what an interrupted run leaves
+    behind: it is skipped with a warning on stderr and the rest is
+    returned.  An unparseable line anywhere else is corruption and
+    raises :class:`TraceError`.
+    """
+    lines = Path(path).read_bytes().splitlines()
+    last = max((i for i, line in enumerate(lines) if line.strip()),
+               default=-1)
     records: List[Dict[str, object]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        if not isinstance(record, dict):
+            if i < last:
+                raise TraceError(f"{path}:{i + 1}: unparseable trace line")
+            print(f"warning: {path}:{i + 1}: skipping the unparseable "
+                  "final line (interrupted run?)", file=sys.stderr)
+            break
+        records.append(record)
     return records

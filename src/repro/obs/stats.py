@@ -7,12 +7,27 @@ so traces from older/newer schema revisions still render what they can.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from .series import quantile
 from .sink import read_trace
+
+
+def quantile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank quantile of ``values`` (deterministic, no interpolation).
+
+    ``q`` in [0, 1]; an empty sequence yields 0.0 so summaries of empty
+    windows stay plain scalars.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    if not values:
+        return 0.0
+    ordered = sorted(float(v) for v in values)
+    rank = max(int(math.ceil(q * len(ordered))) - 1, 0)
+    return ordered[rank]
 
 
 @dataclass

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..runtime.dag import TaskGraph
 from ..runtime.simulator import SimulationResult
+from .sink import write_atomic
 
 #: Bump when the exported artifact layout changes incompatibly.
 TIMELINE_SCHEMA_VERSION = 1
@@ -764,18 +765,12 @@ def export_timeline(
     chrome_path = out / f"{stem}.trace.json"
     csv_path = out / f"{stem}.csv"
     html_path = out / f"{stem}.html"
-    chrome_path.write_text(
-        encode_json(chrome_trace(result, cluster, analysis)) + "\n",
-        encoding="utf-8", newline="\n",
-    )
-    csv_path.write_text(paje_csv(result, cluster), encoding="utf-8",
-                        newline="\n")
+    write_atomic(chrome_path,
+                 encode_json(chrome_trace(result, cluster, analysis)) + "\n")
+    write_atomic(csv_path, paje_csv(result, cluster))
     title = f"timeline {scenario_key}: n_gen={cfg['n_gen']}, n_fact={cfg['n_fact']}"
-    html_path.write_text(
-        render_html(analysis, result, cluster, title=title,
-                    max_nodes=max_nodes),
-        encoding="utf-8", newline="\n",
-    )
+    write_atomic(html_path, render_html(analysis, result, cluster,
+                                        title=title, max_nodes=max_nodes))
     return {
         "schema": TIMELINE_SCHEMA_VERSION,
         "config": cfg,

@@ -9,9 +9,8 @@ transport.
 
 The package is imported directly (``from repro.serve import ...``)
 rather than re-exported through :mod:`repro.obs` -- like the timeline
-and forensics analyzers it sits *above* the strategy/measure layers,
-so pulling it into a low-level ``__init__`` would create import
-cycles.
+analyzer it sits *above* the strategy/measure layers, so pulling it
+into a low-level ``__init__`` would create import cycles.
 
 Layering:
 
@@ -39,9 +38,9 @@ from .service import BankStore, ShardWorker, TuningService, shard_for  # noqa: F
 from .loadgen import (  # noqa: F401
     ROOT_SERVE_OUT,
     TenantSpec,
+    latency_verdicts,
     run_bench,
     sample_tenants,
-    serve_rules,
     write_serve_report,
 )
 
@@ -61,8 +60,8 @@ __all__ = [
     "shard_for",
     "ROOT_SERVE_OUT",
     "TenantSpec",
+    "latency_verdicts",
     "run_bench",
     "sample_tenants",
-    "serve_rules",
     "write_serve_report",
 ]

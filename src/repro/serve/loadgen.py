@@ -29,8 +29,7 @@ import numpy as np
 
 from ..measure.bank import MeasurementBank
 from ..obs.registry import Registry
-from ..obs.series import SeriesStore, quantile
-from ..obs.slo import SloRule, evaluate_rules
+from ..obs.stats import quantile
 from . import protocol
 from .service import BankStore, TuningService
 from .session import SERVE_TAG
@@ -60,13 +59,6 @@ DEFAULT_STRATEGY_MIX: Tuple[Tuple[str, int], ...] = (
     ("GP-UCB", 1),
     ("GP-discontinuous", 1),
 )
-
-#: Series-store capacity for bench runs: large enough that no point is
-#: ever evicted, so SLO aggregates cover the whole stream (ring-buffer
-#: truncation boundaries are the one thing that could differ across
-#: shard counts).
-BENCH_STORE_CAPACITY = 1 << 17
-
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -130,25 +122,25 @@ def sample_tenants(
     return specs
 
 
-def serve_rules(p99_bound: float = SERVE_P99_BOUND) -> List[SloRule]:
-    """SLO rules the bench evaluates over the serve series.
+def latency_verdicts(latencies: Sequence[float],
+                     p99_bound: float = SERVE_P99_BOUND
+                     ) -> List[Dict[str, object]]:
+    """The bench's three checks on the propose-latency stream.
 
-    Mirrors :func:`repro.obs.slo.default_rules` in spirit: a p99
-    latency ceiling, a mean-latency ceiling, and a violation budget
-    allowing a 1%-ish tail above the bound without failing the run.
+    A p99 ceiling, a mean ceiling at half the bound, and a budget of at
+    most 64 points above the bound (a 1%-ish tail that does not fail
+    the run).
     """
-    return [
-        SloRule(name="serve-propose-p99",
-                series="serve.propose_latency_ticks",
-                agg="p99", op="<=", value=p99_bound),
-        SloRule(name="serve-propose-mean",
-                series="serve.propose_latency_ticks",
-                agg="mean", op="<=", value=p99_bound / 2.0),
-        SloRule(name="serve-latency-burn",
-                series="serve.propose_latency_ticks",
-                kind="budget-burn", op="<=", value=p99_bound,
-                budget=64),
-    ]
+    mean = sum(latencies) / len(latencies) if latencies else 0.0
+    over = sum(1 for v in latencies if v > p99_bound)
+    checks = (
+        ("serve-propose-p99", quantile(latencies, 0.99), p99_bound),
+        ("serve-propose-mean", mean, p99_bound / 2.0),
+        ("serve-latency-burn", float(over), 64.0),
+    )
+    return [{"rule": rule, "observed": float(observed),
+             "threshold": float(threshold), "ok": observed <= threshold}
+            for rule, observed, threshold in checks]
 
 
 class _Client:
@@ -241,11 +233,10 @@ def run_bench(
         raise ValueError("tenants must be >= 1")
     specs = sample_tenants(tenants, seed=seed, fuzz_count=fuzz_count,
                            arrival_window=arrival_window)
-    store = SeriesStore(capacity=BENCH_STORE_CAPACITY)
     service = TuningService(
         num_shards=shards, base_seed=seed,
         bank_store=bank_store if bank_store is not None else BankStore(),
-        registry=Registry(), store=store,
+        registry=Registry(),
     )
     if progress:
         progress(f"materializing banks for {tenants} tenants")
@@ -320,7 +311,7 @@ def run_bench(
         row["proposes"] += float(session.proposes)
         row["regret"] += client.regret
 
-    verdicts = evaluate_rules(store, serve_rules(p99_bound))
+    verdicts = latency_verdicts(propose_latencies, p99_bound)
     slo_failures = sum(1 for v in verdicts if not v["ok"])
     p99 = quantile(propose_latencies, 0.99)
     ticks = service.ticks

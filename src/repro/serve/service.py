@@ -33,7 +33,6 @@ from ..evaluate.cache import DurationCache, simulation_fingerprint
 from ..measure.bank import MeasurementBank
 from ..obs.clock import Clock, TickClock
 from ..obs.registry import Registry
-from ..obs.series import SeriesStore
 from ..strategies.registry import registered_names
 from . import protocol
 from .session import (
@@ -167,11 +166,9 @@ class TuningService:
         Folded into every tenant's strategy seed derivation.
     bank_store:
         Shared scenario-bank registry (created on demand).
-    registry / store:
-        Observability instruments: the metric registry counts
-        requests/responses and tracks active tenants; the optional
-        series store receives per-response latency points the SLO
-        engine evaluates.
+    registry:
+        Metric registry: counts requests/responses, tracks active
+        tenants and the propose-latency histogram.
     clock_factory:
         Called once per shard; defaults to deterministic tick clocks.
     """
@@ -182,7 +179,6 @@ class TuningService:
         base_seed: int = 0,
         bank_store: Optional[BankStore] = None,
         registry: Optional[Registry] = None,
-        store: Optional[SeriesStore] = None,
         observe_batch: int = DEFAULT_OBSERVE_BATCH,
         propose_batch: int = DEFAULT_PROPOSE_BATCH,
         clock_factory: Callable[[], Clock] = TickClock,
@@ -194,7 +190,6 @@ class TuningService:
         self.base_seed = base_seed
         self.bank_store = bank_store if bank_store is not None else BankStore()
         self.registry = registry if registry is not None else Registry()
-        self.store = store
         self.observe_batch = observe_batch
         self.propose_batch = propose_batch
         self.ticks = 0
@@ -315,11 +310,10 @@ class TuningService:
         """Advance every shard once, in index order.
 
         Returns the concatenated responses (shard order, sorted-tenant
-        order within each shard) and feeds the observability surfaces:
-        response counters, the active-tenant gauge, and per-response
-        latency points into the series store.
+        order within each shard) and feeds the metric registry:
+        response counters, the active-tenant gauge and the
+        propose-latency histogram.
         """
-        tick = self.ticks
         self.ticks += 1
         responses: List[Dict[str, object]] = []
         for shard in self.shards:
@@ -329,19 +323,12 @@ class TuningService:
                     self.retired[tenant_id] = shard.sessions.pop(tenant_id)
             for response in shard_responses:
                 responses.append(response)
-                self._observe_response(response, shard.index, tick)
+                self._observe_response(response)
         self.registry.gauge("serve.active_tenants").set(
             self.active_tenants())
-        if self.store is not None:
-            self.store.record("serve.responses", float(len(responses)),
-                              tick=float(tick))
-            self.store.record("serve.active_tenants",
-                              float(self.active_tenants()),
-                              tick=float(tick))
         return responses
 
-    def _observe_response(self, response: Dict[str, object],
-                          shard_index: int, tick: int) -> None:
+    def _observe_response(self, response: Dict[str, object]) -> None:
         kind = response["kind"]
         self.registry.counter(f"serve.response.{kind}").inc()
         if kind == "proposal":
@@ -350,9 +337,6 @@ class TuningService:
                 latency = float(session.propose_latencies[-1])
                 self.registry.histogram(
                     "serve.propose_latency_ticks").observe(latency)
-                if self.store is not None:
-                    self.store.record("serve.propose_latency_ticks",
-                                      latency, tick=float(tick))
 
     def _any_session(self, tenant_id: str) -> Optional[TenantSession]:
         """Find a session whether live or already retired this tick."""

@@ -27,8 +27,8 @@ from ..strategies.registry import make_strategy
 from . import protocol
 
 #: Content tag namespacing every serve-layer seed derivation, so tenant
-#: streams can never collide with harness cells (0xBA5E), forensics
-#: streams (0xF04E) or fuzzed platforms (0xF022).
+#: streams can never collide with harness cells (0xBA5E) or fuzzed
+#: platforms (0xF022).
 SERVE_TAG = 0x5E12
 
 #: Observations applied per session per shard tick (one batched

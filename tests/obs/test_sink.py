@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.evaluate.cache import DurationCache
 from repro.obs import (
     TRACE_SCHEMA_VERSION,
     JsonlSink,
@@ -17,7 +18,10 @@ from repro.obs import (
     read_trace,
     start_trace,
     trace_session,
+    write_atomic,
 )
+from repro.obs import sink as sink_module
+from repro.obs.ledger import write_root_report
 
 
 class TestEncoding:
@@ -190,3 +194,32 @@ class TestExceptionPaths:
         with MemorySink() as sink:
             sink.emit({"kind": "a"})
         assert sink.records == [{"kind": "a"}]
+
+
+class TestAtomicWrite:
+    """An interrupted artifact write leaves the prior file intact."""
+
+    def test_writes_exact_text(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_atomic(path, '{"x": 1}\n')
+        assert path.read_bytes() == b'{"x": 1}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+    @pytest.mark.parametrize("writer", [
+        lambda path: write_atomic(path, "new contents\n"),
+        lambda path: write_root_report("label", {"m": 1.0}, path=path),
+        lambda path: DurationCache().spill(path),
+    ], ids=["helper", "root-report", "cache-spill"])
+    def test_failed_replace_keeps_prior_file(self, tmp_path, monkeypatch,
+                                             writer):
+        path = tmp_path / "BENCH_x.json"
+        path.write_bytes(b"prior bytes\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sink_module.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            writer(path)
+        assert path.read_bytes() == b"prior bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_x.json"]

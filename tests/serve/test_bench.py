@@ -5,14 +5,12 @@ import json
 import pytest
 
 from repro.measure.bank import synthetic_bank
-from repro.obs.series import SeriesStore
-from repro.obs.slo import evaluate_rules
 from repro.serve.loadgen import (
     SERVE_P99_BOUND,
     TenantSpec,
+    latency_verdicts,
     run_bench,
     sample_tenants,
-    serve_rules,
     write_serve_report,
 )
 from repro.serve.service import BankStore
@@ -122,17 +120,20 @@ class TestBenchReport:
 
 class TestServeSloRules:
     def test_p99_rule_trips_above_the_bound(self):
-        store = SeriesStore(capacity=512)
-        for i in range(100):
-            store.record("serve.propose_latency_ticks",
-                         2.0 * SERVE_P99_BOUND, tick=float(i))
-        verdicts = evaluate_rules(store, serve_rules())
+        verdicts = latency_verdicts([2.0 * SERVE_P99_BOUND] * 100)
         p99 = next(v for v in verdicts if v["rule"] == "serve-propose-p99")
         assert not p99["ok"]
+        assert p99["observed"] == 2.0 * SERVE_P99_BOUND
 
     def test_healthy_stream_passes_every_rule(self):
-        store = SeriesStore(capacity=512)
-        for i in range(100):
-            store.record("serve.propose_latency_ticks", 1.0,
-                         tick=float(i))
-        assert all(v["ok"] for v in evaluate_rules(store, serve_rules()))
+        verdicts = latency_verdicts([1.0] * 100)
+        assert [v["rule"] for v in verdicts] == [
+            "serve-propose-p99", "serve-propose-mean", "serve-latency-burn"]
+        assert all(v["ok"] for v in verdicts)
+
+    def test_burn_budget_allows_64_points_above_the_bound(self):
+        tail = [2.0 * SERVE_P99_BOUND]
+        ok = latency_verdicts([1.0] * 9000 + tail * 64)
+        burned = latency_verdicts([1.0] * 9000 + tail * 65)
+        assert ok[2]["observed"] == 64.0 and ok[2]["ok"]
+        assert burned[2]["observed"] == 65.0 and not burned[2]["ok"]

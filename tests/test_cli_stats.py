@@ -10,6 +10,8 @@ too.  Regenerate after an intended change::
         tests/test_cli_stats.py
 """
 
+import contextlib
+import io
 import json
 import os
 from pathlib import Path
@@ -22,19 +24,22 @@ from repro.obs import TRACE_SCHEMA_VERSION, read_trace
 GOLDEN = Path(__file__).parent / "goldens" / "stats_compare_b.txt"
 
 
-@pytest.fixture(autouse=True)
-def small(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TILES_101", "8")
-    monkeypatch.setenv("REPRO_TILES_128", "8")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    """One cold-cache, 8-tile ``compare b`` tick trace shared by the module.
 
-
-@pytest.fixture()
-def trace_path(tmp_path, capsys):
-    path = tmp_path / "trace.jsonl"
-    assert main(["compare", "b", "--reps", "2",
-                 "--trace", str(path), "--trace-ticks"]) == 0
-    capsys.readouterr()  # drop the compare table
+    Every test only reads the trace, so building it once is equivalent
+    to rebuilding it per test (the trace is a pure function of the code).
+    """
+    root = tmp_path_factory.mktemp("stats")
+    path = root / "trace.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_TILES_101", "8")
+        mp.setenv("REPRO_TILES_128", "8")
+        mp.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["compare", "b", "--reps", "2",
+                         "--trace", str(path), "--trace-ticks"]) == 0
     return path
 
 
@@ -146,3 +151,32 @@ class TestStatsCommand:
         assert "per-strategy (decision log)" in out
         assert "overhead/iter [ticks]" in out
         assert "simulator.runs" in out
+
+
+class TestDamagedTraces:
+    """A torn final line warns; corruption or a missing file exits 2."""
+
+    def test_torn_final_line_warns_and_aggregates_the_rest(
+            self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"kind":"span"}\n{"kind":"sp')
+        assert main(["stats", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("warning:") == 1
+        assert f"{path}:2:" in captured.err
+        assert "trace: 1 records" in captured.out
+
+    def test_corrupt_inner_line_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"kind":"sp\n{"kind":"span"}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:1:")
+
+    def test_missing_trace_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
