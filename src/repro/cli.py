@@ -19,7 +19,6 @@ Examples
     python -m repro faults list             # canned fault schedules
     python -m repro faults run i --reps 5   # raw vs resilient campaign
     python -m repro serve bench             # multi-tenant tuning bench
-    python -m repro serve run --port 8902   # live JSONL tuning service
     python -m repro fuzz run --count 24     # strategy properties on a corpus
     python -m repro fuzz replay             # committed regression scenarios
     python -m repro fuzz promote 4 --strategy UCB --check regret-bound
@@ -29,10 +28,54 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import sys
 from typing import NoReturn
 
 import numpy as np
+
+
+# -- argument converters ------------------------------------------------------
+#
+# Every bad argument is rejected here, while argparse parses, so it exits 2
+# before any sweep runs.  They raise ``ArgumentTypeError`` because argparse
+# replaces the text of a plain ``ValueError`` with "invalid <type> value".
+
+
+def _bounded(kind, lo, strict=False):
+    """A ``kind`` (int or float) ``>= lo``, or ``> lo`` if ``strict``."""
+    def convert(text: str):
+        value = kind(text)
+        if value < lo or (strict and value == lo):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {lo}, got {value}")
+        return value
+
+    convert.__name__ = kind.__name__  # "invalid int value: 'two'"
+    return convert
+
+
+def _known(what: str, module: str, attr: str):
+    """A name listed by ``module.attr``, a collection or a function."""
+    def convert(text: str) -> str:
+        names = getattr(importlib.import_module(module, __package__), attr)
+        known = sorted(names() if callable(names) else names)
+        if text not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {text!r}; known: {known}")
+        return text
+
+    convert.__name__ = what
+    return convert
+
+
+_scenario = _known("scenario", ".platform", "SCENARIOS")
+_strategy = _known("strategy", ".strategies.registry", "registered_names")
+_family = _known("family", ".fuzz", "FAMILIES")
+_count = _bounded(int, 1)
+_non_negative = _bounded(int, 0)  # seeds, indices; --n-fact 0 = all nodes
+_positive = _bounded(float, 0, strict=True)
+_fault_iterations = _bounded(int, 9)  # fault windows span thirds of a run
 
 
 @contextlib.contextmanager
@@ -256,10 +299,6 @@ def _cmd_perf_check(args) -> None:
         render_check_report,
     )
 
-    if args.threshold < 0:
-        print(f"error: --threshold must be >= 0, got {args.threshold}",
-              file=sys.stderr)
-        sys.exit(2)
     metrics, cfg = collect_metrics(
         args.scenario,
         n_fact=args.n_fact or None,
@@ -380,18 +419,6 @@ def _cmd_serve_bench(args) -> None:
         write_serve_report,
     )
 
-    if args.tenants < 1:
-        print(f"error: --tenants must be >= 1, got {args.tenants}",
-              file=sys.stderr)
-        sys.exit(2)
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        sys.exit(2)
-    if args.p99_bound <= 0:
-        print(f"error: --p99-bound must be positive, got {args.p99_bound}",
-              file=sys.stderr)
-        sys.exit(2)
     report = run_bench(
         tenants=args.tenants,
         shards=args.shards,
@@ -409,68 +436,6 @@ def _cmd_serve_bench(args) -> None:
         sys.exit(1)
 
 
-def _cmd_serve_run(args) -> None:
-    import asyncio
-
-    from .serve.service import TuningService, serve_forever
-
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        sys.exit(2)
-    if args.tick_interval <= 0:
-        print(f"error: --tick-interval must be positive, got "
-              f"{args.tick_interval}", file=sys.stderr)
-        sys.exit(2)
-    service = TuningService(num_shards=args.shards, base_seed=args.seed)
-    print(f"repro serve: JSONL tuning service on "
-          f"{args.host}:{args.port} ({args.shards} shard(s), "
-          f"tick every {args.tick_interval:g}s) -- Ctrl-C stops")
-    try:
-        asyncio.run(serve_forever(
-            service, host=args.host, port=args.port,
-            tick_interval=args.tick_interval))
-    except KeyboardInterrupt:
-        snap = service.snapshot()
-        print(f"\nstopped after {snap['ticks']} tick(s): "
-              f"{snap['active_tenants']} live session(s), "
-              f"{snap['retired_tenants']} retired")
-
-
-def _fuzz_validate(args) -> None:
-    """Shared `repro fuzz` argument validation (exit 2 on bad input)."""
-    from .fuzz import FAMILIES
-    from .strategies.registry import registered_names
-
-    families = getattr(args, "families", None)
-    if families:
-        unknown = [f for f in families if f not in FAMILIES]
-        if unknown:
-            print(f"error: unknown family(s) {unknown}; known: "
-                  f"{list(FAMILIES)}", file=sys.stderr)
-            sys.exit(2)
-    if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        sys.exit(2)
-    if args.bound <= 0:
-        print(f"error: --bound must be positive, got {args.bound}",
-              file=sys.stderr)
-        sys.exit(2)
-    if args.iterations < 9:
-        print(f"error: --iterations must be >= 9 (fault windows), got "
-              f"{args.iterations}", file=sys.stderr)
-        sys.exit(2)
-    strategies = getattr(args, "strategies", None) or []
-    strategy = getattr(args, "strategy", None)
-    if strategy is not None:
-        strategies = strategies + [strategy]
-    bad = [s for s in strategies if s not in registered_names()]
-    if bad:
-        print(f"error: unknown strategy(s) {bad}; registered: "
-              f"{registered_names()}", file=sys.stderr)
-        sys.exit(2)
-
-
 def _cmd_fuzz_run(args) -> None:
     import json
     from pathlib import Path
@@ -486,16 +451,6 @@ def _cmd_fuzz_run(args) -> None:
         shrink,
     )
     from .obs import write_atomic
-
-    _fuzz_validate(args)
-    if args.count < 1:
-        print(f"error: --count must be >= 1, got {args.count}",
-              file=sys.stderr)
-        sys.exit(2)
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
-        sys.exit(2)
 
     families = tuple(args.families) if args.families else FAMILIES
     fuzz_cfg = FuzzConfig(iterations=args.iterations)
@@ -608,7 +563,6 @@ def _cmd_fuzz_promote(args) -> None:
         shrink,
     )
 
-    _fuzz_validate(args)
     platform = sample_platform(args.index, args.seed)
     config = PropertyConfig(
         iterations=args.iterations,
@@ -675,61 +629,6 @@ def _cmd_predict(args) -> None:
     print(f"  95% coverage : {out['coverage95']:.0%}")
 
 
-def _cmd_bench(args) -> None:
-    from .evaluate.bench import DEFAULT_OUT, run_harness_benchmark
-    from .platform import SCENARIOS
-    from .strategies.registry import registered_names
-
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
-        sys.exit(2)
-    keys = list(args.scenarios)
-    if keys == ["all"]:
-        keys = sorted(SCENARIOS)
-    unknown = [k for k in keys if k not in SCENARIOS]
-    if unknown:
-        print(f"error: unknown scenario(s) {unknown}; valid keys: "
-              f"{sorted(SCENARIOS)} or 'all'", file=sys.stderr)
-        sys.exit(2)
-    bad = [s for s in args.strategies if s not in registered_names()]
-    if bad:
-        print(f"error: unknown strategy(s) {bad}; registered: "
-              f"{registered_names()}", file=sys.stderr)
-        sys.exit(2)
-
-    from pathlib import Path
-
-    out = Path(args.out) if args.out else DEFAULT_OUT
-    spill = None if args.no_spill else out.parent / "BENCH_durations.json"
-    root = Path(args.root_out) if args.root_out else None
-    report = run_harness_benchmark(
-        scenario_keys=keys,
-        strategies=args.strategies,
-        iterations=args.iterations,
-        reps=args.reps,
-        workers=args.workers,
-        out_path=out,
-        spill_path=spill,
-        root_path=root,
-        progress=True,
-    )
-    cache = report["cache"]
-    print(f"harness bench: {len(keys)} scenario(s), "
-          f"{len(args.strategies)} strategies, reps={args.reps}, "
-          f"workers={args.workers}")
-    print(f"  serial   : {report['serial_seconds']:.2f} s")
-    print(f"  parallel : {report['parallel_seconds']:.2f} s "
-          f"(speedup {report['speedup']:.2f}x, warm cache hit rate "
-          f"{cache['hit_rate']:.0%})")
-    print(f"  identical: {report['identical']}")
-    print(f"  report   : {out}")
-    if root is not None:
-        print(f"  root copy: {root}")
-    if not report["identical"]:
-        sys.exit(1)
-
-
 def _cmd_lint(args) -> None:
     from .analysis.cli import main as lint_main
 
@@ -782,30 +681,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("scenarios", help="the 16 scenarios").set_defaults(fn=_cmd_scenarios)
 
     p = sub.add_parser("sweep", help="duration-vs-nodes curve (Fig 2/5)")
-    p.add_argument("scenario", help="scenario key a..p")
+    p.add_argument("scenario", type=_scenario, help="scenario key a..p")
     _add_trace_args(p)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("compare", help="all strategies on one scenario (Fig 6 panel)")
-    p.add_argument("scenario")
-    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("scenario", type=_scenario)
+    p.add_argument("--reps", type=_count, default=10)
     _add_trace_args(p)
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("fig6", help="all strategies on all scenarios")
-    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("--reps", type=_count, default=10)
     _add_trace_args(p)
     p.set_defaults(fn=_cmd_fig6)
 
     p = sub.add_parser("replay", help="step-by-step GP state (Fig 4)")
-    p.add_argument("scenario")
-    p.add_argument("strategy")
-    p.add_argument("--iterations", type=int, nargs="+", default=[5, 8, 20, 100])
+    p.add_argument("scenario", type=_scenario)
+    p.add_argument("strategy", type=_strategy)
+    p.add_argument("--iterations", type=_non_negative, nargs="+",
+                   default=[5, 8, 20, 100])
     p.set_defaults(fn=_cmd_replay)
 
     p = sub.add_parser("overhead", help="online strategy overhead (Fig 7)")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--iterations", type=int, default=30)
+    p.add_argument("--reps", type=_count, default=10)
+    p.add_argument("--iterations", type=_count, default=30)
     _add_trace_args(p)
     p.set_defaults(fn=_cmd_overhead)
 
@@ -819,16 +719,17 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline",
         help="task-level timeline exports (Chrome trace, Paje CSV, HTML)",
     )
-    p.add_argument("scenario", nargs="?", default="b", help="scenario key a..p")
-    p.add_argument("--n-fact", type=int, default=0,
+    p.add_argument("scenario", nargs="?", default="b", type=_scenario,
+                   help="scenario key a..p")
+    p.add_argument("--n-fact", type=_non_negative, default=0,
                    help="factorization node count (default: all nodes)")
-    p.add_argument("--n-gen", type=int, default=0,
+    p.add_argument("--n-gen", type=_non_negative, default=0,
                    help="generation node count (default: all nodes)")
     p.add_argument("--out", default=str(Path("benchmarks") / "out"),
                    help="output directory for the three artifacts")
-    p.add_argument("--nbins", type=int, default=72,
+    p.add_argument("--nbins", type=_count, default=72,
                    help="time bins of the ASCII rendering")
-    p.add_argument("--max-nodes", type=int, default=16,
+    p.add_argument("--max-nodes", type=_count, default=16,
                    help="nodes drawn in the SVG Gantt")
     p.add_argument("--no-ascii", dest="ascii", action="store_false",
                    help="skip the terminal utilization art")
@@ -838,11 +739,11 @@ def build_parser() -> argparse.ArgumentParser:
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
 
     def _perf_common(pp) -> None:
-        pp.add_argument("scenario", nargs="?", default="b",
+        pp.add_argument("scenario", nargs="?", default="b", type=_scenario,
                         help="scenario key a..p")
-        pp.add_argument("--n-fact", type=int, default=0,
+        pp.add_argument("--n-fact", type=_non_negative, default=0,
                         help="factorization node count (default: all nodes)")
-        pp.add_argument("--n-gen", type=int, default=0,
+        pp.add_argument("--n-gen", type=_non_negative, default=0,
                         help="generation node count (default: all nodes)")
         pp.add_argument("--label", default="",
                         help="ledger label (default: the scenario key)")
@@ -862,7 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="gate the current run against the ledger baseline"
     )
     _perf_common(pp)
-    pp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+    pp.add_argument("--threshold", type=_bounded(float, 0),
+                    default=DEFAULT_THRESHOLD,
                     help="relative increase tolerated on gated metrics")
     pp.add_argument("--format", choices=("text", "json"), default="text")
     pp.add_argument("--verbose", action="store_true",
@@ -876,9 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
     faults_sub = p.add_subparsers(dest="faults_command", required=True)
 
     def _faults_common(pp) -> None:
-        pp.add_argument("--nodes", type=int, default=8,
+        pp.add_argument("--nodes", type=_bounded(int, 2), default=8,
                         help="cluster size the canned schedules are sized to")
-        pp.add_argument("--iterations", type=int, default=60,
+        pp.add_argument("--iterations", type=_fault_iterations, default=60,
                         help="run length the fault windows scale with")
         pp.add_argument("--seed", type=int, default=0,
                         help="schedule seed (interference jitter streams)")
@@ -897,18 +799,18 @@ def build_parser() -> argparse.ArgumentParser:
     pp = faults_sub.add_parser(
         "run", help="raw vs resilient campaign on one scenario"
     )
-    pp.add_argument("scenario", nargs="?", default="i",
+    pp.add_argument("scenario", nargs="?", default="i", type=_scenario,
                     help="scenario key a..p")
     pp.add_argument("--schedules", nargs="+",
                     default=["straggler", "crash", "compound"],
                     help="canned schedule names to campaign over")
-    pp.add_argument("--strategies", nargs="+", default=[],
+    pp.add_argument("--strategies", nargs="+", default=[], type=_strategy,
                     help="strategy names (default: DC, UCB, "
                          "GP-discontinuous and their Resilient(...) "
                          "wrappers)")
-    pp.add_argument("--iterations", type=int, default=60)
-    pp.add_argument("--reps", type=int, default=5)
-    pp.add_argument("--workers", type=int, default=1)
+    pp.add_argument("--iterations", type=_fault_iterations, default=60)
+    pp.add_argument("--reps", type=_count, default=5)
+    pp.add_argument("--workers", type=_count, default=1)
     pp.add_argument("--seed", type=int, default=0,
                     help="schedule seed (interference jitter streams)")
     pp.add_argument("--out", default="BENCH_faults.json",
@@ -922,18 +824,18 @@ def build_parser() -> argparse.ArgumentParser:
     pp = serve_sub.add_parser(
         "bench", help="deterministic multi-tenant load generator"
     )
-    pp.add_argument("--tenants", type=int, default=500,
+    pp.add_argument("--tenants", type=_count, default=500,
                     help="simulated tenant population size")
-    pp.add_argument("--shards", type=int, default=4,
+    pp.add_argument("--shards", type=_count, default=4,
                     help="shard workers (the report is byte-identical "
                          "across shard counts)")
-    pp.add_argument("--seed", type=int, default=0,
+    pp.add_argument("--seed", type=_non_negative, default=0,
                     help="population seed (tenant mix + client streams)")
-    pp.add_argument("--fuzz", type=int, default=4,
+    pp.add_argument("--fuzz", type=_non_negative, default=4,
                     help="fuzzed platforms mixed into the scenario pool")
-    pp.add_argument("--arrival-window", type=int, default=64,
+    pp.add_argument("--arrival-window", type=_count, default=64,
                     help="ticks over which tenant arrivals are spread")
-    pp.add_argument("--p99-bound", type=float, default=8.0,
+    pp.add_argument("--p99-bound", type=_positive, default=8.0,
                     help="propose-latency p99 SLO bound in shard ticks")
     pp.add_argument("--out", default="BENCH_serve.json",
                     help="root-level bench artifact ('' disables)")
@@ -941,30 +843,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="suppress progress lines")
     pp.set_defaults(fn=_cmd_serve_bench)
 
-    pp = serve_sub.add_parser(
-        "run", help="live JSONL-over-asyncio socket service"
-    )
-    pp.add_argument("--host", default="127.0.0.1")
-    pp.add_argument("--port", type=int, default=8902)
-    pp.add_argument("--shards", type=int, default=4,
-                    help="shard workers (tenants assigned by stable hash)")
-    pp.add_argument("--seed", type=int, default=0,
-                    help="base seed folded into per-tenant strategy seeds")
-    pp.add_argument("--tick-interval", type=float, default=0.05,
-                    help="seconds between shard ticks (batch cadence)")
-    pp.set_defaults(fn=_cmd_serve_run)
-
     p = sub.add_parser(
         "fuzz", help="seeded scenario fuzzing & strategy property tests"
     )
     fuzz_sub = p.add_subparsers(dest="fuzz_command", required=True)
 
     def _fuzz_common(pp) -> None:
-        pp.add_argument("--seed", type=int, default=0,
+        pp.add_argument("--seed", type=_non_negative, default=0,
                         help="corpus root seed (>= 0)")
-        pp.add_argument("--iterations", type=int, default=50,
+        pp.add_argument("--iterations", type=_fault_iterations, default=50,
                         help="adaptation iterations per cell (>= 9)")
-        pp.add_argument("--bound", type=float, default=0.65,
+        pp.add_argument("--bound", type=_positive, default=0.65,
                         help="regret-ratio bound on adaptive strategies")
         pp.add_argument("--no-shrink", action="store_true",
                         help="skip minimization of failing scenarios")
@@ -973,13 +862,13 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run every strategy property over a fuzzed corpus"
     )
     _fuzz_common(pp)
-    pp.add_argument("--count", type=int, default=24,
+    pp.add_argument("--count", type=_count, default=24,
                     help="corpus size (scenarios)")
-    pp.add_argument("--families", nargs="+", default=[],
+    pp.add_argument("--families", nargs="+", default=[], type=_family,
                     help="workload families (cholesky, msr; default both)")
-    pp.add_argument("--strategies", nargs="+", default=[],
+    pp.add_argument("--strategies", nargs="+", default=[], type=_strategy,
                     help="strategy names (default: every registered one)")
-    pp.add_argument("--workers", type=int, default=1,
+    pp.add_argument("--workers", type=_count, default=1,
                     help="harness workers of the main run")
     pp.add_argument("--no-workers-check", action="store_true",
                     help="skip the workers=1 vs 2 equivalence property")
@@ -1003,8 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp = fuzz_sub.add_parser(
         "promote", help="shrink one failing scenario into a canned regression"
     )
-    pp.add_argument("index", type=int, help="corpus index of the scenario")
-    pp.add_argument("--strategy", required=True,
+    pp.add_argument("index", type=_non_negative, help="corpus index of the scenario")
+    pp.add_argument("--strategy", required=True, type=_strategy,
                     help="registered strategy name")
     pp.add_argument("--check", required=True,
                     choices=("regret-bound", "regret-monotone", "replay",
@@ -1015,40 +904,20 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(fn=_cmd_fuzz_promote)
 
     p = sub.add_parser("grid", help="2-D gen x fact sweep (Fig 8)")
-    p.add_argument("scenario", nargs="?", default="f")
-    p.add_argument("--step", type=int, default=2)
+    p.add_argument("scenario", nargs="?", default="f", type=_scenario)
+    p.add_argument("--step", type=_count, default=2)
     p.set_defaults(fn=_cmd_grid)
 
     p = sub.add_parser("trace", help="three-iteration timelines (Fig 1)")
-    p.add_argument("scenario", nargs="?", default="b")
+    p.add_argument("scenario", nargs="?", default="b", type=_scenario)
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("predict", help="kriging prediction of held-out points")
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--missing", type=int, default=20)
-    p.add_argument("--range", dest="range_", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=_bounded(int, 2), default=100)
+    p.add_argument("--missing", type=_count, default=20)
+    p.add_argument("--range", dest="range_", type=_positive, default=0.2)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(fn=_cmd_predict)
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark the parallel+cache harness (BENCH_harness.json)",
-    )
-    p.add_argument("--scenarios", nargs="+", default=["c", "i", "p"],
-                   help="scenario keys a..p, or 'all' for the Figure 5 set")
-    p.add_argument("--strategies", nargs="+",
-                   default=["DC", "Right-Left", "UCB"])
-    p.add_argument("--iterations", type=int, default=40)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--out", default="",
-                   help="report path (default benchmarks/out/BENCH_harness.json)")
-    p.add_argument("--root-out", default="BENCH_harness.json",
-                   help="root-level trajectory copy of the report "
-                        "('' disables)")
-    p.add_argument("--no-spill", action="store_true",
-                   help="do not warm/persist the duration cache on disk")
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("lint", help="static analysis (determinism, contracts)")
     p.add_argument("paths", nargs="*",
@@ -1064,8 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("checks", help="simulator consistency checks")
-    p.add_argument("scenario", nargs="?", default="b")
-    p.add_argument("--n-fact", type=int, default=0)
+    p.add_argument("scenario", nargs="?", default="b", type=_scenario)
+    p.add_argument("--n-fact", type=_non_negative, default=0)
     p.set_defaults(fn=_cmd_checks)
 
     return parser

@@ -16,9 +16,8 @@ determines the makespan:
 
 Keys never depend on wall-clock, process identity or insertion order, so
 a warm cache returns bit-identical durations to a cold run.  The cache
-is a bounded in-memory LRU with an optional JSON spill (conventionally
-under ``benchmarks/out/``) so `repro bench` runs can stay warm across
-processes.
+is a bounded in-memory LRU with an optional JSON spill, so a later
+process can start warm.
 """
 
 from __future__ import annotations
@@ -181,7 +180,7 @@ class DurationCache:
         self._misses = 0
 
     def stats(self) -> Dict[str, float]:
-        """Plain-dict statistics snapshot (for BENCH_harness.json)."""
+        """Plain-dict statistics snapshot."""
         return {
             "hits": self._hits,
             "misses": self._misses,

@@ -18,8 +18,7 @@ comparison reflects decisions, not sampling luck.
 
 Results flow into the repository's perf-ledger machinery:
 :func:`write_campaign_report` emits the root-level ``BENCH_faults.json``
-trajectory artifact (the sibling of ``BENCH_harness.json`` /
-``BENCH_timeline.json``).
+trajectory artifact (the sibling of ``BENCH_timeline.json``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from ..measure.bank import MeasurementBank
 from ..obs import get_tracer
 from .parallel import CellResult, plan_cells, run_cells
 
-#: Canonical root-level campaign artifact (see ``BENCH_harness.json``).
+#: Canonical root-level campaign artifact.
 ROOT_FAULTS_OUT = Path("BENCH_faults.json")
 
 #: Raw strategies compared against their resilient wrappers by default.

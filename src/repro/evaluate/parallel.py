@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -97,7 +96,6 @@ class CellResult:
     total: float                 # sum of iteration durations
     chosen: np.ndarray           # (iterations,) actions, int
     durations: np.ndarray        # (iterations,) resampled durations
-    seconds: float               # worker-side wall-clock of the cell
     #: Obs events captured while the cell ran (None when tracing is off);
     #: merged into the parent trace at collection, in cell input order.
     events: Optional[List[dict]] = None
@@ -166,7 +164,6 @@ def execute_cell(
     cell: EvalCell, bank, iterations: int, base_seed: int = 0, injector=None
 ) -> CellResult:
     """Run one cell start-to-finish (also the pool worker body)."""
-    start = time.perf_counter()
     rng = np.random.default_rng(
         derive_cell_seed(cell.strategy, cell.rep, base_seed)
     )
@@ -194,7 +191,6 @@ def execute_cell(
         total=total,
         chosen=chosen,
         durations=durations,
-        seconds=time.perf_counter() - start,
     )
 
 

@@ -309,9 +309,9 @@ def write_root_report(
 ) -> Path:
     """Write the canonical root-level ``BENCH_timeline.json`` artifact.
 
-    This is the documented location cross-PR trajectory tooling reads
-    (the sibling of ``BENCH_harness.json``); the content mirrors the
-    ledger entry that was just recorded.
+    This is the documented location trajectory tooling reads (the
+    sibling of ``BENCH_faults.json``); the content mirrors the ledger
+    entry that was just recorded.
     """
     payload = {
         "schema": LEDGER_SCHEMA_VERSION,

@@ -4,8 +4,7 @@ Promotes the batch experiment harness into a long-running, sharded,
 multi-tenant service: each tenant is a live application instance
 streaming iteration durations in (``observe``) and receiving the next
 configuration out (``propose``), speaking newline-delimited canonical
-JSON over an asyncio socket or a fully deterministic in-process
-transport.
+JSON over a fully deterministic in-process transport.
 
 The package is imported directly (``from repro.serve import ...``)
 rather than re-exported through :mod:`repro.obs` -- like the timeline
@@ -19,8 +18,8 @@ Layering:
 - :mod:`repro.serve.session` -- one tenant's strategy lifecycle behind
   the propose/observe contract.
 - :mod:`repro.serve.service` -- shard workers, stable tenant hashing,
-  batched per-tick servicing, the shared content-fingerprint-keyed bank
-  store, and the asyncio socket front end.
+  batched per-tick servicing, and the shared content-fingerprint-keyed
+  bank store.
 - :mod:`repro.serve.loadgen` -- the deterministic load generator behind
   ``repro serve bench`` and the root ``BENCH_serve.json`` artifact.
 """

@@ -6,9 +6,9 @@ Determinism model (DESIGN, "Shard determinism"):
   ``crc32(tenant_id) % num_shards``: stable across processes and
   registration orders (never the salted builtin ``hash``).
 * **Per-shard tick clocks** -- every shard owns its own injected
-  :class:`~repro.obs.clock.TickClock`; in the deterministic in-process
-  mode :meth:`TuningService.tick` advances all shards in index order,
-  so shard tick *k* is global tick *k* regardless of shard count.
+  :class:`~repro.obs.clock.TickClock`; :meth:`TuningService.tick`
+  advances all shards in index order, so shard tick *k* is global
+  tick *k* regardless of shard count.
 * **Ordered batch collection** -- within a tick, each shard services
   its sessions in sorted-tenant order and the service concatenates
   shard outputs in index order, so the response stream is a
@@ -16,16 +16,10 @@ Determinism model (DESIGN, "Shard determinism"):
   count.  Cross-shard-count invariance is stronger and comes from the
   session layer: every per-tenant quantity is a pure function of the
   tenant's own stream, and reports aggregate tenants in sorted order.
-
-The asyncio front end (:func:`serve_forever`) drives the *same*
-service object from a wall-interval ticker and routes responses back to
-the connection that registered each tenant; the deterministic mode and
-the socket mode differ only in who calls :meth:`TuningService.tick`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import zlib
 from typing import Callable, Dict, List, Optional
 
@@ -292,9 +286,8 @@ class TuningService:
     def handle_line(self, line: str) -> Optional[str]:
         """Wire-level entry: parse, route, render.
 
-        Protocol violations come back as rendered ``error`` responses
-        (never exceptions), mirroring what the socket front end writes
-        to a misbehaving client.
+        Protocol violations come back as rendered ``error`` responses,
+        never exceptions.
         """
         try:
             message = protocol.parse_request(line)
@@ -369,116 +362,3 @@ class TuningService:
             "bank_store": self.bank_store.stats(),
             "registry": self.registry.snapshot(),
         }
-
-
-# -- asyncio front end ---------------------------------------------------------------
-
-
-async def _handle_connection(
-    service: TuningService,
-    writers: Dict[str, "asyncio.StreamWriter"],
-    reader: "asyncio.StreamReader",
-    writer: "asyncio.StreamWriter",
-) -> None:
-    """One client connection: read JSONL requests, route, answer errors.
-
-    ``hello`` registers the connection as the tenant's response sink;
-    queued requests are answered by the ticker task through
-    ``writers``.
-    """
-    owned: List[str] = []
-    try:
-        while True:
-            try:
-                raw = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                err = protocol.ProtocolError(
-                    "line-too-long",
-                    f"frame exceeds {protocol.MAX_LINE_BYTES} bytes")
-                writer.write(
-                    (protocol.render(protocol.error_response(err))
-                     + "\n").encode("utf-8"))
-                await writer.drain()
-                break
-            if not raw:
-                break
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                message = protocol.parse_request(line)
-            except protocol.ProtocolError as err:
-                service.registry.counter("serve.error").inc()
-                writer.write(
-                    (protocol.render(protocol.error_response(err))
-                     + "\n").encode("utf-8"))
-                await writer.drain()
-                continue
-            tenant_id = str(message["tenant"])
-            try:
-                response = service.handle(message)
-            except protocol.ProtocolError as err:
-                service.registry.counter("serve.error").inc()
-                writer.write(
-                    (protocol.render(protocol.error_response(err, tenant_id))
-                     + "\n").encode("utf-8"))
-                await writer.drain()
-                continue
-            if message["kind"] == "hello":
-                writers[tenant_id] = writer
-                owned.append(tenant_id)
-            if response is not None:
-                writer.write(
-                    (protocol.render(response) + "\n").encode("utf-8"))
-                await writer.drain()
-    finally:
-        for tenant_id in owned:
-            writers.pop(tenant_id, None)
-        writer.close()
-
-
-async def _tick_loop(
-    service: TuningService,
-    writers: Dict[str, "asyncio.StreamWriter"],
-    interval: float,
-) -> None:
-    """Wall-interval ticker: batch-service shards, route responses."""
-    while True:
-        await asyncio.sleep(interval)
-        for response in service.tick():
-            writer = writers.get(str(response.get("tenant", "")))
-            if writer is None or writer.is_closing():
-                continue
-            writer.write((protocol.render(response) + "\n").encode("utf-8"))
-            try:
-                await writer.drain()
-            except ConnectionError:  # pragma: no cover - client vanished
-                continue
-
-
-async def serve_forever(
-    service: TuningService,
-    host: str = "127.0.0.1",
-    port: int = 8902,
-    tick_interval: float = 0.05,
-    ready: Optional["asyncio.Event"] = None,
-) -> None:
-    """Run the asyncio socket front end until cancelled.
-
-    ``ready`` (when given) is set once the listener is bound -- the
-    socket tests use it instead of polling.
-    """
-    writers: Dict[str, asyncio.StreamWriter] = {}
-    server = await asyncio.start_server(
-        lambda r, w: _handle_connection(service, writers, r, w),
-        host, port, limit=protocol.MAX_LINE_BYTES,
-    )
-    ticker = asyncio.ensure_future(_tick_loop(service, writers,
-                                              tick_interval))
-    if ready is not None:
-        ready.set()
-    try:
-        async with server:
-            await server.serve_forever()
-    finally:
-        ticker.cancel()

@@ -81,6 +81,13 @@ class TestSweepDurationCache:
         for n in serial.actions:
             assert np.array_equal(serial.samples[n], pooled.samples[n])
         assert len(cache) > 0
+        # A second pooled sweep is served from the now-warm cache.
+        cache.reset_stats()
+        warm = sweep_scenario(scenario, actions=[2, 7, 14], augment=4,
+                              seed=5, workers=2, cache=cache)
+        assert cache.hits > 0 and cache.misses == 0
+        for n in serial.actions:
+            assert np.array_equal(serial.samples[n], warm.samples[n])
 
     def test_cached_bank_threads_cache_through(self, monkeypatch):
         cache = DurationCache()

@@ -12,6 +12,42 @@ def small(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
 
+#: Bad input, and what stderr must name: the flag or the unknown name.
+BAD_ARGUMENTS = [
+    (["sweep", "zz"], "unknown scenario"),
+    (["compare", "zz"], "unknown scenario"),
+    (["replay", "zz", "UCB"], "unknown scenario"),
+    (["timeline", "zz"], "unknown scenario"),
+    (["perf", "check", "zz"], "unknown scenario"),
+    (["perf", "record", "zz"], "unknown scenario"),
+    (["checks", "zz"], "unknown scenario"),
+    (["grid", "zz"], "unknown scenario"),
+    (["trace", "zz"], "unknown scenario"),
+    (["faults", "run", "zz"], "unknown scenario"),
+    (["replay", "b", "Nope"], "unknown strategy"),
+    (["faults", "run", "b", "--strategies", "UCB", "Nope"],
+     "unknown strategy"),
+    (["compare", "b", "--reps", "0"], "--reps"),
+    (["fig6", "--reps", "0"], "--reps"),
+    (["overhead", "--reps", "0"], "--reps"),
+    (["overhead", "--iterations", "0"], "--iterations"),
+    (["faults", "run", "b", "--reps", "0"], "--reps"),
+    (["faults", "run", "b", "--workers", "0"], "--workers"),
+    (["faults", "run", "b", "--iterations", "8"], "--iterations"),
+    (["faults", "list", "--nodes", "1"], "--nodes"),
+    (["grid", "f", "--step", "0"], "--step"),
+    (["timeline", "b", "--nbins", "0"], "--nbins"),
+    (["timeline", "b", "--n-fact", "-1"], "--n-fact"),
+    (["checks", "b", "--n-fact", "-2"], "--n-fact"),
+    (["predict", "--range", "0"], "--range"),
+    (["serve", "bench", "--arrival-window", "0"], "--arrival-window"),
+    (["serve", "bench", "--seed", "-1"], "--seed"),
+    (["fuzz", "run", "--workers", "0"], "--workers"),
+    (["fuzz", "promote", "-1", "--strategy", "UCB", "--check", "replay"],
+     "index"),
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -23,10 +59,41 @@ class TestParser:
             ["table2"], ["scenarios"], ["sweep", "b"], ["compare", "b"],
             ["fig6"], ["replay", "b", "GP-UCB"], ["overhead"],
             ["grid"], ["trace"], ["predict"], ["checks"],
-            ["bench"], ["bench", "--scenarios", "all", "--workers", "2"],
         ):
             args = parser.parse_args(argv)
             assert callable(args.fn)
+
+    @pytest.mark.parametrize("argv, removed", [
+        (["bench"], "bench"),
+        (["bench", "--simfast"], "bench"),
+        (["serve", "run"], "run"),
+    ], ids=["bench", "bench-simfast", "serve-run"])
+    def test_removed_command_exits_2(self, argv, removed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{removed}'" in capsys.readouterr().err
+
+
+class TestBadArguments:
+    """Bad input exits 2 while argparse parses, before any sweep runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        import repro.measure
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep ran before the argument check")
+
+        monkeypatch.setattr(repro.measure, "cached_bank", forbidden)
+
+    @pytest.mark.parametrize("argv, expected", BAD_ARGUMENTS,
+                             ids=["_".join(argv) for argv, _ in BAD_ARGUMENTS])
+    def test_exits_2_before_any_sweep(self, argv, expected, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert expected in capsys.readouterr().err
 
 
 class TestCommands:

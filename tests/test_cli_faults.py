@@ -77,6 +77,8 @@ class TestFaultsRun:
         assert exc.value.code == 2
         assert "unknown schedule" in capsys.readouterr().err
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
+    def test_unknown_strategy_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(self.RUN_ARGS[:-2] + ["--strategies", "Nope"])
+        assert exc.value.code == 2
+        assert "unknown strategy" in capsys.readouterr().err

@@ -66,17 +66,3 @@ class TestServeBench:
             main(["serve", "bench", "--p99-bound", "0"])
         assert exc.value.code == 2
         assert "--p99-bound" in capsys.readouterr().err
-
-
-class TestServeRun:
-    def test_bad_shards_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "run", "--shards", "0"])
-        assert exc.value.code == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_bad_interval_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "run", "--tick-interval", "0"])
-        assert exc.value.code == 2
-        assert "--tick-interval" in capsys.readouterr().err
