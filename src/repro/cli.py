@@ -14,8 +14,7 @@ Examples
     python -m repro compare i --trace t.jsonl --trace-ticks
     python -m repro stats t.jsonl           # aggregate a trace
     python -m repro timeline b              # Figure 1 grade exports
-    python -m repro perf record b           # append to the perf ledger
-    python -m repro perf check b            # gate against the baseline
+    python -m repro timeline b --report BENCH_timeline.json
     python -m repro faults list             # canned fault schedules
     python -m repro faults run i --reps 5   # raw vs resilient campaign
     python -m repro serve bench             # multi-tenant tuning bench
@@ -30,7 +29,6 @@ import argparse
 import contextlib
 import importlib
 import sys
-from typing import NoReturn
 
 import numpy as np
 
@@ -72,6 +70,7 @@ def _known(what: str, module: str, attr: str):
 _scenario = _known("scenario", ".platform", "SCENARIOS")
 _strategy = _known("strategy", ".strategies.registry", "registered_names")
 _family = _known("family", ".fuzz", "FAMILIES")
+_schedule = _known("schedule", ".faults.models", "CANNED_SCHEDULES")
 _count = _bounded(int, 1)
 _non_negative = _bounded(int, 0)  # seeds, indices; --n-fact 0 = all nodes
 _positive = _bounded(float, 0, strict=True)
@@ -249,98 +248,13 @@ def _cmd_timeline(args) -> None:
         print(render_ascii(timeline, out["cluster"], show_transfers=True))
     for kind, path in sorted(out["paths"].items()):
         print(f"  {kind:6} : {path}")
+    if args.report:
+        from .obs import write_root_report
+        from .obs.timeline import METRIC_UNITS
 
-
-def _ledger_error_exit(err) -> NoReturn:
-    """Unreadable ledger: a usage-class failure (2), never a regression (1)."""
-    print(f"error: {err}", file=sys.stderr)
-    sys.exit(2)
-
-
-def _cmd_perf_record(args) -> None:
-    from .obs.ledger import (
-        LedgerError,
-        PerfLedger,
-        collect_metrics,
-        make_entry,
-        write_root_report,
-    )
-
-    metrics, cfg = collect_metrics(
-        args.scenario,
-        n_fact=args.n_fact or None,
-        n_gen=args.n_gen or None,
-    )
-    label = args.label or args.scenario
-    ledger = PerfLedger(args.ledger)
-    try:
-        entry = ledger.append(make_entry(label, metrics, config=cfg,
-                                         note=args.note))
-    except LedgerError as err:
-        _ledger_error_exit(err)
-    print(f"perf record [{label}]: {len(metrics)} metrics appended to "
-          f"{ledger.path} ({len(ledger.entries())} entries)")
-    if args.root_out:
-        root = write_root_report(
-            label, metrics, config=cfg, path=args.root_out,
-            extra={"recorded_at": entry["recorded_at"]},
-        )
-        print(f"  root report : {root}")
-
-
-def _cmd_perf_check(args) -> None:
-    import json
-
-    from .obs.ledger import (
-        LedgerError,
-        PerfLedger,
-        check_against_ledger,
-        collect_metrics,
-        render_check_report,
-    )
-
-    metrics, cfg = collect_metrics(
-        args.scenario,
-        n_fact=args.n_fact or None,
-        n_gen=args.n_gen or None,
-    )
-    label = args.label or args.scenario
-    try:
-        report = check_against_ledger(
-            PerfLedger(args.ledger), label, metrics, config=cfg,
-            threshold=args.threshold,
-        )
-    except LedgerError as err:
-        _ledger_error_exit(err)
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "label": report.label,
-                "baseline_found": report.baseline_found,
-                "ok": report.ok,
-                "threshold": report.threshold,
-                "checks": [
-                    {
-                        "metric": c.metric,
-                        "baseline": c.baseline,
-                        "current": c.current,
-                        "rel_change": c.rel_change,
-                        "gated": c.gated,
-                        "regressed": c.regressed,
-                    }
-                    for c in report.checks
-                ],
-            },
-            indent=2, sort_keys=True,
-        ))
-    else:
-        print(render_check_report(report, verbose=args.verbose))
-    if not report.baseline_found:
-        if args.require_baseline:
-            sys.exit(1)
-        return
-    if not report.ok:
-        sys.exit(1)
+        path = write_root_report(args.report, args.scenario, cfg,
+                                 out["metrics"], METRIC_UNITS)
+        print(f"  report : {path}")
 
 
 def _faults_schedules(args):
@@ -362,12 +276,7 @@ def _cmd_faults_list(args) -> None:
 
 
 def _cmd_faults_describe(args) -> None:
-    schedules = _faults_schedules(args)
-    if args.name not in schedules:
-        print(f"error: unknown schedule {args.name!r}; known: "
-              f"{sorted(schedules)}", file=sys.stderr)
-        sys.exit(2)
-    schedule = schedules[args.name]
+    schedule = _faults_schedules(args)[args.name]
     print(schedule.describe())
     print(f"  fingerprint  {schedule.fingerprint()[:16]}…")
     if args.json:
@@ -384,11 +293,6 @@ def _cmd_faults_run(args) -> None:
         bank = cached_bank(get_scenario(args.scenario), progress=True)
         canned = canned_schedules(bank.n_total, args.iterations,
                                   seed=args.seed)
-        unknown = [k for k in args.schedules if k not in canned]
-        if unknown:
-            print(f"error: unknown schedule(s) {unknown}; known: "
-                  f"{sorted(canned)}", file=sys.stderr)
-            sys.exit(2)
         result = run_campaign(
             bank,
             schedules={k: canned[k] for k in args.schedules},
@@ -669,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all subcommands."""
     from pathlib import Path
 
-    from .obs.ledger import DEFAULT_LEDGER, DEFAULT_THRESHOLD
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the IPDPS 2022 multi-phase adaptation paper.",
@@ -733,46 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nodes drawn in the SVG Gantt")
     p.add_argument("--no-ascii", dest="ascii", action="store_false",
                    help="skip the terminal utilization art")
+    p.add_argument("--report", default="", metavar="PATH",
+                   help="also write the metrics report (BENCH_timeline.json)"
+                        " to PATH")
     p.set_defaults(fn=_cmd_timeline)
-
-    p = sub.add_parser("perf", help="cross-run performance ledger")
-    perf_sub = p.add_subparsers(dest="perf_command", required=True)
-
-    def _perf_common(pp) -> None:
-        pp.add_argument("scenario", nargs="?", default="b", type=_scenario,
-                        help="scenario key a..p")
-        pp.add_argument("--n-fact", type=_non_negative, default=0,
-                        help="factorization node count (default: all nodes)")
-        pp.add_argument("--n-gen", type=_non_negative, default=0,
-                        help="generation node count (default: all nodes)")
-        pp.add_argument("--label", default="",
-                        help="ledger label (default: the scenario key)")
-        pp.add_argument("--ledger", default=str(DEFAULT_LEDGER),
-                        help="ledger JSONL path")
-
-    pp = perf_sub.add_parser(
-        "record", help="append the current run's aggregates to the ledger"
-    )
-    _perf_common(pp)
-    pp.add_argument("--note", default="", help="free-form annotation")
-    pp.add_argument("--root-out", default="BENCH_timeline.json",
-                    help="root-level trajectory artifact ('' disables)")
-    pp.set_defaults(fn=_cmd_perf_record)
-
-    pp = perf_sub.add_parser(
-        "check", help="gate the current run against the ledger baseline"
-    )
-    _perf_common(pp)
-    pp.add_argument("--threshold", type=_bounded(float, 0),
-                    default=DEFAULT_THRESHOLD,
-                    help="relative increase tolerated on gated metrics")
-    pp.add_argument("--format", choices=("text", "json"), default="text")
-    pp.add_argument("--verbose", action="store_true",
-                    help="also print non-gated (informational) metrics")
-    pp.add_argument("--require-baseline", action="store_true",
-                    help="fail (exit 1) when no baseline exists instead of "
-                         "warning")
-    pp.set_defaults(fn=_cmd_perf_check)
 
     p = sub.add_parser("faults", help="fault injection & resilience campaigns")
     faults_sub = p.add_subparsers(dest="faults_command", required=True)
@@ -790,7 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(fn=_cmd_faults_list)
 
     pp = faults_sub.add_parser("describe", help="one schedule in detail")
-    pp.add_argument("name", help="schedule name (see `repro faults list`)")
+    pp.add_argument("name", type=_schedule,
+                    help="schedule name (see `repro faults list`)")
     pp.add_argument("--json", action="store_true",
                     help="also print the canonical JSON rendering")
     _faults_common(pp)
@@ -801,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp.add_argument("scenario", nargs="?", default="i", type=_scenario,
                     help="scenario key a..p")
-    pp.add_argument("--schedules", nargs="+",
+    pp.add_argument("--schedules", nargs="+", type=_schedule,
                     default=["straggler", "crash", "compound"],
                     help="canned schedule names to campaign over")
     pp.add_argument("--strategies", nargs="+", default=[], type=_strategy,

@@ -16,9 +16,9 @@ run is the summed gap between the expected duration of the chosen
 actions and the oracle's -- noise-free, so the raw-vs-resilient
 comparison reflects decisions, not sampling luck.
 
-Results flow into the repository's perf-ledger machinery:
 :func:`write_campaign_report` emits the root-level ``BENCH_faults.json``
-trajectory artifact (the sibling of ``BENCH_timeline.json``).
+report (the sibling of ``BENCH_timeline.json`` and ``BENCH_serve.json``,
+written by the same :func:`repro.obs.sink.write_root_report`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from ..faults.injector import FaultInjector
 from ..faults.models import FaultSchedule, canned_schedules
 from ..faults.resilience import resilient_name
 from ..measure.bank import MeasurementBank
-from ..obs import get_tracer
+from ..obs import get_tracer, write_root_report
 from .parallel import CellResult, plan_cells, run_cells
 
 #: Canonical root-level campaign artifact.
@@ -247,12 +247,16 @@ def campaign_table(result: CampaignResult) -> str:
     )
 
 
+#: Report unit of each :func:`campaign_metrics` family.
+METRIC_UNITS = {"regret": "sim_s", "total": "sim_s", "degraded": "ratio"}
+
+
 def campaign_metrics(result: CampaignResult) -> Dict[str, float]:
     """Flat metric dict of a campaign (the ``BENCH_faults.json`` body).
 
-    Keys follow the ledger convention: ``regret.<schedule>.<strategy>``
-    and ``total.<schedule>.<strategy>``.  All values are simulated-time
-    aggregates, so they are machine-independent.
+    Keys are ``<family>.<schedule>.<strategy>`` for the families of
+    :data:`METRIC_UNITS`.  All values are simulated-time aggregates, so
+    they are machine-independent.
     """
     metrics: Dict[str, float] = {}
     for r in result.rows:
@@ -266,18 +270,17 @@ def write_campaign_report(
     result: CampaignResult,
     path: Union[str, Path] = ROOT_FAULTS_OUT,
 ) -> Path:
-    """Write the root-level ``BENCH_faults.json`` trajectory artifact."""
-    from ..obs.ledger import write_root_report
-
+    """Write the root-level ``BENCH_faults.json`` report."""
     return write_root_report(
-        label=f"faults-campaign {result.scenario}",
-        metrics=campaign_metrics(result),
-        config={
+        path,
+        f"faults-campaign {result.scenario}",
+        {
             "scenario": result.scenario,
             "iterations": result.iterations,
             "reps": result.reps,
             "schedules": dict(result.fingerprints),
         },
-        path=path,
-        extra={"improvements": result.improvements()},
+        campaign_metrics(result),
+        METRIC_UNITS,
+        improvements=result.improvements(),
     )

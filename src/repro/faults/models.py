@@ -344,6 +344,10 @@ class FaultSchedule:
 #: Empty schedule: injecting it is the identity transformation.
 STATIONARY = FaultSchedule(label="stationary", faults=())
 
+#: Names of the :func:`canned_schedules`, known before any are built.
+CANNED_SCHEDULES = ("straggler", "crash", "interference", "netdeg",
+                    "compound")
+
 
 def canned_schedules(
     n_total: int, iterations: int, seed: int = 0

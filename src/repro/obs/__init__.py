@@ -32,6 +32,7 @@ from .sink import (
     encode_record,
     read_trace,
     write_atomic,
+    write_root_report,
 )
 from .stats import (
     STATS_SCHEMA_VERSION,
@@ -53,9 +54,9 @@ from .trace import (
     trace_session,
 )
 
-# NOTE: repro.obs.timeline and repro.obs.ledger are intentionally NOT
-# imported here: they depend on repro.runtime / repro.platform, which
-# themselves import repro.obs at module load -- import them directly
+# NOTE: repro.obs.timeline is intentionally NOT imported here: it
+# depends on repro.runtime / repro.platform, which themselves import
+# repro.obs at module load -- import it directly
 # (`from repro.obs import timeline`) to keep the package cycle-free.
 
 __all__ = [
@@ -90,4 +91,5 @@ __all__ = [
     "stats_to_json",
     "trace_session",
     "write_atomic",
+    "write_root_report",
 ]

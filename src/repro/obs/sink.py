@@ -44,6 +44,63 @@ def write_atomic(path: Union[str, Path], text: str) -> Path:
     return path
 
 
+#: Layout version of the root ``BENCH_*.json`` reports.
+REPORT_SCHEMA_VERSION = 2
+
+#: The closed set of units a report metric may carry.
+REPORT_UNITS = frozenset({"sim_s", "ticks", "bytes", "count", "ratio",
+                          "1/tick"})
+
+
+def metric_unit(name: str, units: Dict[str, str]) -> str:
+    """Unit of metric ``name``: ``units[name]``, else the entry of its
+    longest dotted prefix (``overlap_s`` for ``overlap_s.a+b``).
+
+    Raises ``ValueError`` when no entry matches or the unit is not in
+    :data:`REPORT_UNITS`.
+    """
+    key = name
+    while key not in units:
+        if "." not in key:
+            raise ValueError(f"metric {name!r} has no unit")
+        key = key.rsplit(".", 1)[0]
+    unit = units[key]
+    if unit not in REPORT_UNITS:
+        raise ValueError(f"metric {name!r} has unknown unit {unit!r}; "
+                         f"known: {sorted(REPORT_UNITS)}")
+    return unit
+
+
+def write_root_report(
+    path: Union[str, Path],
+    label: str,
+    config: Dict[str, object],
+    metrics: Dict[str, float],
+    units: Dict[str, str],
+    **extra: object,
+) -> Path:
+    """Atomically write one root ``BENCH_*.json`` report.
+
+    Every metric is written as ``{"value", "unit"}`` with its unit from
+    :func:`metric_unit`, so a metric without a known unit raises before
+    anything is written.  ``extra`` holds the writer's own top-level
+    tables.  The rendering is indented canonical JSON: a deterministic
+    run rewrites the committed file byte for byte.
+    """
+    payload = {
+        "schema": REPORT_SCHEMA_VERSION,
+        "label": label,
+        "config": dict(config),
+        "metrics": {name: {"value": value, "unit": metric_unit(name, units)}
+                    for name, value in metrics.items()},
+        **extra,
+    }
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return write_atomic(path, json.dumps(payload, indent=2, sort_keys=True)
+                        + "\n")
+
+
 class Sink:
     """Destination for trace records.
 

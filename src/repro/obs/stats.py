@@ -206,8 +206,8 @@ def stats_to_json(stats: TraceStats) -> dict:
     """Machine-readable rendering of :class:`TraceStats`.
 
     The schema is pinned by ``tests/test_cli_stats.py``; every value is
-    a plain JSON scalar/object so downstream tooling (the perf ledger,
-    trajectory scripts) can consume it without this package.
+    a plain JSON scalar/object so downstream tooling can consume it
+    without this package.
     """
     return {
         "schema": STATS_SCHEMA_VERSION,

@@ -340,9 +340,27 @@ def analyze(
     )
 
 
+#: Report unit of each :func:`flat_metrics` family (see
+#: :func:`repro.obs.sink.metric_unit`).
+METRIC_UNITS = {
+    "makespan_s": "sim_s",
+    "critical_path_s": "sim_s",
+    "critical_path_frac": "ratio",
+    "mean_idleness": "ratio",
+    "max_idleness": "ratio",
+    "comm_time_s": "sim_s",
+    "comm_bytes": "bytes",
+    "task_count": "count",
+    "transfer_count": "count",
+    "phase_makespan_s": "sim_s",
+    "phase_critical_path_s": "sim_s",
+    "overlap_s": "sim_s",
+}
+
+
 def flat_metrics(analysis: TimelineAnalysis) -> Dict[str, float]:
-    """Flatten an analysis into the scalar metric dict the perf ledger
-    stores (keys stable, values plain floats)."""
+    """Flatten an analysis into the scalar metric dict that
+    ``BENCH_timeline.json`` reports (keys stable, values plain floats)."""
     metrics: Dict[str, float] = {
         "makespan_s": analysis.makespan,
         "critical_path_s": analysis.critical_path_s,
@@ -693,21 +711,25 @@ def render_html(
 
 
 # ---------------------------------------------------------------------------
-# Scenario-level driver (used by `repro timeline` and the perf ledger)
+# Scenario-level driver (used by `repro timeline`)
 # ---------------------------------------------------------------------------
 
 
-def simulate_timeline(
+def export_timeline(
     scenario_key: str,
+    out_dir: Union[str, Path],
     n_fact: Optional[int] = None,
     n_gen: Optional[int] = None,
-):
-    """Simulate one traced iteration of a scenario.
+    stem: Optional[str] = None,
+    max_nodes: int = 16,
+) -> dict:
+    """Run one traced iteration and write all three artifacts.
 
-    Returns ``(result, cluster, graph, config)`` where ``config`` is the
-    experiment fingerprint the perf ledger stores (scenario, workload,
-    tile count, plan, node count) -- two runs are comparable iff their
-    configs match.
+    Writes ``<stem>.trace.json`` (Chrome trace), ``<stem>.csv``
+    (Paje-style) and ``<stem>.html`` (self-contained report) under
+    ``out_dir``; returns a summary dict (paths, analysis, metrics and
+    ``config``, the experiment fingerprint: scenario, workload, tile
+    count, plan, node count).
     """
     from .. import config as repro_config
     from ..geostat.phases import IterationPlan, build_iteration_graph
@@ -738,26 +760,6 @@ def simulate_timeline(
         "n_gen": n_gen,
         "nodes": len(cluster),
     }
-    return result, cluster, graph, cfg
-
-
-def export_timeline(
-    scenario_key: str,
-    out_dir: Union[str, Path],
-    n_fact: Optional[int] = None,
-    n_gen: Optional[int] = None,
-    stem: Optional[str] = None,
-    max_nodes: int = 16,
-) -> dict:
-    """Run one traced iteration and write all three artifacts.
-
-    Writes ``<stem>.trace.json`` (Chrome trace), ``<stem>.csv``
-    (Paje-style) and ``<stem>.html`` (self-contained report) under
-    ``out_dir``; returns a summary dict (paths, analysis, config).
-    """
-    result, cluster, graph, cfg = simulate_timeline(
-        scenario_key, n_fact=n_fact, n_gen=n_gen
-    )
     analysis = analyze(result, cluster, graph)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..measure.bank import MeasurementBank
 from ..obs.registry import Registry
+from ..obs.sink import write_root_report
 from ..obs.stats import quantile
 from . import protocol
 from .service import BankStore, TuningService
@@ -37,11 +38,27 @@ from .session import SERVE_TAG
 #: Canonical root-level artifact written by ``repro serve bench``.
 ROOT_SERVE_OUT = Path("BENCH_serve.json")
 
-#: Default bound on the per-tenant propose p99 latency, in shard ticks.
-#: The perf ledger gates ``serve.propose_p99_ticks`` against the
-#: committed baseline; this is the absolute SLO the report must also
-#: satisfy (``repro serve bench`` exits non-zero otherwise).
+#: Default bound on the per-tenant propose p99 latency, in shard ticks:
+#: the absolute SLO ``serve.propose_p99_ticks`` must satisfy
+#: (``repro serve bench`` exits non-zero otherwise).
 SERVE_P99_BOUND = 8.0
+
+#: Report unit of each bench metric (``serve.banks.*`` share one entry).
+METRIC_UNITS = {
+    "serve.tenants": "count",
+    "serve.proposes": "count",
+    "serve.observes": "count",
+    "serve.ticks": "ticks",
+    "serve.propose_p50_ticks": "ticks",
+    "serve.propose_p99_ticks": "ticks",
+    "serve.propose_max_ticks": "ticks",
+    "serve.observe_p99_ticks": "ticks",
+    "serve.throughput_per_tick": "1/tick",
+    "serve.mean_regret": "sim_s",
+    "serve.slo_failures": "count",
+    "serve.errors": "count",
+    "serve.banks": "count",
+}
 
 #: Weighted strategy mix of the simulated population: mostly the cheap
 #: heuristics/bandits a live fleet would run, a thin tail of the GP
@@ -373,15 +390,15 @@ def run_bench(
 def write_serve_report(report: Dict[str, object],
                        path=ROOT_SERVE_OUT) -> Path:
     """Persist a bench report as the canonical root artifact."""
-    from ..obs.ledger import write_root_report
-
     return write_root_report(
-        label=str(report["label"]),
-        metrics=report["metrics"],  # type: ignore[arg-type]
-        config=report["config"],    # type: ignore[arg-type]
-        path=path,
-        extra={"ok": report["ok"], "slo": report["slo"],
-               "per_strategy": report["per_strategy"]},
+        path,
+        str(report["label"]),
+        report["config"],   # type: ignore[arg-type]
+        report["metrics"],  # type: ignore[arg-type]
+        METRIC_UNITS,
+        ok=report["ok"],
+        slo=report["slo"],
+        per_strategy=report["per_strategy"],
     )
 
 

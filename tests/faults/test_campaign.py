@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.evaluate.faults_campaign import (
+    METRIC_UNITS,
     CampaignRow,
     campaign_metrics,
     campaign_strategies,
@@ -124,9 +125,9 @@ class TestReporting:
             "DC", "Resilient(DC)", "UCB", "Resilient(UCB)",
         ]
 
-    def test_metrics_keys_follow_ledger_convention(self, crash_campaign):
+    def test_metrics_keys_follow_family_convention(self, crash_campaign):
         metrics = campaign_metrics(crash_campaign)
-        for prefix in ("regret", "total", "degraded"):
+        for prefix in METRIC_UNITS:
             assert f"{prefix}.crash.GP-discontinuous" in metrics
             assert f"{prefix}.crash.Resilient(GP-discontinuous)" in metrics
         assert all(isinstance(v, float) for v in metrics.values())
@@ -144,7 +145,11 @@ class TestReporting:
         assert payload["config"]["iterations"] == ITERATIONS
         assert payload["config"]["reps"] == 3
         assert set(payload["config"]["schedules"]) == {"crash"}
-        assert payload["metrics"] == campaign_metrics(crash_campaign)
+        assert payload["schema"] == 2
+        assert payload["metrics"] == {
+            name: {"value": value, "unit": METRIC_UNITS[name.split(".")[0]]}
+            for name, value in campaign_metrics(crash_campaign).items()
+        }
         assert payload["improvements"] == crash_campaign.improvements()
 
     def test_row_lookup_raises_on_unknown(self, crash_campaign):

@@ -17,6 +17,7 @@ from repro.faults import (
     fault_from_dict,
     fault_to_dict,
 )
+from repro.faults.models import CANNED_SCHEDULES
 
 
 class TestFaultModels:
@@ -147,6 +148,7 @@ class TestCannedSchedules:
         assert set(canned) == {
             "straggler", "crash", "interference", "netdeg", "compound"
         }
+        assert set(canned) == set(CANNED_SCHEDULES)  # the CLI's names
         for schedule in canned.values():
             schedule.validate_for(8, lo=1)
             assert schedule.seed == 3

@@ -19,9 +19,9 @@ from repro.obs import (
     start_trace,
     trace_session,
     write_atomic,
+    write_root_report,
 )
 from repro.obs import sink as sink_module
-from repro.obs.ledger import write_root_report
 
 
 class TestEncoding:
@@ -207,7 +207,8 @@ class TestAtomicWrite:
 
     @pytest.mark.parametrize("writer", [
         lambda path: write_atomic(path, "new contents\n"),
-        lambda path: write_root_report("label", {"m": 1.0}, path=path),
+        lambda path: write_root_report(path, "label", {}, {"m": 1.0},
+                                       {"m": "count"}),
         lambda path: DurationCache().spill(path),
     ], ids=["helper", "root-report", "cache-spill"])
     def test_failed_replace_keeps_prior_file(self, tmp_path, monkeypatch,
@@ -223,3 +224,41 @@ class TestAtomicWrite:
             writer(path)
         assert path.read_bytes() == b"prior bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["BENCH_x.json"]
+
+
+class TestRootReport:
+    """The one writer of the root ``BENCH_*.json`` reports."""
+
+    UNITS = {"makespan_s": "sim_s", "phase_makespan_s": "sim_s",
+             "task_count": "count"}
+
+    def test_writes_canonical_payload(self, tmp_path):
+        metrics = {"makespan_s": 10.0, "phase_makespan_s.solve": 5.0,
+                   "task_count": 100.0}
+        out = write_root_report(tmp_path / "sub" / "BENCH_timeline.json",
+                                "b", {"tiles": 8}, metrics, self.UNITS,
+                                ok=True)
+        assert out.read_text() == json.dumps({
+            "schema": sink_module.REPORT_SCHEMA_VERSION,
+            "label": "b",
+            "config": {"tiles": 8},
+            "metrics": {
+                "makespan_s": {"value": 10.0, "unit": "sim_s"},
+                "phase_makespan_s.solve": {"value": 5.0, "unit": "sim_s"},
+                "task_count": {"value": 100.0, "unit": "count"},
+            },
+            "ok": True,
+        }, indent=2, sort_keys=True) + "\n"
+        assert sink_module.REPORT_SCHEMA_VERSION == 2
+
+    @pytest.mark.parametrize("metrics, units, message", [
+        ({"m": 1.0}, {"m": "seconds"}, "unknown unit 'seconds'"),
+        ({"wall_s": 1.0}, {"makespan_s": "sim_s"}, "has no unit"),
+        ({"makespan_s_p99": 1.0}, {"makespan_s": "sim_s"}, "has no unit"),
+    ], ids=["unknown-unit", "no-unit", "no-prefix-match"])
+    def test_metric_without_known_unit_raises(self, tmp_path, metrics,
+                                              units, message):
+        path = tmp_path / "BENCH_x.json"
+        with pytest.raises(ValueError, match=message):
+            write_root_report(path, "label", {}, metrics, units)
+        assert not path.exists()

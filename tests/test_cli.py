@@ -18,8 +18,6 @@ BAD_ARGUMENTS = [
     (["compare", "zz"], "unknown scenario"),
     (["replay", "zz", "UCB"], "unknown scenario"),
     (["timeline", "zz"], "unknown scenario"),
-    (["perf", "check", "zz"], "unknown scenario"),
-    (["perf", "record", "zz"], "unknown scenario"),
     (["checks", "zz"], "unknown scenario"),
     (["grid", "zz"], "unknown scenario"),
     (["trace", "zz"], "unknown scenario"),
@@ -27,6 +25,8 @@ BAD_ARGUMENTS = [
     (["replay", "b", "Nope"], "unknown strategy"),
     (["faults", "run", "b", "--strategies", "UCB", "Nope"],
      "unknown strategy"),
+    (["faults", "run", "b", "--schedules", "meteor"], "unknown schedule"),
+    (["faults", "describe", "meteor"], "unknown schedule"),
     (["compare", "b", "--reps", "0"], "--reps"),
     (["fig6", "--reps", "0"], "--reps"),
     (["overhead", "--reps", "0"], "--reps"),
@@ -67,7 +67,10 @@ class TestParser:
         (["bench"], "bench"),
         (["bench", "--simfast"], "bench"),
         (["serve", "run"], "run"),
-    ], ids=["bench", "bench-simfast", "serve-run"])
+        (["perf", "check", "b"], "perf"),
+        (["perf", "record", "b"], "perf"),
+    ], ids=["bench", "bench-simfast", "serve-run", "perf-check",
+            "perf-record"])
     def test_removed_command_exits_2(self, argv, removed, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -71,11 +71,13 @@ class TestFaultsRun:
         assert main(self.RUN_ARGS + ["--out", ""]) == 0
         assert not (tmp_path / "BENCH_faults.json").exists()
 
-    def test_unknown_schedule_exits_2(self, capsys):
+    def test_unknown_schedule_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["faults", "run", "b", "--schedules", "meteor"])
+            main(["faults", "run", "b", "--schedules", "crash", "meteor"])
         assert exc.value.code == 2
-        assert "unknown schedule" in capsys.readouterr().err
+        assert "unknown schedule 'meteor'" in capsys.readouterr().err
+        # Rejected while parsing: no sweep ran, so no bank was cached.
+        assert not list((tmp_path / "banks").glob("**/*.json"))
 
     def test_unknown_strategy_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

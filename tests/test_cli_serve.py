@@ -27,7 +27,8 @@ class TestServeBench:
         assert "OK" in printed
         blob = json.loads(out.read_text())
         assert blob["label"] == "serve-bench"
-        assert blob["metrics"]["serve.tenants"] == 12.0
+        assert blob["metrics"]["serve.tenants"] == {"value": 12.0,
+                                                    "unit": "count"}
         assert blob["ok"] is True
 
     def test_request_errors_fail_the_bench(self, capsys, monkeypatch):

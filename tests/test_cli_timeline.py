@@ -7,12 +7,14 @@ simulated plan, never of host parallelism).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 
 ARTIFACTS = ("TIMELINE_b.trace.json", "TIMELINE_b.csv", "TIMELINE_b.html")
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -90,3 +92,42 @@ class TestOutput:
         with pytest.raises(ValueError, match="node counts"):
             main(["timeline", "b", "--out", str(tmp_path / "out"),
                   "--n-fact", "999"])
+
+
+class TestReport:
+    """``--report`` writes ``BENCH_timeline.json`` from the same run."""
+
+    def test_writes_report_with_units(self, tmp_path, capsys):
+        files = export(tmp_path, "out", ["--report", "BENCH_timeline.json"])
+        report = json.loads((tmp_path / "BENCH_timeline.json").read_text())
+        assert report["schema"] == 2
+        assert report["label"] == "b"
+        assert report["config"]["tiles"] == 8
+        assert set(report) == {"schema", "label", "config", "metrics"}
+        metrics = report["metrics"]
+        assert metrics["makespan_s"]["unit"] == "sim_s"
+        assert metrics["comm_bytes"]["unit"] == "bytes"
+        assert metrics["task_count"]["unit"] == "count"
+        assert metrics["phase_makespan_s.solve"]["unit"] == "sim_s"
+        other = json.loads(files["TIMELINE_b.trace.json"])["otherData"]
+        assert metrics["makespan_s"]["value"] == other["makespan_s"]
+
+    def test_report_is_byte_identical_across_runs(self, tmp_path, capsys):
+        export(tmp_path, "run1", ["--report", "one.json"])
+        export(tmp_path, "run2", ["--report", "two.json"])
+        assert (tmp_path / "one.json").read_bytes() == \
+            (tmp_path / "two.json").read_bytes()
+
+    def test_committed_report_has_every_metric(self, tmp_path, capsys):
+        """The committed report is diffed in CI, so every metric a run
+        produces must be in it, with the same unit (the key set does not
+        depend on the tile count)."""
+        export(tmp_path, "out", ["--report", "BENCH_timeline.json"])
+        fresh = json.loads((tmp_path / "BENCH_timeline.json").read_text())
+        committed = json.loads((REPO_ROOT / "BENCH_timeline.json").read_text())
+        assert {k: m["unit"] for k, m in fresh["metrics"].items()} == \
+            {k: m["unit"] for k, m in committed["metrics"].items()}
+
+    def test_no_report_by_default(self, tmp_path, capsys):
+        export(tmp_path, "out")
+        assert not list(tmp_path.glob("BENCH_*.json"))

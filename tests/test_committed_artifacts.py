@@ -1,25 +1,43 @@
-"""Claims test: no committed artifact carries a wall-clock figure.
+"""Claims tests for the committed reports.
 
 README states that wall time is measured only by ``perfbench/`` and
-that no committed artifact carries a wall-clock speedup.  Every committed
-root ``BENCH_*.json`` and every JSON under ``benchmarks/out/`` must
-therefore be free of keys that hold wall time: ``speedup`` or any key
-ending in ``seconds``.
+that no committed artifact carries a wall-clock figure.  Every committed
+``BENCH_*.json``, every JSON under ``benchmarks/out/`` and every JSONL
+under ``benchmarks/`` must therefore be free of keys that hold wall
+time: any key containing ``speedup``, any key ending in ``seconds``, and
+``recorded_at``.  README also documents the one layout of the root
+reports: schema 2, each metric a ``{value, unit}`` pair with a unit from
+a closed set.
 """
 
 import json
 from pathlib import Path
 
+from repro.obs.sink import REPORT_UNITS
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
-ARTIFACTS = sorted(REPO_ROOT.glob("BENCH_*.json")) + sorted(
-    (REPO_ROOT / "benchmarks" / "out").glob("*.json"))
+ROOT_REPORTS = sorted(REPO_ROOT.glob("BENCH_*.json"))
+ARTIFACTS = ROOT_REPORTS + sorted(
+    (REPO_ROOT / "benchmarks" / "out").glob("*.json")) + sorted(
+    (REPO_ROOT / "benchmarks").glob("*.jsonl"))
+
+#: The units README documents for the root reports.
+UNITS = {"sim_s", "ticks", "bytes", "count", "ratio", "1/tick"}
+
+
+def _documents(path):
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in path.read_text().splitlines()
+                if line.strip()]
+    return [json.loads(path.read_text())]
 
 
 def _wall_clock_keys(node, path="$"):
     if isinstance(node, dict):
         for key, value in node.items():
             where = f"{path}.{key}"
-            if key == "speedup" or key.endswith("seconds"):
+            if ("speedup" in key or key.endswith("seconds")
+                    or key == "recorded_at"):
                 yield where
             yield from _wall_clock_keys(value, where)
     elif isinstance(node, list):
@@ -30,6 +48,21 @@ def _wall_clock_keys(node, path="$"):
 def test_no_committed_artifact_carries_wall_clock():
     assert any(p.parent == REPO_ROOT for p in ARTIFACTS)
     found = {str(p.relative_to(REPO_ROOT)):
-             list(_wall_clock_keys(json.loads(p.read_text())))
+             [key for doc in _documents(p) for key in _wall_clock_keys(doc)]
              for p in ARTIFACTS}
     assert {path: keys for path, keys in found.items() if keys} == {}
+
+
+def test_root_reports_share_one_unit_carrying_schema():
+    assert REPORT_UNITS == UNITS
+    assert {p.name for p in ROOT_REPORTS} == {
+        "BENCH_faults.json", "BENCH_serve.json", "BENCH_timeline.json"}
+    for path in ROOT_REPORTS:
+        report = json.loads(path.read_text())
+        assert report["schema"] == 2, path.name
+        assert {"label", "config", "metrics"} <= set(report), path.name
+        assert report["metrics"], path.name
+        for name, metric in report["metrics"].items():
+            assert set(metric) == {"value", "unit"}, (path.name, name)
+            assert isinstance(metric["value"], (int, float)), (path.name, name)
+            assert metric["unit"] in UNITS, (path.name, name)
