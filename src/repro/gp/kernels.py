@@ -65,7 +65,8 @@ class Exponential(Kernel):
 
     def correlation(self, d: np.ndarray) -> np.ndarray:
         """``exp(-d / theta)``."""
-        return np.exp(-np.asarray(d, dtype=float) / self.theta)
+        # d / -theta is -d / theta bit for bit, without the negated copy of d.
+        return np.exp(np.asarray(d, dtype=float) / -self.theta)
 
 
 @dataclass(frozen=True)

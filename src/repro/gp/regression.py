@@ -25,13 +25,20 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 
-from .kernels import Exponential, Kernel
+from .kernels import Exponential, Kernel, _distances
 from .trend import ConstantTrend, TrendBasis
 
 _JITTER = 1e-10
+# What cho_factor/cho_solve wrap, minus their per-call checks (fit() checks).
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+
+
+def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``K^-1 b`` from K's lower Cholesky factor (potrs fails only on shapes)."""
+    return _POTRS(chol, b, lower=1)[0]
 
 
 @dataclass
@@ -46,7 +53,7 @@ class GPFit:
     gamma: np.ndarray
     kernel: Kernel
     trend: TrendBasis
-    _cho: Tuple
+    _chol: np.ndarray               # lower Cholesky factor of K
     _resid_weights: np.ndarray      # K^-1 (y - F gamma)
     _fkf_inv: np.ndarray            # (F' K^-1 F)^-1
     _kinv_f: np.ndarray             # K^-1 F
@@ -107,78 +114,74 @@ class GaussianProcess:
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.shape[0] != y.size:
             raise ValueError("x and y must have equal length")
+        for name, values in (("x", x), ("y", y)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite (got NaN or inf)")
         if x.shape[0] < self.trend.n_functions:
-            raise ValueError(
-                f"need at least {self.trend.n_functions} observations for "
-                f"this trend (got {x.shape[0]})"
-            )
+            raise ValueError(f"need at least {self.trend.n_functions} observations "
+                             f"for this trend (got {x.shape[0]})")
 
         noise = self.noise_var if self.noise_var is not None else 1e-6
         y_var = float(np.var(y))
 
+        d = _distances(x, x)
         if self.optimize:
-            alpha, theta = self._mle(x, y, noise, y_var)
+            alpha, theta = self._mle(x, y, d, noise, y_var)
         else:
             alpha = self.alpha if self.alpha is not None else max(y_var, 1e-12)
             theta = self.kernel.theta
 
-        self.fit_ = self._assemble(x, y, alpha, theta, noise)
+        self.fit_ = self._assemble(x, y, d, alpha, theta, noise)
         return self
 
-    def _assemble(
-        self, x: np.ndarray, y: np.ndarray, alpha: float, theta: float, noise: float
-    ) -> GPFit:
-        kernel = self.kernel.with_theta(theta)
-        n = x.shape[0]
-        k = alpha * kernel(x, x) + (noise + _JITTER * max(alpha, 1.0)) * np.eye(n)
-        cho = cho_factor(k, lower=True)
+    def _cholesky(self, d: np.ndarray, alpha, theta, noise) -> np.ndarray:
+        """Lower Cholesky factor of ``K = alpha R_theta(d) + (noise + jitter) I``."""
+        k = alpha * self.kernel.with_theta(theta).correlation(d)
+        k.flat[:: k.shape[0] + 1] += noise + _JITTER * max(alpha, 1.0)
+        # K is symmetric, so k.T is K in Fortran order: potrf factors in place.
+        chol, info = _POTRF(k.T, lower=1, overwrite_a=1, clean=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"K is not positive definite (info {info})")
+        return chol
+
+    def _assemble(self, x, y, d, alpha, theta, noise) -> GPFit:
+        chol = self._cholesky(d, alpha, theta, noise)
         f = self.trend.design_matrix(x)
-        kinv_f = cho_solve(cho, f)
-        fkf = f.T @ kinv_f
-        fkf_inv = np.linalg.inv(fkf + _JITTER * np.eye(f.shape[1]))
+        kinv_f = _solve(chol, f)
+        fkf_inv = np.linalg.inv(f.T @ kinv_f + _JITTER * np.eye(f.shape[1]))
         gamma = fkf_inv @ (kinv_f.T @ y)
         resid = y - f @ gamma
-        resid_weights = cho_solve(cho, resid)
+        resid_weights = _solve(chol, resid)
         return GPFit(
             x=x, y=y, alpha=alpha, theta=theta, noise_var=noise,
-            gamma=gamma, kernel=kernel, trend=self.trend,
-            _cho=cho, _resid_weights=resid_weights,
+            gamma=gamma, kernel=self.kernel.with_theta(theta), trend=self.trend,
+            _chol=chol, _resid_weights=resid_weights,
             _fkf_inv=fkf_inv, _kinv_f=kinv_f,
         )
 
-    def _nll(self, x, y, f, alpha, theta, noise) -> float:
-        """Negative log marginal likelihood with GLS-profiled trend."""
-        n = x.shape[0]
-        kernel = self.kernel.with_theta(theta)
-        k = alpha * kernel(x, x) + (noise + _JITTER * max(alpha, 1.0)) * np.eye(n)
-        try:
-            cho = cho_factor(k, lower=True)
-        except np.linalg.LinAlgError:
-            return 1e12
-        kinv_f = cho_solve(cho, f)
-        fkf = f.T @ kinv_f
-        try:
-            gamma = np.linalg.solve(fkf + _JITTER * np.eye(f.shape[1]), kinv_f.T @ y)
-        except np.linalg.LinAlgError:
-            return 1e12
-        resid = y - f @ gamma
-        quad = float(resid @ cho_solve(cho, resid))
-        logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-        return 0.5 * (quad + logdet + n * np.log(2.0 * np.pi))
-
-    def _mle(self, x, y, noise, y_var) -> Tuple[float, float]:
+    def _mle(self, x, y, d, noise, y_var) -> Tuple[float, float]:
         """Profile MLE over (log alpha, log theta), multi-start."""
+        # Everything independent of (alpha, theta) is computed once per fit.
         f = self.trend.design_matrix(x)
-        if x.ndim == 1:
-            span = max(float(x.max() - x.min()), 1.0)
-        else:
-            span = max(float((x.max(axis=0) - x.min(axis=0)).max()), 1.0)
+        jitter_p = _JITTER * np.eye(f.shape[1])
+        const = float(x.shape[0] * np.log(2.0 * np.pi))
+        span = max(float(np.ptp(x, axis=0).max()), 1.0)
         alpha0 = max(y_var, 1e-8)
         lo, hi = self.theta_bounds
 
         def objective(params):
+            """Negative log marginal likelihood with GLS-profiled trend."""
             alpha, theta = np.exp(params)
-            return self._nll(x, y, f, alpha, theta, noise)
+            try:
+                chol = self._cholesky(d, alpha, theta, noise)
+                kinv_f = _solve(chol, f)
+                gamma = np.linalg.solve(f.T @ kinv_f + jitter_p, kinv_f.T @ y)
+            except np.linalg.LinAlgError:  # K not PD, or the GLS step singular
+                return 1e12
+            resid = y - f @ gamma
+            quad = float(resid @ _solve(chol, resid))
+            logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+            return 0.5 * (quad + logdet + const)
 
         starts = self.theta_starts or (span / 4.0, span, self.kernel.theta)
         best = None
@@ -210,29 +213,25 @@ class GaussianProcess:
             raise RuntimeError("fit() must be called before predict()")
         ft = self.fit_
         x_star = np.asarray(x_star, dtype=float)
-        if ft.x.ndim == 2:
-            x_star = np.atleast_2d(x_star)
-        else:
-            x_star = x_star.reshape(-1)
+        x_star = np.atleast_2d(x_star) if ft.x.ndim == 2 else x_star.reshape(-1)
+        if not np.isfinite(x_star).all():
+            raise ValueError("x_star must be finite (got NaN or inf)")
 
         k_star = ft.alpha * ft.kernel(ft.x, x_star)          # (n, m)
         f_star = ft.trend.design_matrix(x_star)              # (m, p)
         mean = f_star @ ft.gamma + k_star.T @ ft._resid_weights
 
-        kinv_kstar = cho_solve(ft._cho, k_star)              # (n, m)
+        kinv_kstar = _solve(ft._chol, k_star)                # (n, m)
         var = ft.alpha - np.einsum("ij,ij->j", k_star, kinv_kstar)
         u = f_star.T - ft._kinv_f.T @ k_star                 # (p, m)
         var = var + np.einsum("pm,pq,qm->m", u, ft._fkf_inv, u)
         if include_noise:
             var = var + ft.noise_var
-        var = np.maximum(var, 0.0)
-        return mean, np.sqrt(var)
+        return mean, np.sqrt(np.maximum(var, 0.0))
 
     # -- acquisition -------------------------------------------------------------
 
-    def lower_confidence_bound(
-        self, x_star: np.ndarray, beta: float
-    ) -> np.ndarray:
+    def lower_confidence_bound(self, x_star: np.ndarray, beta: float) -> np.ndarray:
         """``mu(x) - sqrt(beta) * s(x)``: the GP-UCB acquisition for
         *minimization* (the paper's Eq. 2 written for durations)."""
         if beta < 0:

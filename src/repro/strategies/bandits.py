@@ -46,13 +46,14 @@ class UCBStrategy(Strategy):
             if self.times_selected(arm) == 0:
                 return arm
         # UCB rule on normalized rewards.
-        y_min = min(self.mean_duration(a) for a in self._arms)
-        y_max = max(self.mean_duration(a) for a in self._arms)
+        means = {a: self.mean_duration(a) for a in self._arms}
+        y_min = min(means.values())
+        y_max = max(means.values())
         spread = max(y_max - y_min, 1e-12)
         t = self.iteration + 1
         best_arm, best_score = None, -math.inf
         for arm in self._arms:
-            mean_reward = (y_max - self.mean_duration(arm)) / spread
+            mean_reward = (y_max - means[arm]) / spread
             bonus = self.c * math.sqrt(math.log(t) / self.times_selected(arm))
             score = mean_reward + bonus
             if score > best_score:

@@ -11,7 +11,9 @@ from repro.gp import (
     GaussianProcess,
     GroupDummyTrend,
     LinearTrend,
+    TrendBasis,
 )
+from repro.gp.kernels import _distances
 
 
 class TestInterpolation:
@@ -149,3 +151,49 @@ class TestValidationAndAcquisition:
         _, sd_latent = gp.predict(np.array([2.5]))
         _, sd_obs = gp.predict(np.array([2.5]), include_noise=True)
         assert sd_obs > sd_latent
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_non_finite_input_rejected_up_front(self, name, bad, optimize):
+        data = {"x": np.arange(1.0, 7.0), "y": np.array([3.0, 2, 1, 2, 3, 4])}
+        data[name][2] = bad
+        gp = GaussianProcess(noise_var=0.01, optimize=optimize, alpha=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gp.fit(data["x"], data["y"])
+        assert gp.fit_ is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prediction_point_rejected(self, bad):
+        gp = GaussianProcess(noise_var=0.01, optimize=False, alpha=1.0)
+        gp.fit(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 1.5]))
+        with pytest.raises(ValueError, match="^x_star must be finite"):
+            gp.predict(np.array([1.5, bad]))
+
+    def test_factor_rejects_non_positive_definite_k(self):
+        """A negative nugget larger than alpha makes K indefinite: potrf
+        reports it and the factor helper raises LinAlgError."""
+        x = np.arange(1.0, 6.0)
+        gp = GaussianProcess()
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            gp._cholesky(_distances(x, x), 1.0, 1.0, -2.0)
+
+    def test_singular_trend_fails_every_objective_call(self):
+        """Two identical trend columns make the GLS step singular for any
+        (alpha, theta): every objective call returns the 1e12 sentinel and
+        the final assembly raises LinAlgError."""
+
+        class TwinTrend(TrendBasis):
+            def design_matrix(self, x):
+                return np.full((np.atleast_1d(x).shape[0], 2), 1e6)
+
+            @property
+            def n_functions(self):
+                return 2
+
+        x = np.arange(1.0, 9.0)
+        gp = GaussianProcess(trend=TwinTrend(), noise_var=0.01)
+        with pytest.raises(np.linalg.LinAlgError):
+            gp.fit(x, np.sin(x))

@@ -1,8 +1,10 @@
 """Characterization goldens for the Figure 6 `compare` pipeline.
 
 Pins the exact per-repetition totals and chosen-arm sequences of three
-strategy families (heuristic DC, bandit UCB, GP-discontinuous) on two
-scenarios at reduced scale.  Any change to the simulator, the noise
+strategy families (heuristic DC, bandit UCB, and the GPs:
+GP-discontinuous with fixed hyper-parameters and GP-UCB with its
+per-iteration maximum-likelihood refit) on two scenarios at reduced
+scale.  Any change to the simulator, the noise
 model, the seed derivation or the strategies that shifts a single
 resampled duration or decision fails here with a precise diff.
 
@@ -24,7 +26,7 @@ from repro.platform import get_scenario
 
 GOLDEN = Path(__file__).parent / "goldens" / "compare_golden.json"
 SCENARIO_KEYS = ("b", "c")
-STRATEGIES = ("DC", "UCB", "GP-discontinuous")
+STRATEGIES = ("DC", "UCB", "GP-discontinuous", "GP-UCB")
 ITERATIONS = 20
 REPS = 2
 
