@@ -18,7 +18,7 @@ from ..geostat import ExaGeoStat, IterationPlan
 from ..gp import GaussianProcess
 from ..measure import MeasurementBank, cached_bank, sweep_2d
 from ..platform import FIGURE2_KEYS, all_scenarios, get_scenario, table2_rows
-from ..runtime import Simulator, render_ascii, utilization_timeline
+from ..runtime import FastSimulator, render_ascii, utilization_timeline
 from ..strategies import STRATEGY_ORDER, make_strategy
 from ..workload import Workload
 from .overhead import OverheadResult, measure_overhead
@@ -50,7 +50,7 @@ def figure1(scenario_key: str = "b") -> Figure1Result:
     cluster = scenario.build_cluster()
     workload = Workload.from_name(scenario.workload)
     app = ExaGeoStat(cluster, workload)
-    app.simulator = Simulator(cluster, trace=True)
+    app.simulator = FastSimulator(cluster, trace=True)
 
     first_group = cluster.group_boundaries[0]
     fast_subset = min(8, len(cluster))

@@ -12,7 +12,7 @@ tail that distributed-simulator studies use to stress schedulers.
 The family plugs in behind the exact abstractions the Cholesky path
 uses: tasks are submitted to :class:`repro.runtime.dag.TaskGraph` with
 phases/priorities/data handles, executed by
-:class:`repro.runtime.simulator.Simulator` under a
+:class:`repro.runtime.simfast.FastSimulator` under a
 :class:`repro.runtime.perfmodel.PerfModel`, and wrapped in an
 application object (:class:`MSRApp`) with the same ``measure(n)``
 contract as :class:`repro.geostat.application.ExaGeoStat` -- so timeline
@@ -33,10 +33,10 @@ from ..runtime import (
     DEFAULT_EFFICIENCY,
     GPU,
     DataRegistry,
+    FastSimulator,
     PerfModel,
     SimulationResult,
     TaskGraph,
-    simulator_factory,
 )
 
 #: Phase names of the pipeline, in dependency order (the analogue of
@@ -223,9 +223,7 @@ class MSRApp:
     ) -> None:
         self.cluster = cluster
         self.workload = workload
-        # Same switch as the Cholesky app: fast engine by default,
-        # REPRO_SIMFAST=0 opts back into the reference Simulator.
-        self.simulator = simulator_factory()(
+        self.simulator = FastSimulator(
             cluster,
             perfmodel if perfmodel is not None else msr_perfmodel(),
             trace=trace,

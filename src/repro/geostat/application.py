@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..platform.cluster import Cluster
-from ..runtime import PerfModel, SimulationResult, simulator_factory
+from ..runtime import FastSimulator, PerfModel, SimulationResult
 from ..workload import Workload
 from .likelihood import golden_section_range_search
 from .phases import IterationPlan, build_iteration_graph
@@ -99,9 +99,7 @@ class ExaGeoStat:
     ) -> None:
         self.cluster = cluster
         self.workload = workload
-        # The bit-identical fast engine is the default; REPRO_SIMFAST=0
-        # opts back into the reference Simulator (simulator_factory).
-        self.simulator = simulator_factory()(cluster, perfmodel)
+        self.simulator = FastSimulator(cluster, perfmodel)
         self.noise = noise
         self.rng = np.random.default_rng(seed)
         self._duration_cache: Dict[Tuple[int, int], float] = {}

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 from ..linalg import TileStore, numeric_dot, numeric_log_det, numeric_solve
 from ..linalg.precision import PrecisionPolicy, numeric_cholesky_mixed
 from ..platform.scenarios import get_scenario
-from ..runtime import Simulator
+from ..runtime import FastSimulator
 from ..workload import Workload
 from .covariance import MaternParams, covariance_matrix, make_covariance
 from .likelihood import log_likelihood, tile_size_for
@@ -77,7 +77,7 @@ def mixed_precision_tradeoff(
     scenario = get_scenario(scenario_key)
     cluster = scenario.build_cluster()
     workload = Workload.from_name(scenario.workload)
-    simulator = Simulator(cluster)
+    simulator = FastSimulator(cluster)
     if n_fact is None:
         n_fact = max(2, len(cluster) // 2)
     plan = IterationPlan(n_fact=n_fact, n_gen=len(cluster))

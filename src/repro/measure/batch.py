@@ -1,4 +1,4 @@
-"""Plan-batched scenario sweeps over the fast simulator.
+"""Plan-batched scenario sweeps: the serial sweep path.
 
 A scenario sweep simulates the same five-phase iteration graph once per
 factorization node count -- ~120 configurations for the largest
@@ -13,9 +13,10 @@ configuration -- and per configuration only re-homes the tiles/vector
 blocks and rebinds the placement-dependent plan arrays before running
 :class:`~repro.runtime.simfast.FastSimulator`'s core engine.
 
-Every makespan produced this way is bit-identical to the naive
-``build_iteration_graph`` + reference-``Simulator`` pipeline (enforced by
-``tests/runtime/differential/test_batch_sweep.py``).
+:func:`repro.measure.sweep.sweep_scenario` always sweeps serially
+through this class.  Every makespan produced this way is bit-identical
+to the naive ``build_iteration_graph`` + reference-``Simulator``
+pipeline (enforced by ``tests/runtime/differential/test_batch_sweep.py``).
 """
 
 from __future__ import annotations

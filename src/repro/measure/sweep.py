@@ -160,17 +160,12 @@ def sweep_scenario(
                         end="", file=sys.stderr, flush=True,
                     )
     elif pending:
-        from ..runtime.simfast import FastSimulator, simulator_factory
+        # Plan-batched one-pass sweep: the graph build + template compile
+        # are shared across every pending configuration (see
+        # repro.measure.batch).
+        from .batch import ScenarioBatch
 
-        if simulator_factory() is FastSimulator:
-            # Plan-batched one-pass sweep: same makespans bit for bit,
-            # with the graph build + template compile shared across
-            # every pending configuration (see repro.measure.batch).
-            from .batch import ScenarioBatch
-
-            app = ScenarioBatch(cluster, workload)
-        else:
-            app = ExaGeoStat(cluster, workload)
+        app = ScenarioBatch(cluster, workload)
         for i, n in enumerate(pending):
             duration = app.measure(n, len(cluster))
             rig = (

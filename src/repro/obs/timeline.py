@@ -734,7 +734,7 @@ def export_timeline(
     from .. import config as repro_config
     from ..geostat.phases import IterationPlan, build_iteration_graph
     from ..platform import get_scenario
-    from ..runtime.simulator import Simulator
+    from ..runtime.simfast import FastSimulator
     from ..workload import Workload
 
     scenario = get_scenario(scenario_key)
@@ -751,7 +751,7 @@ def export_timeline(
         )
     plan = IterationPlan(n_fact=n_fact, n_gen=n_gen)
     graph = build_iteration_graph(cluster, workload, plan)
-    result = Simulator(cluster, trace=True).run(graph)
+    result = FastSimulator(cluster, trace=True).run(graph)
     cfg = {
         "scenario": scenario_key,
         "workload": scenario.workload,

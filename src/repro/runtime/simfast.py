@@ -1,12 +1,14 @@
-"""Flat-plan fast path for the discrete-event simulator.
+"""Flat-plan engine: the discrete-event simulator production code runs.
 
-:class:`FastSimulator` is a drop-in replacement for
-:class:`~repro.runtime.simulator.Simulator` that produces **bit-identical**
-results -- the same :class:`~repro.runtime.simulator.SimulationResult`,
-the same ``TaskRecord``/``TransferRecord`` streams, the same obs trace
-bytes, and the same error behaviour.  It runs the same task-by-task
-event loop as the reference; what it saves is the work the reference
-repeats on every run.
+:class:`FastSimulator` is the one engine production code builds (sweeps,
+timelines, figure drivers).  The reference
+:class:`~repro.runtime.simulator.Simulator` stays only as its oracle:
+the fast engine produces **bit-identical** results -- the same
+:class:`~repro.runtime.simulator.SimulationResult`, the same
+``TaskRecord``/``TransferRecord`` streams, the same obs trace bytes,
+and the same error behaviour.  It runs the same task-by-task event loop
+as the reference; what it saves is the work the reference repeats on
+every run.
 
 Two mechanisms, each exact, never approximate:
 
@@ -47,8 +49,7 @@ Replication contract (enforced by ``tests/runtime/differential``):
   dirty nodes dispatch in sorted order, queue ties break by insertion
   sequence, the worker is the first rate-maximum over free CPUs then
   free GPUs (so rate ties favour the lowest CPU lane);
-* jitter RNG draw order (one draw per assignment, in assignment order),
-  phase-span accumulation, and record field-for-field equality in the
+* phase-span accumulation and record field-for-field equality in the
   reference's append order;
 * empty-graph early return, cycle ``ValueError``, ineligible-worker
   ``RuntimeError``, and the ``simulator.run`` tracer event/counter.
@@ -57,7 +58,6 @@ Replication contract (enforced by ``tests/runtime/differential``):
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import insort
 from itertools import count
 from typing import Dict, List, Optional, Tuple
@@ -68,7 +68,7 @@ from ..obs import get_tracer
 from ..platform.cluster import Cluster
 from .dag import TaskGraph
 from .perfmodel import CPU, GPU, PerfModel
-from .simulator import SimulationResult, Simulator, TaskRecord, TransferRecord
+from .simulator import SimulationResult, TaskRecord, TransferRecord
 
 # Event kinds (the reference engine's).
 _TASK_READY = 0
@@ -76,10 +76,6 @@ _WORKER_FREE = 1
 
 #: Mutations the seeded-defect harness may inject (`_defects` parameter).
 DEFECT_KINDS = ("drop_transfer", "tie_break")
-
-#: Environment variable turning the fast engine on at construction sites
-#: that consult :func:`simulator_factory`.
-SIMFAST_ENV = "REPRO_SIMFAST"
 
 
 class GraphPlan:
@@ -340,54 +336,28 @@ def compile_plan(
     )
 
 
-def simulator_factory(default: str = "1"):
-    """The engine class a construction site should instantiate.
-
-    Returns the reference :class:`Simulator` when ``REPRO_SIMFAST`` is
-    set to a falsy value ("0", "false", "no", "off"), else the fast
-    engine :class:`FastSimulator`.  Both produce bit-identical results;
-    the fast path is the default for campaign and serve paths, with
-    ``REPRO_SIMFAST=0`` as the opt-out back to the reference oracle
-    (which the differential suite still exercises explicitly).
-    """
-    flag = os.environ.get(SIMFAST_ENV, default).strip().lower()
-    return Simulator if flag in ("0", "false", "no", "off") else FastSimulator
-
-
 class FastSimulator:
-    """Drop-in, bit-identical fast engine (see module docstring).
+    """Production engine; bit-identical to the reference (module docstring).
 
-    Accepts the exact constructor signature of the reference
-    :class:`Simulator`; ``_defects`` is reserved for the seeded-defect
-    harness in ``tests/runtime/differential`` and must stay empty in
-    production use.
+    Takes the reference :class:`~repro.runtime.simulator.Simulator`'s
+    ``(cluster, perfmodel, trace)``; ``_defects`` is reserved for the
+    seeded-defect harness in ``tests/runtime/differential`` and must
+    stay empty in production use.
     """
-
-    POLICIES = Simulator.POLICIES
 
     def __init__(
         self,
         cluster: Cluster,
         perfmodel: Optional[PerfModel] = None,
         trace: bool = False,
-        policy: str = "priority",
-        jitter_sd: float = 0.0,
-        seed: int = 0,
         _defects: Tuple[str, ...] = (),
     ) -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(f"policy must be one of {self.POLICIES}")
-        if jitter_sd < 0:
-            raise ValueError("jitter_sd must be non-negative")
         unknown = set(_defects) - set(DEFECT_KINDS)
         if unknown:
             raise ValueError(f"unknown defect kinds: {sorted(unknown)}")
         self.cluster = cluster
         self.perfmodel = perfmodel if perfmodel is not None else PerfModel()
         self.trace = trace
-        self.policy = policy
-        self.jitter_sd = jitter_sd
-        self.seed = seed
         self.defects = frozenset(_defects)
 
     def run(self, graph: TaskGraph) -> SimulationResult:
@@ -441,11 +411,6 @@ class FastSimulator:
         n_tasks = plan.n_tasks
         n_nodes = plan.n_nodes
         trace = self.trace
-        fifo = self.policy == "fifo"
-        jitter_sd = self.jitter_sd
-        jitter_rng = (
-            np.random.default_rng(self.seed) if jitter_sd > 0 else None
-        )
         drop_pending = "drop_transfer" in self.defects
         if "tie_break" in self.defects:
             # Seeded defect: flip the class-2 rate tie-break toward GPUs
@@ -616,12 +581,7 @@ class FastSimulator:
                 else:
                     gpu = bool(fg) and (not fc or prefer_gpu[tid])
                 lane = (fg if gpu else fc).pop(0)
-                duration = dur_gpu[tid] if gpu else dur_cpu[tid]
-                if jitter_rng is not None:
-                    duration *= max(
-                        0.1, 1.0 + jitter_rng.normal(0.0, jitter_sd)
-                    )
-                end = now + duration
+                end = now + (dur_gpu[tid] if gpu else dur_cpu[tid])
                 complete(tid, end)
                 scheduled += 1
                 ph = phases_of[tid]
@@ -679,8 +639,9 @@ class FastSimulator:
                             f"worker on node {nd} "
                             f"({plan.node_type_names[nd]})"
                         )
-                    prio = 0 if fifo else -prio_of[a]
-                    heappush(queues[nd][qclass[a]], (prio, next_seq(), a))
+                    heappush(
+                        queues[nd][qclass[a]], (-prio_of[a], next_seq(), a)
+                    )
                     dirty.add(nd)
                 else:
                     g = gpu_counts[a]

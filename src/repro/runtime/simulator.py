@@ -20,7 +20,9 @@ heterogeneous :class:`~repro.platform.cluster.Cluster`:
   further transfer is needed until the block is written again.
 
 The engine is a deterministic event-driven simulation over two event
-kinds (task became ready / worker became free), O((V + E) log V).
+kinds (task became ready / worker became free), O((V + E) log V).  It is
+the reference oracle: production code runs the bit-identical
+:class:`~repro.runtime.simfast.FastSimulator`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..obs import get_tracer
 from ..platform.cluster import Cluster
@@ -119,7 +119,12 @@ _WORKER_FREE = 1
 
 
 class Simulator:
-    """Simulates task-graph executions on a cluster.
+    """Reference engine, kept as the oracle for the fast engine.
+
+    Production code runs :class:`~repro.runtime.simfast.FastSimulator`;
+    this engine is the plain statement of the scheduling model that the
+    differential suite (``tests/runtime/differential``) and the
+    benchmark's expected makespans hold the fast engine to, bit for bit.
 
     Parameters
     ----------
@@ -131,41 +136,17 @@ class Simulator:
     trace:
         When true, per-task and per-transfer records are kept in the
         result (needed for Figure 1 style timelines).
-    policy:
-        Ready-queue ordering: ``"priority"`` (default; StarPU's
-        performance-model schedulers prioritize panel tasks) or
-        ``"fifo"`` (eager scheduling, tasks served in ready order --
-        useful as an ablation of the priority scheme).
-    jitter_sd:
-        Relative standard deviation of per-task duration jitter,
-        modelling StarPU's "outlier tasks (that may present abnormal
-        duration)" (Section II).  0 (default) keeps the simulation
-        deterministic, like raw StarPU-SimGrid.
-    seed:
-        Seed of the jitter RNG (only used when ``jitter_sd > 0``).
     """
-
-    POLICIES = ("priority", "fifo")
 
     def __init__(
         self,
         cluster: Cluster,
         perfmodel: Optional[PerfModel] = None,
         trace: bool = False,
-        policy: str = "priority",
-        jitter_sd: float = 0.0,
-        seed: int = 0,
     ) -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(f"policy must be one of {self.POLICIES}")
-        if jitter_sd < 0:
-            raise ValueError("jitter_sd must be non-negative")
         self.cluster = cluster
         self.perfmodel = perfmodel if perfmodel is not None else PerfModel()
         self.trace = trace
-        self.policy = policy
-        self.jitter_sd = jitter_sd
-        self.seed = seed
 
     def run(self, graph: TaskGraph) -> SimulationResult:
         """Execute ``graph`` and return the simulation outcome."""
@@ -182,9 +163,6 @@ class Simulator:
         n_nodes = len(nodes)
         sizes = graph.registry.sizes()
         workers = build_workers(self.cluster)
-        jitter_rng = (
-            np.random.default_rng(self.seed) if self.jitter_sd > 0 else None
-        )
 
         indeg = list(graph.indegree)
         succs = graph.successors
@@ -366,10 +344,7 @@ class Simulator:
                 )
                 worker.busy = True
                 wi = ws.index(worker)
-                duration = pm.duration(task, worker.kind, worker.gflops)
-                if jitter_rng is not None:
-                    duration *= max(0.1, 1.0 + jitter_rng.normal(0.0, self.jitter_sd))
-                end = now + duration
+                end = now + pm.duration(task, worker.kind, worker.gflops)
                 complete(tid, end)
                 state["scheduled"] += 1
                 span = phase_spans.setdefault(task.phase, [now, end])
@@ -416,8 +391,9 @@ class Simulator:
                             f"({nodes[node].node_type.name})"
                         )
                     state["seq"] += 1
-                    prio = -task.priority if self.policy == "priority" else 0
-                    heapq.heappush(queues[node][qi], (prio, state["seq"], a))
+                    heapq.heappush(
+                        queues[node][qi], (-task.priority, state["seq"], a)
+                    )
                     dirty.add(node)
                 else:
                     workers[a][b].busy = False

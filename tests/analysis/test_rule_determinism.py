@@ -203,9 +203,9 @@ class TestFastEngineIdioms:
         out = findings(self.MODULE, """
             import numpy as np
 
-            def run_plan(plan, jitter_sd):
+            def run_plan(plan, noise_sd):
                 np.random.seed(plan.seed)
-                return np.random.normal(0.0, jitter_sd, plan.n_tasks)
+                return np.random.normal(0.0, noise_sd, plan.n_tasks)
         """)
         assert [f.rule for f in out] == ["DET001", "DET001"]
 
@@ -215,9 +215,9 @@ class TestFastEngineIdioms:
 
             import numpy as np
 
-            def run_plan(plan, jitter_sd, seed):
+            def run_plan(plan, noise_sd, seed):
                 t0 = time.perf_counter()
                 rng = np.random.default_rng(seed)
-                noise = rng.normal(0.0, jitter_sd, plan.n_tasks)
+                noise = rng.normal(0.0, noise_sd, plan.n_tasks)
                 return noise, time.perf_counter() - t0
         """)

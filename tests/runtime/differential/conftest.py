@@ -1,4 +1,4 @@
-"""Shared bounds for the differential suite: small tiles, clean env."""
+"""Shared bounds for the differential suite: small tiles."""
 
 import pytest
 
@@ -12,4 +12,3 @@ def _bounded_tiles(monkeypatch):
     """
     monkeypatch.setenv("REPRO_TILES_101", "16")
     monkeypatch.setenv("REPRO_TILES_128", "16")
-    monkeypatch.delenv("REPRO_SIMFAST", raising=False)

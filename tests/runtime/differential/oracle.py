@@ -10,8 +10,13 @@ equality -- never ``pytest.approx``:
 * the observability trace **bytes**: each engine runs under its own
   fresh tick-clocked in-memory tracer and the emitted JSONL lines must
   match line for line.
+
+``two_d_plans`` is the Figure 8 plan grid the table and batched-sweep
+suites share.
 """
 
+from repro.geostat import IterationPlan
+from repro.measure.sweep import scenario_actions
 from repro.obs import MemorySink, TickClock, Tracer, scoped
 from repro.runtime import FastSimulator, PerfModel, Simulator
 
@@ -65,19 +70,14 @@ def _assert_same_stream(label, ref, fast):
     )
 
 
-def assert_equivalent(
-    graph, cluster, perfmodel=None, policy="priority", jitter_sd=0.0, seed=0
-):
+def assert_equivalent(graph, cluster, perfmodel=None):
     """Oracle: reference and fast engines agree bit for bit on ``graph``.
 
-    ``jitter_sd``/``seed`` configure both engines' duration jitter, so a
-    jittered run also pins the RNG draw order.  Returns the reference
-    result.
+    Returns the reference result.
     """
     pm = perfmodel if perfmodel is not None else PerfModel()
-    opts = dict(trace=True, policy=policy, jitter_sd=jitter_sd, seed=seed)
-    ref, ref_lines = traced_run(Simulator(cluster, pm, **opts), graph)
-    fast, fast_lines = traced_run(FastSimulator(cluster, pm, **opts), graph)
+    ref, ref_lines = traced_run(Simulator(cluster, pm, trace=True), graph)
+    fast, fast_lines = traced_run(FastSimulator(cluster, pm, trace=True), graph)
     for name in RESULT_FIELDS:
         assert getattr(fast, name) == getattr(ref, name), (
             f"{name}: ref={getattr(ref, name)!r} fast={getattr(fast, name)!r}"
@@ -88,3 +88,16 @@ def assert_equivalent(
     )
     assert fast_lines == ref_lines, "obs trace bytes diverge"
     return ref
+
+
+def two_d_plans(scenario):
+    """Figure 8 ``sweep_2d`` plans whose ``n_gen`` is neither ``n_fact``
+    nor N, on a coarse grid of the allowed counts plus N."""
+    allowed = scenario_actions(scenario)
+    counts = sorted(set(allowed[:: max(1, len(allowed) // 3)]) | {allowed[-1]})
+    return [
+        IterationPlan(n_fact=n_fact, n_gen=n_gen)
+        for n_gen in counts
+        for n_fact in counts
+        if n_gen not in (n_fact, allowed[-1])
+    ]

@@ -12,12 +12,12 @@ import pytest
 from repro.geostat import IterationPlan
 from repro.geostat.phases import build_iteration_graph
 from repro.measure.batch import ScenarioBatch
-from repro.measure.sweep import scenario_actions, sweep_scenario
+from repro.measure.sweep import scenario_actions
 from repro.platform import get_scenario
 from repro.runtime import PerfModel, Simulator
 from repro.workload import Workload
 
-from .oracle import RESULT_FIELDS
+from .oracle import RESULT_FIELDS, two_d_plans
 
 
 def _naive(cluster, workload, n_fact, n_gen):
@@ -47,6 +47,19 @@ def test_batched_sweep_makespans_bit_identical(key):
             assert batch.measure(int(n), n_gen) == ref.makespan
 
 
+def test_batched_2d_plans_bit_identical():
+    """Figure 8 plans: ``n_gen`` moves independently of ``n_fact``."""
+    scenario = get_scenario("f")
+    cluster = scenario.build_cluster()
+    workload = Workload.from_name(scenario.workload)
+    batch = ScenarioBatch(cluster, workload)
+    for plan in two_d_plans(scenario):
+        ref = _naive(cluster, workload, plan.n_fact, plan.n_gen)
+        fast = batch.simulate(plan)
+        for name in RESULT_FIELDS:
+            assert getattr(fast, name) == getattr(ref, name), (plan, name)
+
+
 def test_batched_records_match_reference():
     """Beyond makespans: bound plans replay the exact record streams."""
     scenario = get_scenario("b")
@@ -64,40 +77,6 @@ def test_batched_records_match_reference():
             assert getattr(fast, name) == getattr(ref, name)
         assert fast.task_records == ref.task_records
         assert fast.transfer_records == ref.transfer_records
-
-
-def test_sweep_scenario_identical_under_fast_flag(monkeypatch):
-    """The engine flag must not change a single bank value.
-
-    The fast engine is the default; ``REPRO_SIMFAST=0`` is the opt-out,
-    so the reference side pins the flag off explicitly.
-    """
-    scenario = get_scenario("a")
-    monkeypatch.setenv("REPRO_SIMFAST", "0")
-    ref_bank = sweep_scenario(scenario, augment=2, include_rigid=True)
-    monkeypatch.setenv("REPRO_SIMFAST", "1")
-    fast_bank = sweep_scenario(scenario, augment=2, include_rigid=True)
-    assert fast_bank.true_means == ref_bank.true_means
-    assert fast_bank.rigid == ref_bank.rigid
-    assert fast_bank.lp == ref_bank.lp
-    assert all(
-        (fast_bank.samples[n] == ref_bank.samples[n]).all()
-        for n in ref_bank.actions
-    )
-
-
-def test_simulator_factory_default_on_with_opt_out(monkeypatch):
-    """Unset or truthy selects the fast engine; falsy opts back out."""
-    from repro.runtime import FastSimulator, simulator_factory
-
-    monkeypatch.delenv("REPRO_SIMFAST", raising=False)
-    assert simulator_factory() is FastSimulator
-    for flag in ("0", "false", "no", "off"):
-        monkeypatch.setenv("REPRO_SIMFAST", flag)
-        assert simulator_factory() is Simulator
-    for flag in ("1", "true", "yes", "on"):
-        monkeypatch.setenv("REPRO_SIMFAST", flag)
-        assert simulator_factory() is FastSimulator
 
 
 def test_plan_rejects_out_of_range_configs():

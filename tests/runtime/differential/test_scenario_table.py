@@ -3,17 +3,21 @@
 Each scenario runs the full generation + factorization + solve iteration
 graph at several factorization node counts (smallest, 2, half, all) and
 the fast engine must reproduce the reference bit for bit -- results,
-record streams and obs trace bytes (see the package oracle).
+record streams and obs trace bytes (see the package oracle).  The
+mixed-precision graphs of ``mixed_precision_tradeoff`` and the 2-D plans
+of the Figure 8 sweep (``n_gen`` neither ``n_fact`` nor N) get the same
+check.
 """
 
 import pytest
 
 from repro.geostat import IterationPlan
 from repro.geostat.phases import build_iteration_graph
+from repro.linalg import PrecisionPolicy
 from repro.platform import get_scenario
 from repro.workload import Workload
 
-from .oracle import assert_equivalent
+from .oracle import assert_equivalent, two_d_plans
 
 SCENARIO_KEYS = tuple("abcdefghijklmnop")
 
@@ -36,18 +40,27 @@ def test_scenario_bit_identical(key):
         assert_equivalent(graph, cluster)
 
 
-def test_fifo_policy_bit_identical():
-    """The oracle holds under the alternative scheduling policy too,
-    and with duration jitter (same RNG draw order) under both policies.
-    """
-    scenario = get_scenario("a")
+@pytest.mark.parametrize("bands", ["1", "2", "t"])
+def test_mixed_precision_bit_identical(bands):
+    """``mixed_precision_tradeoff``'s graphs: scenario c, its default plan."""
+    scenario = get_scenario("c")
     cluster = scenario.build_cluster()
     workload = Workload.from_name(scenario.workload)
+    dp_bands = workload.t if bands == "t" else int(bands)
+    plan = IterationPlan(n_fact=max(2, len(cluster) // 2), n_gen=len(cluster))
     graph = build_iteration_graph(
-        cluster, workload, IterationPlan(n_fact=2, n_gen=len(cluster))
+        cluster, workload, plan,
+        precision_policy=PrecisionPolicy(dp_bands=dp_bands),
     )
-    assert_equivalent(graph, cluster, policy="fifo")
-    for policy in ("priority", "fifo"):
-        assert_equivalent(
-            graph, cluster, policy=policy, jitter_sd=0.2, seed=3
-        )
+    assert_equivalent(graph, cluster)
+
+
+def test_2d_plans_bit_identical():
+    scenario = get_scenario("f")
+    cluster = scenario.build_cluster()
+    workload = Workload.from_name(scenario.workload)
+    plans = two_d_plans(scenario)
+    assert plans
+    for plan in plans:
+        graph = build_iteration_graph(cluster, workload, plan)
+        assert_equivalent(graph, cluster)

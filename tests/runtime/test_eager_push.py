@@ -1,9 +1,19 @@
-"""Tests for eager data pushes and tree broadcasts in the simulator."""
+"""Tests for eager data pushes and tree broadcasts in the simulator.
+
+``TestEagerPush`` runs on the reference ``Simulator``, ``TestEagerPushFast``
+on the production ``FastSimulator``.
+"""
 
 import pytest
 
 from repro.platform import Cluster, NetworkModel, NodeType
-from repro.runtime import DataRegistry, PerfModel, Simulator, TaskGraph
+from repro.runtime import (
+    DataRegistry,
+    FastSimulator,
+    PerfModel,
+    Simulator,
+    TaskGraph,
+)
 
 UNIT = NodeType(
     name="unit", site="SD", category="S", cpu_desc="", gpu_desc="",
@@ -19,6 +29,8 @@ def cluster_of(n):
 
 
 class TestEagerPush:
+    engine = Simulator
+
     def test_transfer_starts_at_write_not_at_use(self):
         """The consumer node computes something else while the transfer is
         in flight: with eager push, the transfer overlaps that work."""
@@ -30,7 +42,7 @@ class TestEagerPush:
         g.submit("t", "p", 1e9, writes=[a])            # node 0: [0, 1]
         g.submit("t", "p", 1e9, writes=[busy])         # node 1: [0, 1]
         g.submit("t", "p", 1e9, reads=[a, busy], writes=[out])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         # Without prefetch: 1 (write) + 1 (transfer) + 1 (consumer) = 3.
         # With eager push the transfer [1, 2] overlaps nothing here, so the
         # consumer runs [2, 3]... but `busy` ran [0, 1] concurrently, so
@@ -48,7 +60,7 @@ class TestEagerPush:
         out = g.registry.register("out", 0, home=1)
         g.submit("t", "p", 1e9, writes=[busy])         # node 1: [0, 1]
         g.submit("t", "p", 1e9, reads=[a, busy], writes=[out])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         # Transfer [0, 1] overlaps the busy task [0, 1]; consumer [1, 2].
         assert res.makespan == pytest.approx(2.0)
 
@@ -62,7 +74,7 @@ class TestEagerPush:
         outs = [g.registry.register(f"o{i}", 0, home=i) for i in range(1, 5)]
         for i, out in enumerate(outs):
             g.submit("t", "p", 0.0, reads=[a], writes=[out])
-        res = Simulator(cluster, PM, trace=True).run(g)
+        res = self.engine(cluster, PM, trace=True).run(g)
         # Sequential unicast would finish at t=4; a greedy relay tree
         # finishes by t=3 (0->1; 0->2 & 1->3; then one more).
         assert res.makespan <= 3.0 + 1e-9
@@ -81,7 +93,7 @@ class TestEagerPush:
         g.submit("t", "p", 1e9, reads=[a], writes=[o1])   # node 1 reads v1
         g.submit("t", "p", 1e9, reads=[a], writes=[a])    # v2 on node 0
         g.submit("t", "p", 1e9, reads=[a], writes=[o2])   # node 2 reads v2
-        res = Simulator(cluster, PM, trace=True).run(g)
+        res = self.engine(cluster, PM, trace=True).run(g)
         # Node 2's copy must arrive after v2 is produced.
         v2_done = [r for r in res.task_records if r.tid == 2][0].end
         arrival = [t for t in res.transfer_records if t.dst == 2][0]
@@ -96,7 +108,11 @@ class TestEagerPush:
         g.submit("t", "p", 1e9, writes=[a])
         g.submit("t", "p", 1e9, reads=[a], writes=[o1])
         g.submit("t", "p", 1e9, reads=[a], writes=[o2])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.transfer_count == 2
         assert res.comm_bytes == pytest.approx(1e9)
         assert res.comm_time == pytest.approx(1.0)
+
+
+class TestEagerPushFast(TestEagerPush):
+    engine = FastSimulator

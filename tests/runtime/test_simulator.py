@@ -1,10 +1,15 @@
-"""Unit tests for the discrete-event simulator."""
+"""Unit tests for the discrete-event simulator.
+
+Every test class runs on the reference ``Simulator``; its ``...Fast``
+subclass runs the same tests on the production ``FastSimulator``.
+"""
 
 import pytest
 
 from repro.platform import Cluster, NetworkModel, NodeType
 from repro.runtime import (
     DataRegistry,
+    FastSimulator,
     PerfModel,
     Placement,
     Simulator,
@@ -48,12 +53,14 @@ def make_cluster(n_unit=2, n_gpu=0):
 
 
 class TestSequentialExecution:
+    engine = Simulator
+
     def test_single_task_duration(self):
         cluster = make_cluster(1)
         g = TaskGraph(DataRegistry())
         a = g.registry.register("a", 0, home=0)
         g.submit("t", "p", 2e9, writes=[a])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.makespan == pytest.approx(2.0)
 
     def test_dependent_tasks_serialize(self):
@@ -62,7 +69,7 @@ class TestSequentialExecution:
         a = g.registry.register("a", 0, home=0)
         g.submit("t", "p", 1e9, writes=[a])
         g.submit("t", "p", 1e9, reads=[a], writes=[a])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.makespan == pytest.approx(2.0)
 
     def test_independent_tasks_parallel_across_nodes(self):
@@ -72,7 +79,7 @@ class TestSequentialExecution:
         b = g.registry.register("b", 0, home=1)
         g.submit("t", "p", 1e9, writes=[a])
         g.submit("t", "p", 1e9, writes=[b])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.makespan == pytest.approx(1.0)
 
     def test_single_worker_serializes_independent_tasks(self):
@@ -82,22 +89,24 @@ class TestSequentialExecution:
         b = g.registry.register("b", 0, home=0)
         g.submit("t", "p", 1e9, writes=[a])
         g.submit("t", "p", 1e9, writes=[b])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.makespan == pytest.approx(2.0)
 
     def test_empty_graph(self):
-        res = Simulator(make_cluster(1), PM).run(TaskGraph(DataRegistry()))
+        res = self.engine(make_cluster(1), PM).run(TaskGraph(DataRegistry()))
         assert res.makespan == 0.0
         assert res.task_count == 0
 
 
 class TestWorkerSelection:
+    engine = Simulator
+
     def test_gpu_preferred_when_faster(self):
         cluster = make_cluster(0, n_gpu=1)
         g = TaskGraph(DataRegistry())
         a = g.registry.register("a", 0, home=0)
         g.submit("t", "p", 10e9, writes=[a])
-        res = Simulator(cluster, PM, trace=True).run(g)
+        res = self.engine(cluster, PM, trace=True).run(g)
         assert res.makespan == pytest.approx(1.0)  # 10 GF on the 10 GF/s GPU
         assert res.task_records[0].worker_kind == "gpu"
 
@@ -106,7 +115,7 @@ class TestWorkerSelection:
         g = TaskGraph(DataRegistry())
         a = g.registry.register("a", 0, home=0)
         g.submit("c", "p", 10e9, writes=[a], placement=Placement.CPU_ONLY)
-        res = Simulator(cluster, PM, trace=True).run(g)
+        res = self.engine(cluster, PM, trace=True).run(g)
         assert res.makespan == pytest.approx(10.0)  # forced onto 1 GF/s CPU
         assert res.task_records[0].worker_kind == "cpu"
 
@@ -116,10 +125,12 @@ class TestWorkerSelection:
         a = g.registry.register("a", 0, home=0)
         g.submit("t", "p", 1.0, writes=[a], placement=Placement.GPU_ONLY)
         with pytest.raises(RuntimeError, match="can run on no worker"):
-            Simulator(cluster, PM).run(g)
+            self.engine(cluster, PM).run(g)
 
 
 class TestCommunication:
+    engine = Simulator
+
     def test_remote_read_costs_transfer(self):
         cluster = make_cluster(2)
         g = TaskGraph(DataRegistry())
@@ -127,7 +138,7 @@ class TestCommunication:
         g.submit("t", "p", 1e9, writes=[a])        # runs on node 0, 1 s
         b = g.registry.register("b", 0, home=1)
         g.submit("t", "p", 1e9, reads=[a], writes=[b])  # node 1: fetch + 1 s
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.makespan == pytest.approx(3.0)
         assert res.transfer_count == 1
         assert res.comm_bytes == pytest.approx(1e9)
@@ -141,7 +152,7 @@ class TestCommunication:
         c = g.registry.register("c", 0, home=1)
         g.submit("t", "p", 1e9, reads=[a], writes=[b])
         g.submit("t", "p", 1e9, reads=[a], writes=[c])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.transfer_count == 1
 
     def test_write_invalidates_replicas(self):
@@ -153,7 +164,7 @@ class TestCommunication:
         g.submit("t", "p", 1e9, reads=[a], writes=[aux])   # replica on node 1
         g.submit("t", "p", 1e9, reads=[a], writes=[a])     # rewrite on node 0
         g.submit("t", "p", 1e9, reads=[a], writes=[aux])   # must re-fetch
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.transfer_count == 2
 
     def test_local_read_is_free(self):
@@ -162,7 +173,7 @@ class TestCommunication:
         a = g.registry.register("a", 1e9, home=0)
         g.submit("t", "p", 1e9, writes=[a])
         g.submit("t", "p", 1e9, reads=[a], writes=[a])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.transfer_count == 0
 
     def test_unwritten_input_fetched_from_home(self):
@@ -171,7 +182,7 @@ class TestCommunication:
         a = g.registry.register("a", 1e9, home=0)
         b = g.registry.register("b", 0, home=1)
         g.submit("t", "p", 1e9, reads=[a], writes=[b])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.makespan == pytest.approx(2.0)
         assert res.transfer_count == 1
 
@@ -186,7 +197,7 @@ class TestCommunication:
         c = g.registry.register("c", 0, home=2)
         g.submit("t", "p", 0.0, reads=[a], writes=[b])
         g.submit("t", "p", 0.0, reads=[a], writes=[c])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         # Sends serialize on node 0's NIC: second transfer ends at t=2.
         assert res.makespan == pytest.approx(2.0)
 
@@ -201,18 +212,20 @@ class TestCommunication:
         c = g.registry.register("c", 0, home=2)
         g.submit("t", "p", 0.0, reads=[a], writes=[b])
         g.submit("t", "p", 0.0, reads=[a], writes=[c])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.makespan == pytest.approx(1.0)
 
 
 class TestResultBookkeeping:
+    engine = Simulator
+
     def test_phase_spans(self):
         cluster = make_cluster(1)
         g = TaskGraph(DataRegistry())
         a = g.registry.register("a", 0, home=0)
         g.submit("t", "gen", 1e9, writes=[a])
         g.submit("t", "fact", 1e9, reads=[a], writes=[a])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         assert res.phase_spans["gen"] == pytest.approx((0.0, 1.0))
         assert res.phase_spans["fact"] == pytest.approx((1.0, 2.0))
         assert res.phase_duration("fact") == pytest.approx(1.0)
@@ -222,7 +235,7 @@ class TestResultBookkeeping:
         g = TaskGraph(DataRegistry())
         a = g.registry.register("a", 0, home=0)
         g.submit("t", "gen", 1e9, writes=[a])
-        res = Simulator(cluster, PM).run(g)
+        res = self.engine(cluster, PM).run(g)
         with pytest.raises(KeyError):
             res.phase_duration("nope")
 
@@ -231,8 +244,8 @@ class TestResultBookkeeping:
         g = TaskGraph(DataRegistry())
         a = g.registry.register("a", 0, home=0)
         g.submit("t", "p", 1e9, writes=[a])
-        assert Simulator(cluster, PM).run(g).task_records == []
-        assert len(Simulator(cluster, PM, trace=True).run(g).task_records) == 1
+        assert self.engine(cluster, PM).run(g).task_records == []
+        assert len(self.engine(cluster, PM, trace=True).run(g).task_records) == 1
 
     def test_priority_breaks_ready_ties(self):
         cluster = make_cluster(1)
@@ -241,6 +254,22 @@ class TestResultBookkeeping:
         b = g.registry.register("b", 0, home=0)
         g.submit("t", "p", 1e9, writes=[a], priority=0)
         g.submit("t", "p", 1e9, writes=[b], priority=10)
-        res = Simulator(cluster, PM, trace=True).run(g)
+        res = self.engine(cluster, PM, trace=True).run(g)
         first = res.task_records[0]
         assert first.tid == 1  # higher priority scheduled first
+
+
+class TestSequentialExecutionFast(TestSequentialExecution):
+    engine = FastSimulator
+
+
+class TestWorkerSelectionFast(TestWorkerSelection):
+    engine = FastSimulator
+
+
+class TestCommunicationFast(TestCommunication):
+    engine = FastSimulator
+
+
+class TestResultBookkeepingFast(TestResultBookkeeping):
+    engine = FastSimulator

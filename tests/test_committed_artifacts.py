@@ -7,10 +7,12 @@ under ``benchmarks/`` must therefore be free of keys that hold wall
 time: any key containing ``speedup``, any key ending in ``seconds``, and
 ``recorded_at``.  README also documents the one layout of the root
 reports: schema 2, each metric a ``{value, unit}`` pair with a unit from
-a closed set.
+a closed set.  The Figure 6 gains quoted in README and EXPERIMENTS are
+read back from ``benchmarks/out/fig6.txt``.
 """
 
 import json
+import re
 from pathlib import Path
 
 from repro.obs.sink import REPORT_UNITS
@@ -66,3 +68,46 @@ def test_root_reports_share_one_unit_carrying_schema():
             assert set(metric) == {"value", "unit"}, (path.name, name)
             assert isinstance(metric["value"], (int, float)), (path.name, name)
             assert metric["unit"] in UNITS, (path.name, name)
+
+
+#: Figure 6 columns, in the order of fig6.txt and of EXPERIMENTS' table.
+FIG6_COLUMNS = ("DC", "Right-Left", "Brent", "UCB", "UCB-struct", "GP-UCB",
+                "GP-discontinuous", "oracle")
+_GAIN_ROW = re.compile(r"^\s*\((\w)\)((?:\s+[+-]\d+\.\d%){8})\s*$")
+
+
+def _fig6_matrix():
+    """{scenario: {column: gain}} from the committed Figure 6 summary."""
+    text = (REPO_ROOT / "benchmarks" / "out" / "fig6.txt").read_text()
+    matrix = {}
+    for line in text.splitlines():
+        m = _GAIN_ROW.match(line)
+        if m:
+            gains = [float(g.rstrip("%")) for g in m.group(2).split()]
+            matrix[m.group(1)] = dict(zip(FIG6_COLUMNS, gains))
+    return matrix
+
+
+def test_experiments_gain_matrix_matches_fig6():
+    text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+    table = text.split("Measured gain matrix", 1)[1].split("\n\n", 2)[1]
+    quoted = {}
+    for line in table.splitlines()[2:]:
+        cells = [c.strip().strip("*") for c in line.strip("|").split("|")]
+        quoted[cells[0].strip("()")] = dict(
+            zip(FIG6_COLUMNS, map(float, cells[1:])))
+    matrix = _fig6_matrix()
+    assert len(quoted) == 16 and all(len(r) == 8 for r in quoted.values())
+    assert quoted == matrix
+
+
+def test_readme_figure6_gains_match_fig6():
+    text = " ".join((REPO_ROOT / "README.md").read_text().split())
+    best = re.search(r"\+(\d+\.\d) % \(scenario \((\w)\)", text)
+    p_gain = re.search(r"\((\w)\) at \+(\d+\.\d) %", text)
+    assert best and p_gain
+    gp_disc = {key: row["GP-discontinuous"]
+               for key, row in _fig6_matrix().items()}
+    assert gp_disc[best.group(2)] == float(best.group(1)) == max(
+        gp_disc.values())
+    assert gp_disc[p_gain.group(1)] == float(p_gain.group(2))
