@@ -183,16 +183,40 @@ class GaussianProcess:
             logdet = 2.0 * float(np.log(chol.diagonal()).sum())
             return 0.5 * (quad + logdet + const)
 
+        bounds = [(np.log(1e-10), np.log(1e12)), (np.log(lo), np.log(hi))]
+        upper = [b for _, b in bounds]
+
+        def value_and_grad(p):
+            """Objective and its 2-point forward difference, step 1e-8.
+
+            Exactly what L-BFGS-B's default ``approx_derivative`` computes:
+            the same operations at the same points (a backward step where
+            the forward one would pass the upper bound), so the optimizer
+            takes the same path, minus scipy's per-call wrapper cost.
+            scipy's other branches cannot trigger here: every bound
+            interval is wider than the step (theta's is log(hi / lo), 11.5
+            at the default bounds), and ``p + 1e-8 == p`` needs
+            |p| >= 2**27 (about 1.3e8) while the log-bounds stay within 28.
+            """
+            f0 = objective(p)
+            g = np.empty(p.size)
+            for i in range(p.size):
+                x1 = p.copy()
+                step = p[i] + 1e-8
+                x1[i] = step if step <= upper[i] else p[i] - 1e-8
+                g[i] = (objective(x1) - f0) / (x1[i] - p[i])
+            return f0, g
+
         starts = self.theta_starts or (span / 4.0, span, self.kernel.theta)
         best = None
         for theta0 in starts:
             theta0 = float(np.clip(theta0, lo, hi))
             res = minimize(
-                objective,
+                value_and_grad,
                 x0=np.log([alpha0, theta0]),
+                jac=True,
                 method="L-BFGS-B",
-                bounds=[(np.log(1e-10), np.log(1e12)),
-                        (np.log(lo), np.log(hi))],
+                bounds=bounds,
             )
             if best is None or res.fun < best.fun:
                 best = res

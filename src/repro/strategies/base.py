@@ -171,6 +171,11 @@ class Strategy:
         """Feed back the measured duration of an iteration run with ``n``."""
         if duration < 0:
             raise ValueError("duration must be non-negative")
+        tracer = get_tracer()
+        # The pick used beta_t at the pre-observation iteration count: read
+        # it for the decision log before appending, outside the overhead.
+        beta = (float(self.current_beta())
+                if tracer.enabled and hasattr(self, "current_beta") else None)
         t0 = self._clock()
         self.xs.append(int(n))
         self.ys.append(float(duration))
@@ -179,7 +184,6 @@ class Strategy:
         overhead = self._propose_elapsed + (self._clock() - t0)
         self._propose_elapsed = 0.0
         self.overheads.append(overhead)
-        tracer = get_tracer()
         if tracer.enabled:
             fields: Dict[str, object] = {
                 "strategy": self.name,
@@ -188,7 +192,7 @@ class Strategy:
                 "duration": float(duration),
                 "overhead_s": overhead,
             }
-            fields.update(self.decision_telemetry(int(n)))
+            fields.update(self.decision_telemetry(int(n), beta))
             tracer.event("decision", **fields)
 
     # -- hooks ----------------------------------------------------------------------
@@ -202,21 +206,22 @@ class Strategy:
     def _action_set(self) -> frozenset:
         return frozenset(self.space.actions)
 
-    def decision_telemetry(self, n: int) -> Dict[str, float]:
+    def decision_telemetry(self, n: int,
+                           beta: Optional[float]) -> Dict[str, float]:
         """Model-state fields for the decision log (empty for model-free).
 
         GP strategies (anything exposing a fitted ``gp`` plus the
         ``surrogate``/``current_beta`` protocol of Figure 4) report the
         posterior mean/sd at the chosen arm and the LCB acquisition value
-        the choice was based on.  Read-only: the queries are
-        deterministic predictions, so logging never perturbs the run.
+        the choice was based on, at the pick's ``beta`` (``None`` for
+        strategies without ``current_beta``).  Read-only: the queries
+        are deterministic predictions, so logging never perturbs the run.
         """
         if getattr(self, "gp", None) is None:
             return {}
-        if not (hasattr(self, "surrogate") and hasattr(self, "current_beta")):
+        if beta is None or not hasattr(self, "surrogate"):
             return {}
         mean, sd = self.surrogate(np.asarray([float(n)]))
-        beta = float(self.current_beta())
         return {
             "posterior_mean": float(mean[0]),
             "posterior_sd": float(sd[0]),

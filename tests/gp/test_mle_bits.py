@@ -7,6 +7,12 @@ start.  The fitted (alpha, theta) and the posterior mean/sd on the
 action grid must reproduce these values bit for bit: any change to the
 objective's floating-point operations or their order moves the
 L-BFGS-B path and fails here.
+
+The work pins count objective evaluations per fit, so a gradient that
+reaches the same optimum through more (or fewer) evaluations fails
+exactly, with no wall-time threshold.  A start on theta's upper bound
+forces the gradient's backward step.  The refit digest covers every
+(alpha, theta) of a whole GP-UCB run, warm starts included.
 """
 
 import hashlib
@@ -20,6 +26,10 @@ from repro.gp import (
     GaussianProcess,
     estimate_noise_variance,
 )
+from repro.strategies import ActionSpace
+from repro.strategies.gp_ucb import GPUCBStrategy
+
+from ..strategies.conftest import run_env, stepped
 
 ACTIONS = np.arange(40.0, 102.0)
 
@@ -38,6 +48,19 @@ PINNED = {
 }
 
 
+#: starts -> (objective evaluations, alpha.hex(), theta.hex()).  The
+#: upper-bound start sits on log(theta_bounds[1]), where a forward step
+#: would leave the box, so its first gradient steps backward.
+WORK = {
+    None: (213, "0x1.38afc227e463cp+12", "0x1.3b832a29bd450p+9"),
+    (9.0,): (54, "0x1.38a3709d2a074p+12", "0x1.3b7489708effep+9"),
+    (1e3,): (51, "0x1.38a73b9e03f35p+12", "0x1.3b7942deab017p+9"),
+}
+
+#: sha256 over "alpha.hex(),theta.hex()" of every refit, joined by ";".
+REFITS = (56, "39801e94ba067852cb118f8b9fa5ba177b7d71af1ad6e10581969b5a9cf44857")
+
+
 def dataset():
     rng = np.random.default_rng(19)
     sweep = ACTIONS[::-1]
@@ -52,19 +75,63 @@ def posterior_digest(mean, sd):
     return hashlib.sha256(hexes.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("starts", list(PINNED), ids=["multi-start", "warm"])
-def test_fit_and_posterior_bits(starts):
+def make_gp(starts):
     xs, ys = dataset()
-    assert xs.size == 100 and np.unique(xs).size == ACTIONS.size
-    gp = GaussianProcess(
+    return GaussianProcess(
         kernel=Exponential(theta=ACTIONS.size / 4.0),
         trend=ConstantTrend(),
         noise_var=estimate_noise_variance(xs, ys),
         optimize=True,
         theta_starts=starts,
-    ).fit(xs, ys)
+    )
+
+
+@pytest.mark.parametrize("starts", list(PINNED), ids=["multi-start", "warm"])
+def test_fit_and_posterior_bits(starts):
+    xs, ys = dataset()
+    assert xs.size == 100 and np.unique(xs).size == ACTIONS.size
+    gp = make_gp(starts).fit(xs, ys)
     mean, sd = gp.predict(ACTIONS)
     alpha_hex, theta_hex, digest = PINNED[starts]
     assert gp.fit_.alpha.hex() == alpha_hex
     assert gp.fit_.theta.hex() == theta_hex
     assert posterior_digest(mean, sd) == digest
+
+
+@pytest.mark.parametrize("starts", list(WORK),
+                         ids=["multi-start", "warm", "upper-bound"])
+def test_objective_evaluations_per_fit(starts):
+    """Each objective evaluation factors K once; ``_assemble`` once more."""
+    gp = make_gp(starts)
+    factor = gp._cholesky
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return factor(*args)
+
+    gp._cholesky = counted
+    gp.fit(*dataset())
+    evaluations, alpha_hex, theta_hex = WORK[starts]
+    assert len(calls) - 1 == evaluations
+    assert gp.fit_.alpha.hex() == alpha_hex
+    assert gp.fit_.theta.hex() == theta_hex
+
+
+def test_gp_ucb_refit_digest():
+    space = ActionSpace(actions=tuple(range(2, 15)), n_total=14,
+                        group_boundaries=(2, 8, 14))
+    strategy = GPUCBStrategy(space)
+    refit = strategy.refit
+    fits = []
+
+    def recorded():
+        gp = refit()
+        fits.append(f"{gp.fit_.alpha.hex()},{gp.fit_.theta.hex()}")
+        return gp
+
+    strategy.refit = recorded
+    run_env(strategy, stepped, 60, noise_sd=0.3, seed=3)
+    count, digest = REFITS
+    assert len(fits) == count
+    assert hashlib.sha256(";".join(fits).encode()).hexdigest() == digest

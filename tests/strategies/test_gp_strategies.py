@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.strategies import (
     GPDiscontinuousStrategy,
     GPUCBStrategy,
@@ -127,6 +128,47 @@ class TestGPDiscontinuous:
                     30, noise_sd=0.1, seed=3)
         most = max(set(s.xs), key=s.times_selected)
         assert abs(most - 9) <= 2  # optimum of 32/n + .4n is ~8.9
+
+
+class TestDecisionLog:
+    @pytest.mark.parametrize("cls", [GPUCBStrategy, GPDiscontinuousStrategy])
+    def test_logged_acquisition_is_the_picks(self, cls, space14_lp):
+        """The decision log reports the acquisition value the pick used.
+
+        ``_next_action`` minimizes ``baseline + LCB(beta_t)``; the logged
+        ``acquisition`` must be that array's value at the chosen arm,
+        not one recomputed with the next iteration's beta.
+        """
+        strategy = cls(space14_lp)
+        refit = strategy.refit
+        picked = []
+
+        def recorded():
+            gp = refit()
+            lcb = gp.lower_confidence_bound
+
+            def traced_lcb(grid, beta):
+                values = lcb(grid, beta)
+                acq = strategy._baseline(grid) + values
+                picked.append(dict(zip(grid.astype(int).tolist(), acq)))
+                return values
+
+            gp.lower_confidence_bound = traced_lcb
+            return gp
+
+        strategy.refit = recorded
+        tracer = obs.start_trace(ticks=True)
+        try:
+            run_env(strategy, stepped, 20, noise_sd=0.2, seed=1)
+            decisions = [r for r in tracer.sink.records
+                         if r["kind"] == "decision" and "acquisition" in r]
+        finally:
+            obs.finish_trace()
+        # Every decision after the initial design followed a refit.
+        assert len(decisions) == len(picked) >= 10
+        for record, acq in zip(decisions, picked):
+            assert record["acquisition"] == pytest.approx(
+                acq[record["arm"]], rel=1e-9)
 
 
 class TestRegistry:

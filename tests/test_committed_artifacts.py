@@ -8,12 +8,16 @@ time: any key containing ``speedup``, any key ending in ``seconds``, and
 ``recorded_at``.  README also documents the one layout of the root
 reports: schema 2, each metric a ``{value, unit}`` pair with a unit from
 a closed set.  The Figure 6 gains quoted in README and EXPERIMENTS are
-read back from ``benchmarks/out/fig6.txt``.
+read back from ``benchmarks/out/fig6.txt``.  Every file path README,
+DESIGN and EXPERIMENTS put in backticks must exist in the checkout, or
+be a file some command writes on demand, listed in ``GENERATED`` with
+that command.
 """
 
 import json
+import os
 import re
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from repro.obs.sink import REPORT_UNITS
 
@@ -111,3 +115,68 @@ def test_readme_figure6_gains_match_fig6():
     assert gp_disc[best.group(2)] == float(best.group(1)) == max(
         gp_disc.values())
     assert gp_disc[p_gain.group(1)] == float(p_gain.group(2))
+
+
+#: Paths the docs cite that a command writes on demand, never committed,
+#: mapped to the command that writes them.
+GENERATED = {
+    ".repro_cache/": "any sweep (`repro sweep`, `compare`, `fig6`): "
+                     "the default REPRO_CACHE_DIR",
+    "TIMELINE_<s>.trace.json": "repro timeline <s>",
+    "TIMELINE_<s>.csv": "repro timeline <s>",
+    "TIMELINE_<s>.html": "repro timeline <s>",
+    "BENCH_fuzz.json": "repro fuzz run",
+}
+
+_TICKED = re.compile(r"`([^`\s]+)`")
+#: A relative path, glob or ``<placeholder>`` name: no spaces, calls or
+#: leading "/" (which excludes ``1/tick``, ``float(...)`` and ``/``).
+_PATHLIKE = re.compile(r"^[A-Za-z_][\w.<>*-]*(/[\w.<>*-]+)*/?$")
+#: What makes a path-like token a file: one of these extensions.  Module
+#: names (``repro.gp``) and metric names (``gp.fit_ms_p50``) have none.
+_FILE = re.compile(r"\.(py|json|jsonl|txt|md|toml|ya?ml|html|csv|svg)$")
+
+
+def _checkout():
+    """Relative file and directory paths of the working tree.
+
+    Untracked files count too, so only a clean checkout (CI) catches a
+    cited file that exists only locally.
+    """
+    files, dirs = [], []
+    for here, subdirs, names in os.walk(REPO_ROOT):
+        subdirs[:] = [d for d in subdirs if d not in (".git", "__pycache__")]
+        rel = PurePosixPath(Path(here).relative_to(REPO_ROOT).as_posix())
+        dirs.append(rel)
+        files.extend(rel / name for name in names)
+    return files, dirs
+
+
+def _cited_paths(doc):
+    """(line number, token) of every backticked file or directory path.
+
+    A directory ends in "/", a file in a known extension; a dotted token
+    without "/" (``.trace.json``) is an extension, not a path.
+    """
+    for number, line in enumerate(doc.read_text().splitlines(), 1):
+        for token in _TICKED.findall(line):
+            if token.startswith(".") and "/" not in token:
+                continue
+            if _PATHLIKE.match(token.lstrip(".")) and (
+                    token.endswith("/") or _FILE.search(token)):
+                yield number, token
+
+
+def test_doc_file_paths_exist_or_are_generated():
+    """A bare name (``simulator.py``) or partial path (``gp/regression.py``)
+    resolves against the tail of any checkout path, globs included."""
+    files, dirs = _checkout()
+    missing = []
+    for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        for number, token in _cited_paths(REPO_ROOT / name):
+            if token in GENERATED:
+                continue
+            pool = dirs if token.endswith("/") else files
+            if not any(p.match(token.rstrip("/")) for p in pool):
+                missing.append(f"{name}:{number}: {token}")
+    assert missing == []
