@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.analysis",
         description=(
             "Static analysis for the reproduction: determinism auditor, "
-            "strategy-contract linter, float-equality, hygiene, "
-            "process-pool and registry-coverage rules."
+            "strategy-contract linter, float-equality, hygiene and "
+            "registry-coverage rules."
         ),
     )
     parser.add_argument(

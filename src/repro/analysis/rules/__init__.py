@@ -8,13 +8,12 @@ Adding a rule: create (or extend) a module here with a
 
 from __future__ import annotations
 
-from . import contracts, determinism, floats, hygiene, pool, registry_sync
+from . import contracts, determinism, floats, hygiene, registry_sync
 
 __all__ = [
     "contracts",
     "determinism",
     "floats",
     "hygiene",
-    "pool",
     "registry_sync",
 ]

@@ -299,7 +299,6 @@ def _cmd_faults_run(args) -> None:
             strategies=args.strategies or None,
             iterations=args.iterations,
             reps=args.reps,
-            workers=args.workers,
             seed=args.seed,
         )
         print(f"fault campaign on {bank.label}: "
@@ -363,9 +362,7 @@ def _cmd_fuzz_run(args) -> None:
     config = PropertyConfig(
         iterations=args.iterations,
         regret_bound=args.bound,
-        workers=args.workers,
         strategies=tuple(args.strategies) if args.strategies else None,
-        check_workers=not args.no_workers_check,
     )
 
     def progress(done: int, total: int) -> None:
@@ -473,12 +470,8 @@ def _cmd_fuzz_promote(args) -> None:
         regret_bound=args.bound,
         strategies=(args.strategy,),
         check_replay=args.check == "replay",
-        check_workers=False,
     )
-    outcome = check_platform(
-        platform, config,
-        check_workers=args.check == "workers-equivalence",
-    )
+    outcome = check_platform(platform, config)
     matches = [f for f in outcome.failures if f.check == args.check]
     if not matches:
         print(f"property {args.check!r} holds for {args.strategy} on "
@@ -677,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "wrappers)")
     pp.add_argument("--iterations", type=_fault_iterations, default=60)
     pp.add_argument("--reps", type=_count, default=5)
-    pp.add_argument("--workers", type=_count, default=1)
     pp.add_argument("--seed", type=int, default=0,
                     help="schedule seed (interference jitter streams)")
     pp.add_argument("--out", default="BENCH_faults.json",
@@ -735,10 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="workload families (cholesky, msr; default both)")
     pp.add_argument("--strategies", nargs="+", default=[], type=_strategy,
                     help="strategy names (default: every registered one)")
-    pp.add_argument("--workers", type=_count, default=1,
-                    help="harness workers of the main run")
-    pp.add_argument("--no-workers-check", action="store_true",
-                    help="skip the workers=1 vs 2 equivalence property")
     pp.add_argument("--out", default="BENCH_fuzz.json",
                     help="canonical report JSON ('' disables)")
     pp.add_argument("--artifact-dir",
@@ -763,8 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--strategy", required=True, type=_strategy,
                     help="registered strategy name")
     pp.add_argument("--check", required=True,
-                    choices=("regret-bound", "regret-monotone", "replay",
-                             "workers-equivalence"))
+                    choices=("regret-bound", "regret-monotone", "replay"))
     pp.add_argument("--dir", default=str(Path("tests") / "goldens" / "fuzz"),
                     help="output directory of the promoted scenario")
     _fuzz_common(pp)

@@ -80,13 +80,11 @@ def figure1(scenario_key: str = "b") -> Figure1Result:
 
 
 def figure2_banks(
-    progress: bool = False, workers: int = 0, cache=None
+    progress: bool = False, cache=None
 ) -> Dict[str, MeasurementBank]:
     """The three representative sweeps of Figure 2 ((c), (i), (p))."""
     return {
-        key: cached_bank(
-            get_scenario(key), progress=progress, workers=workers, cache=cache
-        )
+        key: cached_bank(get_scenario(key), progress=progress, cache=cache)
         for key in FIGURE2_KEYS
     }
 
@@ -94,20 +92,17 @@ def figure2_banks(
 def figure5_banks(
     progress: bool = False,
     include_rigid: bool = True,
-    workers: int = 0,
     cache=None,
 ) -> Dict[str, MeasurementBank]:
     """All 16 sweeps of Figure 5 (with the rigid gen=fact line).
 
-    ``workers`` forwards to the sweep process pool (0 = honour
-    ``REPRO_SWEEP_WORKERS``); ``cache`` is an optional
-    :class:`~repro.evaluate.cache.DurationCache` shared across the 16
-    sweeps so repeated drivers skip the simulations entirely.
+    ``cache`` is an optional :class:`~repro.evaluate.cache.DurationCache`
+    shared across the 16 sweeps so repeated drivers skip the simulations
+    entirely.
     """
     return {
         s.key: cached_bank(
-            s, include_rigid=include_rigid, progress=progress,
-            workers=workers, cache=cache,
+            s, include_rigid=include_rigid, progress=progress, cache=cache,
         )
         for s in all_scenarios()
     }
@@ -223,19 +218,13 @@ def figure6(
     iterations: int = config.EVAL_ITERATIONS,
     reps: int = config.EVAL_REPETITIONS,
     progress: bool = False,
-    workers: int = 1,
 ) -> Dict[str, ScenarioEvaluation]:
-    """All strategies on all scenarios (the paper's headline figure).
-
-    ``workers > 1`` fans the evaluation grid out over a process pool;
-    the result is byte-identical to the serial run (see
-    :mod:`repro.evaluate.parallel`).
-    """
+    """All strategies on all scenarios (the paper's headline figure)."""
     if banks is None:
         banks = figure5_banks(progress=progress, include_rigid=False)
     return evaluate_scenarios(
         banks, strategies, iterations=iterations, reps=reps,
-        progress=progress, workers=workers,
+        progress=progress,
     )
 
 

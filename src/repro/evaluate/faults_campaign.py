@@ -6,7 +6,7 @@ the canned fault schedules of :func:`repro.faults.models.canned_schedules`
 and comparing each raw strategy against its ``Resilient(<name>)``
 wrapper.  The cells run through the standard harness
 (:func:`repro.evaluate.parallel.run_cells` with an injector), so every
-campaign is byte-identical for any worker count.
+campaign is deterministic.
 
 Regret accounting uses *expected* durations: the injector knows the
 expected perturbed duration of every (iteration, action) pair given the
@@ -179,7 +179,6 @@ def run_campaign(
     iterations: int = 60,
     reps: int = 5,
     base_seed: int = 0,
-    workers: int = 1,
     seed: int = 0,
     progress=None,
 ) -> CampaignResult:
@@ -190,7 +189,7 @@ def run_campaign(
     ``strategies`` defaults to :func:`campaign_strategies` (raw and
     resilient variants of DC, UCB and GP-discontinuous).  Schedules run
     in sorted label order and cells in :func:`plan_cells` order, so the
-    result is deterministic and worker-count independent.
+    result is deterministic.
     """
     if schedules is None:
         canned = canned_schedules(bank.n_total, iterations, seed=seed)
@@ -208,7 +207,7 @@ def run_campaign(
     tracer = get_tracer()
     with tracer.span("faults.campaign", scenario=label,
                      schedules=len(schedules), strategies=len(names),
-                     reps=reps, workers=workers):
+                     reps=reps):
         for key in sorted(schedules):
             schedule = schedules[key]
             injector = FaultInjector(schedule, bank.actions, iterations)
@@ -220,7 +219,7 @@ def run_campaign(
                                include_baselines=False)
             cell_results = run_cells(
                 {label: bank}, cells, iterations, base_seed,
-                workers=workers, progress=progress, injector=injector,
+                progress=progress, injector=injector,
             )
             by_strategy: Dict[str, List[CellResult]] = {}
             for r in cell_results:

@@ -1,30 +1,25 @@
-"""Process-pool experiment harness: deterministic cell-level fan-out.
+"""Cell harness: the evaluation grid as independent, seeded cells.
 
 The Figure 6 protocol is a grid of independent *cells*: one cell is one
 repetition of one strategy on one scenario bank (the paper: 16 scenarios
-x ~10 strategies x 30 repetitions x 127 iterations).  Serially that grid
-dominates the full-figure drivers' wall-clock; but every cell is
+x ~10 strategies x 30 repetitions x 127 iterations).  Every cell is
 self-contained -- its randomness comes from a per-cell seed, its inputs
-are a read-only measurement bank -- so cells fan out over a
-``ProcessPoolExecutor`` and the results are **byte-identical** to the
-serial path for any worker count:
+are a read-only measurement bank -- and cells run serially in plan
+order:
 
 * :func:`derive_cell_seed` derives the seed-sequence entropy of a cell
   from the strategy name and repetition index alone (a stable CRC-32
-  content hash -- never ``hash()``, never worker/submission order).  It
-  reproduces the historical serial derivation exactly, so ``workers=1``
-  and the pre-harness code agree bit-for-bit; the scenario enters
-  through the bank each cell resamples, which decorrelates scenarios
-  without touching the seed stream.
-* :func:`run_cells` submits cells in deterministic order with chunked
-  scheduling and collects results *in input order* (``pool.map``), so
-  aggregation downstream never observes completion order.
-* :func:`rebuild_app` is the pickle-safe worker rebuild used by the
-  sweep layer: workers receive only the (cheaply picklable) scenario and
-  rebuild the cluster/application locally.
+  content hash -- never ``hash()``, never run order).  It reproduces the
+  historical derivation exactly; the scenario enters through the bank
+  each cell resamples, which decorrelates scenarios without touching
+  the seed stream.
+* :func:`plan_cells` fixes the cell order and :func:`run_cells` returns
+  results in that order, so aggregation downstream is deterministic.
+* :func:`run_cell_captured` gives every traced cell a private tick
+  clock, so a cell's trace bytes depend only on the cell's identity.
 
-See DESIGN.md ("Parallel evaluation harness") for the seed-derivation
-and cache-key contracts.
+See DESIGN.md ("Cell harness") for the seed-derivation and cache-key
+contracts.
 """
 
 from __future__ import annotations
@@ -32,22 +27,12 @@ from __future__ import annotations
 import os
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import (
-    NULL_TRACER,
-    MemorySink,
-    TickClock,
-    Tracer,
-    WallClock,
-    get_tracer,
-    scoped,
-    set_tracer,
-)
+from ..obs import MemorySink, TickClock, Tracer, WallClock, get_tracer, scoped
 from ..strategies import AllNodesStrategy, OracleStrategy, make_strategy
 
 #: Sentinel "strategy names" for the two Figure 6 baseline rows.  Real
@@ -69,10 +54,10 @@ def derive_cell_seed(
 
     Stable content hash: ``(base_seed, rep, crc32(strategy name))`` for
     strategies and ``(base_seed, rep, 0xBA5E)`` for the baseline rows --
-    a pure function of the cell's identity, independent of worker count,
-    submission order and platform (CRC-32 is specified byte-exact, unlike
+    a pure function of the cell's identity, independent of run order
+    and platform (CRC-32 is specified byte-exact, unlike
     Python's salted ``hash()``).  This is exactly the derivation the
-    serial runner has always used, so resampling streams are unchanged.
+    runner has always used, so resampling streams are unchanged.
     """
     if strategy in (ALL_NODES_CELL, ORACLE_CELL):
         return (base_seed, rep, BASELINE_TAG)
@@ -96,9 +81,6 @@ class CellResult:
     total: float                 # sum of iteration durations
     chosen: np.ndarray           # (iterations,) actions, int
     durations: np.ndarray        # (iterations,) resampled durations
-    #: Obs events captured while the cell ran (None when tracing is off);
-    #: merged into the parent trace at collection, in cell input order.
-    events: Optional[List[dict]] = None
 
 
 def run_cell_trace(
@@ -106,10 +88,10 @@ def run_cell_trace(
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """The propose/resample/observe loop, returning the full trace.
 
-    Single implementation shared by the serial runner
-    (:func:`repro.evaluate.runner.run_strategy_once` delegates here) and
-    the pool workers; the running ``total += y`` accumulation is the
-    historical one, so totals are bit-identical everywhere.
+    Single implementation shared by :func:`execute_cell` and
+    :func:`repro.evaluate.runner.run_strategy_once`; the running
+    ``total += y`` accumulation is the historical one, so totals are
+    bit-identical everywhere.
 
     ``injector`` (a :class:`repro.faults.injector.FaultInjector`)
     perturbs each iteration: the platform announces its current state
@@ -143,7 +125,7 @@ def run_cell_trace(
 
 
 def build_cell_strategy(cell: EvalCell, bank, base_seed: int = 0):
-    """Instantiate the strategy of a cell exactly as the serial runner does.
+    """Instantiate the strategy of a cell.
 
     Baselines use ``seed=rep`` and strategies ``seed=rep + base_seed``
     (the historical asymmetry, preserved for bit-compatibility); the
@@ -163,7 +145,7 @@ def build_cell_strategy(cell: EvalCell, bank, base_seed: int = 0):
 def execute_cell(
     cell: EvalCell, bank, iterations: int, base_seed: int = 0, injector=None
 ) -> CellResult:
-    """Run one cell start-to-finish (also the pool worker body)."""
+    """Run one cell start-to-finish."""
     rng = np.random.default_rng(
         derive_cell_seed(cell.strategy, cell.rep, base_seed)
     )
@@ -197,53 +179,34 @@ def execute_cell(
 # -- per-cell trace capture --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceConfig:
-    """Picklable description of the parent's tracing mode for workers."""
-
-    enabled: bool = False
-    ticks: bool = False
-
-
-def active_trace_config() -> TraceConfig:
-    """Snapshot of the active tracer, shippable to pool initializers."""
-    tracer = get_tracer()
-    return TraceConfig(
-        enabled=tracer.enabled,
-        ticks=isinstance(tracer.clock, TickClock),
-    )
-
-
 def run_cell_captured(
-    cell: EvalCell, bank, iterations: int, base_seed: int, cfg: TraceConfig,
-    injector=None,
+    cell: EvalCell, bank, iterations: int, base_seed: int = 0, injector=None
 ) -> CellResult:
-    """Execute one cell, capturing its obs events under a private tracer.
+    """Execute one cell, forwarding its obs events to the active trace.
 
-    Every traced cell gets a fresh buffer and a fresh clock (ticks start
-    at 0 in deterministic mode), so the captured byte stream depends only
-    on the cell's identity -- not on the worker that ran it, the worker
-    count, or which cells ran before it.  Captured events are annotated
-    with the cell id and a worker attribution (the stable cell id in
-    deterministic mode, the pid in wall mode) and returned on the result
-    for in-order merging by :func:`run_cells`.
+    Every traced cell runs under a private tracer with a fresh buffer and
+    a fresh clock (ticks start at 0 in deterministic mode), so the
+    captured byte stream depends only on the cell's identity -- not on
+    which cells ran before it.  Captured events are annotated with the
+    cell id and a worker attribution (the stable cell id in deterministic
+    mode, the pid in wall mode) and then forwarded to the active tracer.
     """
-    if not cfg.enabled:
+    parent = get_tracer()
+    if not parent.enabled:
         return execute_cell(cell, bank, iterations, base_seed, injector)
+    ticks = isinstance(parent.clock, TickClock)
     sink = MemorySink()
-    tracer = Tracer(
-        sink=sink, clock=TickClock() if cfg.ticks else WallClock()
-    )
+    tracer = Tracer(sink=sink, clock=TickClock() if ticks else WallClock())
     with scoped(tracer):
         result = execute_cell(cell, bank, iterations, base_seed, injector)
     # No tracer.close(): cells emit no registry counters, and a per-cell
     # summary record would only bloat the merged trace.
     cell_id = f"{cell.scenario}/{cell.strategy}/{cell.rep}"
-    worker = cell_id if cfg.ticks else f"pid{os.getpid()}"
+    worker = cell_id if ticks else f"pid{os.getpid()}"
     for record in sink.records:
         record["cell_id"] = cell_id
         record["worker"] = worker
-    result.events = sink.records
+        parent.emit_raw(record)
     return result
 
 
@@ -270,48 +233,6 @@ def plan_cells(
     ]
 
 
-def default_chunksize(n_cells: int, workers: int) -> int:
-    """Batch size for pool submission: ~4 chunks per worker, capped."""
-    if n_cells <= 0:
-        return 1
-    return max(1, min(32, n_cells // (workers * 4) or 1))
-
-
-# -- pool plumbing ---------------------------------------------------------------
-
-#: Worker-process state installed by the pool initializer (banks are
-#: pickled once per worker instead of once per cell).
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _pool_init(
-    banks, iterations: int, base_seed: int,
-    trace_cfg: TraceConfig = TraceConfig(),
-    injector=None,
-) -> None:
-    _WORKER_STATE["banks"] = banks
-    _WORKER_STATE["iterations"] = iterations
-    _WORKER_STATE["base_seed"] = base_seed
-    _WORKER_STATE["trace_cfg"] = trace_cfg
-    _WORKER_STATE["injector"] = injector
-    # A forked worker inherits the parent's active tracer (and its open
-    # sink).  Workers must never write to it -- cell events are captured
-    # per cell and merged by the parent -- so disable it outright.
-    set_tracer(NULL_TRACER)
-
-
-def _pool_run(cell: EvalCell) -> CellResult:
-    banks = _WORKER_STATE["banks"]
-    return run_cell_captured(
-        cell,
-        banks[cell.scenario],
-        _WORKER_STATE["iterations"],
-        _WORKER_STATE["base_seed"],
-        _WORKER_STATE["trace_cfg"],
-        _WORKER_STATE.get("injector"),
-    )
-
-
 def stderr_progress(label: str) -> ProgressFn:
     """A ``ProgressFn`` printing ``label: done/total`` to stderr."""
 
@@ -329,109 +250,23 @@ def run_cells(
     cells: Sequence[EvalCell],
     iterations: int,
     base_seed: int = 0,
-    workers: int = 1,
-    chunksize: int = 0,
     progress: "ProgressFn | None" = None,
     injector=None,
 ) -> List[CellResult]:
-    """Execute cells, returning results in *input* order.
-
-    ``workers=1`` runs in-process; ``workers>1`` fans out over a
-    ``ProcessPoolExecutor`` with chunked scheduling.  Collection uses
-    ``pool.map``, which yields in submission order regardless of
-    completion order, so the output is byte-identical for any worker
-    count.  Banks must be stateless across resamples (plain
-    :class:`~repro.measure.bank.MeasurementBank`); stateful sources such
-    as ``DriftingBank`` carry cross-cell regime clocks that a process
-    pool cannot share, so they are rejected.
+    """Execute cells in order, returning their results in that order.
 
     ``injector`` applies one fault schedule to *every* cell: it is a
-    stateless pure function of the cell-local iteration index, shipped
-    once per worker through the pool initializer, so fault application
-    is bit-identical for any worker count.
+    stateless pure function of the cell-local iteration index, so each
+    cell sees the same perturbations whatever ran before it.  Stateful
+    banks such as ``DriftingBank`` keep their regime clock across cells.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     cells = list(cells)
     total = len(cells)
-    trace_cfg = active_trace_config()
     results: List[CellResult] = []
-    if workers == 1:
-        for i, cell in enumerate(cells):
-            results.append(run_cell_captured(
-                cell, banks[cell.scenario], iterations, base_seed, trace_cfg,
-                injector,
-            ))
-            if progress is not None:
-                progress(i + 1, total)
-        _merge_cell_events(results)
-        return results
-
-    for key in sorted({c.scenario for c in cells}):
-        if hasattr(banks[key], "reset"):
-            raise ValueError(
-                f"bank {key!r} is stateful (has reset()); drifting banks "
-                "share a regime clock across cells and only support "
-                "workers=1"
-            )
-    parent_tracer = get_tracer()
-    if parent_tracer.enabled:
-        # Forked children duplicate the sink's userspace buffer; drain it
-        # now so their exit-time flush cannot replay buffered lines.
-        parent_tracer.sink.flush()
-    chunksize = chunksize or default_chunksize(total, workers)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_pool_init,
-        initargs=(banks, iterations, base_seed, trace_cfg, injector),
-    ) as pool:
-        for i, result in enumerate(
-            pool.map(_pool_run, cells, chunksize=chunksize)
-        ):
-            results.append(result)
-            if progress is not None:
-                progress(i + 1, total)
-    _merge_cell_events(results)
+    for i, cell in enumerate(cells):
+        results.append(run_cell_captured(
+            cell, banks[cell.scenario], iterations, base_seed, injector,
+        ))
+        if progress is not None:
+            progress(i + 1, total)
     return results
-
-
-def _merge_cell_events(results: Sequence[CellResult]) -> None:
-    """Re-emit captured per-cell events into the parent trace.
-
-    Results arrive in cell input order (``pool.map`` preserves it), so
-    the merged stream -- and therefore the trace bytes under the
-    deterministic clock -- is identical for every worker count.
-    """
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return
-    for result in results:
-        for record in result.events or ():
-            tracer.emit_raw(record)
-
-
-# -- worker-side scenario rebuild -------------------------------------------------
-
-
-def rebuild_app(scenario, tiles: int):
-    """Pickle-safe rebuild of a scenario's application in a worker.
-
-    Pool workers receive only the frozen :class:`Scenario` dataclass and
-    the tile count -- both cheap to pickle -- and rebuild the cluster,
-    workload and application locally (cheap against the simulation they
-    are about to run).  The tile count is pinned through the scenario's
-    ``REPRO_TILES_*`` environment variable so the worker resolves the
-    same workload geometry as the parent, whatever its inherited
-    environment.  Returns ``(app, cluster, workload)``.
-
-    Shared by :func:`repro.measure.sweep._measure_action` and any future
-    worker needing simulator access; unit-tested directly in
-    ``tests/evaluate/test_parallel_harness.py``.
-    """
-    os.environ[f"REPRO_TILES_{scenario.workload}"] = str(tiles)
-    from ..geostat import ExaGeoStat
-    from ..workload import Workload
-
-    workload = Workload.from_name(scenario.workload)
-    cluster = scenario.build_cluster()
-    return ExaGeoStat(cluster, workload), cluster, workload

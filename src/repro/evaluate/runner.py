@@ -9,12 +9,10 @@ configuration.
 Every (scenario, strategy, repetition) cell is independent, so the whole
 grid routes through the cell harness of :mod:`repro.evaluate.parallel`:
 seeds are derived per cell by :func:`~repro.evaluate.parallel.derive_cell_seed`
-(the historical serial derivation, so totals are bit-identical to the
-pre-harness code) and results are collected in deterministic order,
-making any worker count byte-identical to ``workers=1`` (the default).
-Routing the serial path through the same cells means every evaluation --
-serial or pooled -- emits the same per-cell obs spans and decision logs
-when a trace is active.
+(the historical derivation, so totals are bit-identical to the
+pre-harness code) and results are collected in plan order.  Routing
+every evaluation through the same cells means each one emits the same
+per-cell obs spans and decision logs when a trace is active.
 """
 
 from __future__ import annotations
@@ -57,22 +55,18 @@ def run_strategy(
     iterations: int = config.EVAL_ITERATIONS,
     reps: int = config.EVAL_REPETITIONS,
     base_seed: int = 0,
-    workers: int = 1,
     injector=None,
 ) -> np.ndarray:
     """Totals of ``reps`` independent runs of a named strategy.
 
-    ``workers > 1`` fans repetitions out over a process pool; totals are
-    bit-identical to the serial path for any worker count.  ``injector``
-    (a :class:`repro.faults.injector.FaultInjector`) perturbs every
-    repetition identically; ``None`` leaves the stationary path
-    byte-untouched.
+    ``injector`` (a :class:`repro.faults.injector.FaultInjector`)
+    perturbs every repetition identically; ``None`` leaves the
+    stationary path byte-untouched.
     """
     label = getattr(bank, "label", "_")
     cells = [EvalCell(label, name, rep) for rep in range(reps)]
     results = run_cells(
-        {label: bank}, cells, iterations, base_seed, workers=workers,
-        injector=injector,
+        {label: bank}, cells, iterations, base_seed, injector=injector,
     )
     return np.asarray([r.total for r in results])
 
@@ -108,8 +102,7 @@ def assemble_evaluations(
 
     Results must come from :func:`repro.evaluate.parallel.run_cells` over
     a :func:`plan_cells` plan (repetition order within each (scenario,
-    strategy) group is what makes the aggregation byte-identical to the
-    serial path).
+    strategy) group fixes the aggregation's floating-point order).
     """
     totals: Dict[tuple, List[float]] = {}
     for result in results:
@@ -146,12 +139,18 @@ def evaluate_scenario(
     workers: int = 1,
     injector=None,
 ) -> ScenarioEvaluation:
-    """Run every strategy on one bank (one Figure 6 panel)."""
+    """Run every strategy on one bank (one Figure 6 panel).
+
+    The harness is serial, so ``workers`` accepts only ``1``; the
+    parameter stays for callers that still pass it.
+    """
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (the harness is serial), "
+                         f"got {workers!r}")
     label = getattr(bank, "label", "_")
     cells = plan_cells([label], strategies, reps)
     results = run_cells(
-        {label: bank}, cells, iterations, base_seed, workers=workers,
-        injector=injector,
+        {label: bank}, cells, iterations, base_seed, injector=injector,
     )
     return assemble_evaluations({label: bank}, strategies, results)[label]
 
@@ -162,26 +161,23 @@ def evaluate_scenarios(
     iterations: int = config.EVAL_ITERATIONS,
     reps: int = config.EVAL_REPETITIONS,
     progress: bool = False,
-    workers: int = 1,
     progress_cb: Optional[ProgressFn] = None,
     injector=None,
 ) -> Dict[str, ScenarioEvaluation]:
     """Figure 6: every strategy on every scenario bank.
 
-    ``workers > 1`` fans the whole (scenario, strategy, repetition) grid
-    out over one process pool (better load balance than per-scenario
-    pools); output is byte-identical to ``workers=1``.  ``progress_cb``
-    receives ``(cells done, cells total)``.  ``injector`` applies one
-    fault schedule across the grid (``None`` = stationary, the default).
+    ``progress_cb`` receives ``(cells done, cells total)``.  ``injector``
+    applies one fault schedule across the grid (``None`` = stationary,
+    the default).
     """
     cells = plan_cells(banks, strategies, reps)
     if progress_cb is None and progress:
         progress_cb = stderr_progress("evaluating cells")
     tracer = get_tracer()
     with tracer.span("evaluate.scenarios", scenarios=len(banks),
-                     cells=len(cells), workers=workers):
+                     cells=len(cells)):
         results = run_cells(
-            banks, cells, iterations, workers=workers, progress=progress_cb,
+            banks, cells, iterations, progress=progress_cb,
             injector=injector,
         )
         return assemble_evaluations(banks, strategies, results)

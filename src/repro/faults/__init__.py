@@ -8,8 +8,8 @@ the non-stationary experiment axis the ROADMAP asks for, in four layers:
   degradation), content-fingerprinted and seed-deterministic;
 * :mod:`repro.faults.injector` -- applies a schedule at the
   bank/PerfModel boundary as a pure function of ``(iteration,
-  action)``, so ``workers=1`` and ``workers=N`` perturb bit-identically
-  and the duration cache never serves stale stationary results;
+  action)``, so every cell is perturbed identically and the duration
+  cache never serves stale stationary results;
 * :mod:`repro.faults.detector` -- online Page-Hinkley / sliding-window
   change-point detection with a pinned stationary false-positive bound;
 * :mod:`repro.faults.resilience` -- the ``Resilient(<strategy>)``

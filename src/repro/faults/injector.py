@@ -8,10 +8,8 @@ exactly that boundary:
 
 * :class:`FaultInjector` perturbs the *resampled* duration of each
   iteration -- a pure function of ``(iteration, action)`` given the
-  schedule, so the perturbation is bit-identical at ``workers=1`` and
-  ``workers=N`` (the cell harness of :mod:`repro.evaluate.parallel`
-  passes the injector to every worker and each cell derives nothing
-  from process identity);
+  schedule, so every cell of the harness in :mod:`repro.evaluate.parallel`
+  sees the same perturbations whatever ran before it;
 * :func:`faulted_perfmodel` derives a degraded
   :class:`~repro.runtime.perfmodel.PerfModel` snapshot for
   timeline-level studies, whose :meth:`fingerprint` differs from the
@@ -22,13 +20,13 @@ exactly that boundary:
 
 The injector is **stateless across cells**: it precomputes per-iteration
 state (crash counts, jittered interference shifts) once at construction
-from the schedule and its seed, then answers pure queries.  It is
-picklable, so one instance is shipped to every pool worker.
+from the schedule and its seed, then answers pure queries, so one
+instance serves every cell of a campaign.
 
 Observability: when a tracer is active, applied perturbations emit
 ``fault.*`` counters and a per-iteration ``fault`` event through the
 standard :mod:`repro.obs` registry/tracer -- captured per cell and
-merged in input order, so trace bytes stay worker-count independent.
+merged in cell order, so trace bytes are deterministic.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ property-based, in four layers:
   TaskGraph/Simulator/bank abstractions as the Cholesky path;
 * :mod:`repro.fuzz.properties` -- every registered strategy over a
   fuzzed corpus, checked for bounded regret against the clairvoyant
-  oracle, monotone cumulative regret, bit-identical replay and
-  workers=1 vs N equivalence through the evaluation harness;
+  oracle, monotone cumulative regret and bit-identical replay;
 * :mod:`repro.fuzz.shrink` -- greedy minimization of failing scenarios
   and promotion to committed canned regressions under
   ``tests/goldens/fuzz/``.

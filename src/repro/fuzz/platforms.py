@@ -4,7 +4,7 @@ Every fuzzed scenario is a pure function of ``(root_seed, index)``: the
 sampler draws from ``np.random.default_rng((root_seed, FUZZ_TAG,
 index))`` -- the same seed-sequence idiom as the evaluation harness's
 :func:`repro.evaluate.parallel.derive_cell_seed` -- so corpora are
-bit-identical across runs, machines and worker counts.  Half of the
+bit-identical across runs and machines.  Half of the
 draws anchor on a Table-II scenario picked by ``index`` through the
 locked :func:`repro.platform.all_scenarios` ordering (tests pin that
 ordering precisely so this derivation is stable), the other half are

@@ -1,6 +1,6 @@
 """Seeded strategy invariants over a fuzzed corpus.
 
-Four properties per (scenario, strategy) cell, all deterministic given
+Three properties per (scenario, strategy) cell, all deterministic given
 the corpus root seed:
 
 ``regret-bound``
@@ -19,9 +19,6 @@ the corpus root seed:
 ``replay``
     Re-running a cell with the same seed reproduces the identical
     chosen/duration arrays bit-for-bit.
-``workers-equivalence``
-    The cell grid of a scenario produces bit-identical results at
-    ``workers=1`` and ``workers=2`` through the evaluation harness.
 
 Regret is computed from the bank's noise-free true means (stationary
 corpora) or the fault injector's expected durations (faulted corpora),
@@ -76,7 +73,7 @@ UNIVERSAL_BOUND = 1.0 + 1e-9
 #: adaptive strategy that degenerates toward worst-case play.
 DEFAULT_REGRET_BOUND = 0.65
 
-CHECKS = ("regret-bound", "regret-monotone", "replay", "workers-equivalence")
+CHECKS = ("regret-bound", "regret-monotone", "replay")
 
 
 def base_strategy_name(name: str) -> str:
@@ -104,19 +101,14 @@ class PropertyConfig:
     iterations: int = 50
     regret_bound: float = DEFAULT_REGRET_BOUND
     base_seed: int = 0
-    workers: int = 1
     strategies: Optional[Tuple[str, ...]] = None
     check_replay: bool = True
-    check_workers: bool = True
-    workers_check_every: int = 8
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.regret_bound <= 0:
             raise ValueError("regret_bound must be positive")
-        if self.workers < 1 or self.workers_check_every < 1:
-            raise ValueError("worker knobs must be >= 1")
 
     def strategy_names(self) -> List[str]:
         """Strategies under test (default: every registered one)."""
@@ -160,7 +152,6 @@ class ScenarioOutcome:
     ratios: Dict[str, float]
     failures: List[PropertyFailure] = field(default_factory=list)
     replay_checked: bool = False
-    workers_checked: bool = False
 
 
 @dataclass
@@ -181,7 +172,7 @@ class PropertyReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        """Canonical, worker-count-independent report payload."""
+        """Canonical report payload."""
         strategies: Dict[str, Dict[str, float]] = {}
         for outcome in self.outcomes:
             for name in sorted(outcome.ratios):
@@ -233,7 +224,6 @@ class PropertyReport:
                         for name in sorted(o.ratios)
                     },
                     "replay_checked": o.replay_checked,
-                    "workers_checked": o.workers_checked,
                 }
                 for o in self.outcomes
             ],
@@ -354,13 +344,11 @@ def check_platform(
     platform: FuzzedPlatform,
     config: PropertyConfig,
     bank: Optional[MeasurementBank] = None,
-    check_workers: Optional[bool] = None,
 ) -> ScenarioOutcome:
     """Run every property over one platform.
 
     ``bank`` lets callers (the shrinker, tests) reuse a materialized
-    bank; ``check_workers`` overrides the config's sampling of the
-    workers-equivalence check for this platform.
+    bank.
     """
     if bank is None:
         bank = build_bank(platform, FuzzConfig(iterations=config.iterations))
@@ -377,8 +365,7 @@ def check_platform(
     banks = {platform.key: bank}
     results = run_cells(
         banks, cells, config.iterations,
-        base_seed=config.base_seed, workers=config.workers,
-        injector=injector,
+        base_seed=config.base_seed, injector=injector,
     )
 
     outcome = ScenarioOutcome(platform=platform, ratios={})
@@ -409,7 +396,7 @@ def check_platform(
         pick = platform.index % len(cells)
         replayed = run_cells(
             banks, [cells[pick]], config.iterations,
-            base_seed=config.base_seed, workers=1, injector=injector,
+            base_seed=config.base_seed, injector=injector,
         )[0]
         outcome.replay_checked = True
         if not _identical(replayed, results[pick]):
@@ -420,28 +407,6 @@ def check_platform(
                 detail="re-run with the same seed diverged bit-wise",
             ))
 
-    do_workers = (
-        config.check_workers
-        and platform.index % config.workers_check_every == 0
-    )
-    if check_workers is not None:
-        do_workers = check_workers
-    if do_workers and cells:
-        fanned = run_cells(
-            banks, cells, config.iterations,
-            base_seed=config.base_seed, workers=2, injector=injector,
-        )
-        outcome.workers_checked = True
-        for serial, parallel in zip(results, fanned):
-            if not _identical(serial, parallel):
-                outcome.failures.append(PropertyFailure(
-                    key=platform.key, index=platform.index,
-                    family=platform.family,
-                    strategy=serial.cell.strategy,
-                    check="workers-equivalence", observed=float("nan"),
-                    bound=0.0,
-                    detail="workers=1 and workers=2 results diverged",
-                ))
     return outcome
 
 

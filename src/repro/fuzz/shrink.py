@@ -33,6 +33,7 @@ from typing import Iterator, List, Optional, Tuple
 from ..obs import write_atomic
 from .platforms import FUZZ_SCHEMA_VERSION, FuzzConfig, FuzzedPlatform
 from .properties import (
+    CHECKS,
     PropertyConfig,
     PropertyFailure,
     check_platform,
@@ -142,13 +143,9 @@ def reproduce(
         config,
         strategies=(failure.strategy,),
         check_replay=failure.check == "replay",
-        workers=1,
     )
     try:
-        outcome = check_platform(
-            platform, cfg,
-            check_workers=failure.check == "workers-equivalence",
-        )
+        outcome = check_platform(platform, cfg)
     except (ValueError, RuntimeError):
         return None
     for candidate in outcome.failures:
@@ -248,6 +245,9 @@ def load_golden(path: Path) -> dict:
     for field_name in ("platform", "failure", "config"):
         if field_name not in payload:
             raise ValueError(f"golden {path} misses {field_name!r}")
+    check = payload["failure"].get("check")
+    if check not in CHECKS:
+        raise ValueError(f"golden {path} names an unknown check {check!r}")
     return payload
 
 
@@ -266,12 +266,8 @@ def replay_golden(path: Path) -> List[PropertyFailure]:
         base_seed=int(payload["config"]["base_seed"]),
         strategies=(spec["strategy"],),
         check_replay=spec["check"] == "replay",
-        check_workers=False,
     )
-    outcome = check_platform(
-        platform, cfg,
-        check_workers=spec["check"] == "workers-equivalence",
-    )
+    outcome = check_platform(platform, cfg)
     return [
         f for f in outcome.failures
         if f.check == spec["check"] and f.strategy == spec["strategy"]

@@ -41,26 +41,6 @@ def scenario_actions(scenario: Scenario, workload: Optional[Workload] = None):
     return tuple(range(lo, len(cluster) + 1))
 
 
-def _measure_action(args) -> tuple:
-    """Worker for parallel sweeps: one configuration's deterministic sim.
-
-    Module-level so it pickles for ProcessPoolExecutor; the worker-side
-    scenario rebuild is the shared :func:`repro.evaluate.parallel.rebuild_app`
-    helper (imported lazily -- ``repro.evaluate`` imports this package).
-    """
-    scenario, tiles_env, n, include_rigid = args
-    from ..evaluate.parallel import rebuild_app
-
-    app, cluster, _ = rebuild_app(scenario, tiles_env)
-    duration = app.measure(n, len(cluster))
-    rigid = (
-        app.simulate(IterationPlan(n_fact=n, n_gen=n)).makespan
-        if include_rigid
-        else None
-    )
-    return n, duration, rigid
-
-
 def _cache_probe(cache, scenario, tiles: int, n: int, n_total: int,
                  include_rigid: bool):
     """Cached ``(duration, rigid)`` of one configuration, or None on miss.
@@ -96,7 +76,6 @@ def sweep_scenario(
     seed: int = 12345,
     include_rigid: bool = False,
     progress: bool = False,
-    workers: int = 1,
     cache: Optional["DurationCache"] = None,
 ) -> MeasurementBank:
     """Build the measurement bank of a scenario.
@@ -110,10 +89,6 @@ def sweep_scenario(
     include_rigid:
         Also sweep the rigid ``n_gen = n_fact`` configuration (the yellow
         line of Figure 5).
-    workers:
-        Process count for the sweep.  Each configuration is an
-        independent deterministic simulation, so the sweep parallelizes
-        perfectly; results are identical for any worker count.
     cache:
         Optional :class:`repro.evaluate.cache.DurationCache`.  Simulated
         durations are served from it on a content-key hit and memoized
@@ -144,22 +119,7 @@ def sweep_scenario(
                 pending.append(n)
             else:
                 results[n] = hit
-    if workers > 1 and pending:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(scenario, workload.t, n, include_rigid) for n in pending]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, (n, duration, rig) in enumerate(
-                pool.map(_measure_action, jobs)
-            ):
-                results[n] = (duration, rig)
-                if progress:
-                    print(
-                        f"\r  sweep {scenario.full_label}: "
-                        f"{i + 1}/{len(pending)}",
-                        end="", file=sys.stderr, flush=True,
-                    )
-    elif pending:
+    if pending:
         # Plan-batched one-pass sweep: the graph build + template compile
         # are shared across every pending configuration (see
         # repro.measure.batch).
@@ -190,7 +150,7 @@ def sweep_scenario(
     lp: Dict[int, float] = {}
     true_means: Dict[int, float] = {}
     rigid: Dict[int, float] = {}
-    for n in actions:  # noise drawn in action order: worker-count invariant
+    for n in actions:  # noise drawn in action order, cache hit or miss
         duration, rig = results[n]
         samples[n] = noise.augment(duration, augment, rng)
         lp[n] = lp_calc.iteration(n)
@@ -224,30 +184,29 @@ def cached_bank(
     seed: int = 12345,
     include_rigid: bool = False,
     progress: bool = False,
-    workers: int = 0,
     cache: Optional["DurationCache"] = None,
 ) -> MeasurementBank:
     """Load the scenario's bank from the cache, building it if needed.
 
-    ``workers=0`` (default) reads ``REPRO_SWEEP_WORKERS`` from the
-    environment (1 if unset); results are identical for any value.
     ``cache`` is a finer-grained duration memo consulted only when the
-    whole-bank JSON is absent (see :func:`sweep_scenario`).
+    whole-bank JSON is absent (see :func:`sweep_scenario`).  An
+    unreadable (e.g. truncated) bank file counts as absent, with one
+    warning on stderr: the bank is swept again and the file rewritten
+    atomically.
     """
     path = _cache_path(scenario, augment, seed, include_rigid)
     if path.exists():
-        return MeasurementBank.load(path)
-    if workers <= 0:
-        import os
-
-        workers = max(1, int(os.environ.get("REPRO_SWEEP_WORKERS", "1")))
+        try:
+            return MeasurementBank.load(path)
+        except (ValueError, KeyError):
+            print(f"warning: {path}: rebuilding the unreadable cached "
+                  "bank (interrupted write?)", file=sys.stderr)
     bank = sweep_scenario(
         scenario,
         augment=augment,
         seed=seed,
         include_rigid=include_rigid,
         progress=progress,
-        workers=workers,
         cache=cache,
     )
     bank.save(path)

@@ -17,7 +17,7 @@ instruments the hot paths with:
 Tracing is **inert**: with the default disabled tracer every call is a
 guarded no-op, and enabling a trace never perturbs an RNG stream, so
 experiment outputs are bit-identical with tracing on or off
-(``tests/obs/test_inert.py`` enforces this at workers=1 and 2).
+(``tests/obs/test_inert.py`` enforces this).
 """
 
 from .clock import Clock, TickClock, WallClock

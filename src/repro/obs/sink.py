@@ -112,9 +112,6 @@ class Sink:
     def emit(self, record: Dict[str, object]) -> None:
         raise NotImplementedError
 
-    def flush(self) -> None:
-        """Push buffered records to the destination (no-op by default)."""
-
     def close(self) -> None:
         """Flush and release resources (idempotent)."""
 
@@ -134,7 +131,7 @@ class NullSink(Sink):
 
 
 class MemorySink(Sink):
-    """Buffers records in order; used by workers and tests.
+    """Buffers records in order; used by per-cell capture and tests.
 
     ``records`` holds the original dicts (cheap to merge into a parent
     sink); ``lines()`` renders them canonically.
@@ -165,16 +162,6 @@ class JsonlSink(Sink):
         if self._fh is None:
             raise ValueError(f"sink for {self.path} is closed")
         self._fh.write(encode_record(record) + "\n")
-
-    def flush(self) -> None:
-        """Drain the file buffer.
-
-        Called before forking a worker pool: a forked child inherits the
-        buffered file object, and an inherited *non-empty* buffer would
-        be flushed a second time at child exit, duplicating lines.
-        """
-        if self._fh is not None:
-            self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:

@@ -23,8 +23,8 @@ class of artifacts, with zero new dependencies:
 Because the simulator is deterministic in simulated time, every export
 is a pure function of (code, scenario, plan): :func:`encode_json` uses
 canonical key order and the traversal orders below are all explicitly
-sorted, so two runs -- on any machine, under any harness worker count --
-produce byte-identical artifacts (asserted by ``tests/test_cli_timeline``).
+sorted, so two runs -- on any machine -- produce byte-identical
+artifacts (asserted by ``tests/test_cli_timeline``).
 """
 
 from __future__ import annotations

@@ -117,7 +117,7 @@ class Tracer:
         self.sink.emit(record)
 
     def emit_raw(self, record: Dict[str, object]) -> None:
-        """Forward an already-timestamped record (worker-event merging)."""
+        """Forward an already-timestamped record (per-cell event merging)."""
         if self.enabled:
             self.sink.emit(record)
 
@@ -188,7 +188,7 @@ def set_tracer(tracer: Tracer) -> Tracer:
 
 @contextmanager
 def scoped(tracer: Tracer) -> Iterator[Tracer]:
-    """Temporarily swap the active tracer (per-cell worker capture)."""
+    """Temporarily swap the active tracer (per-cell capture)."""
     previous = set_tracer(tracer)
     try:
         yield tracer

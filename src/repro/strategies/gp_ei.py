@@ -10,6 +10,7 @@ philosophies can be compared on the paper's scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -60,3 +61,11 @@ class GPEIStrategy(GPDiscontinuousStrategy):
         )
         ei = expected_improvement(mean, sd, best)
         return int(grid[int(np.argmax(ei))])
+
+    def decision_telemetry(self, n: int,
+                           beta: Optional[float]) -> Dict[str, float]:
+        """Posterior fields only: EI (or an epsilon-random draw), not the
+        LCB the base class would report, chose the arm."""
+        fields = super().decision_telemetry(n, beta)
+        fields.pop("acquisition", None)
+        return fields

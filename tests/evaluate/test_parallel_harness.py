@@ -1,30 +1,17 @@
-"""Serial-vs-parallel equivalence suite for the evaluation harness.
+"""Tests for the cell harness: seed derivation, plan order, cell independence.
 
 The determinism contract (DET001) promises that the Figure 6 grid is a
-pure function of its seeds; this suite pins the stronger harness
-contract: for any worker count, ``evaluate_scenarios`` /
-``run_strategy`` / ``run_cells`` produce **bit-identical** summaries,
-regrets and per-iteration traces to the serial path.
-
-CI runs this file with ``REPRO_EQUIV_WORKERS=2``; locally it defaults to
-worker counts 2 and 4.
+pure function of its seeds; this suite pins the harness side of it:
+each cell's result depends only on the cell's identity, and plans have
+one deterministic order.
 """
 
-import os
 import random
 
 import numpy as np
 import pytest
 
-from repro.evaluate import (
-    cumulative_regret,
-    evaluate_scenario,
-    evaluate_scenarios,
-    plan_cells,
-    rebuild_app,
-    run_cells,
-    run_strategy,
-)
+from repro.evaluate import evaluate_scenario, plan_cells, run_cells
 from repro.evaluate.parallel import (
     ALL_NODES_CELL,
     ORACLE_CELL,
@@ -32,14 +19,8 @@ from repro.evaluate.parallel import (
     derive_cell_seed,
 )
 from repro.measure import DriftingBank, synthetic_bank
-from repro.platform import get_scenario
 
-#: Worker counts exercised against the serial reference (CI: "2").
-WORKER_COUNTS = tuple(
-    int(w) for w in os.environ.get("REPRO_EQUIV_WORKERS", "2 4").split()
-)
-
-#: The equivalence grid: 3 scenarios x 3 strategies (one per family).
+#: The grid: 3 scenarios x 3 strategies (one per family).
 STRATEGIES = ("DC", "UCB", "GP-discontinuous")
 ITERATIONS = 25
 REPS = 3
@@ -65,79 +46,14 @@ def banks():
     return _make_banks()
 
 
-@pytest.fixture(scope="module")
-def serial(banks):
-    return evaluate_scenarios(
-        banks, STRATEGIES, iterations=ITERATIONS, reps=REPS, workers=1
-    )
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-class TestEvaluateEquivalence:
-    def test_summaries_bit_identical(self, banks, serial, workers):
-        parallel = evaluate_scenarios(
-            banks, STRATEGIES, iterations=ITERATIONS, reps=REPS,
-            workers=workers,
-        )
-        assert sorted(parallel) == sorted(serial)
-        for key in banks:
-            es, ep = serial[key], parallel[key]
-            assert ep.label == es.label
-            assert ep.best_action == es.best_action
-            # Bit-identical floats, not approx: the contract is exact.
-            assert ep.all_nodes_mean == es.all_nodes_mean
-            assert ep.oracle_mean == es.oracle_mean
-            assert [s.name for s in ep.summaries] == [
-                s.name for s in es.summaries
-            ]
-            for ss, sp in zip(es.summaries, ep.summaries):
-                assert np.array_equal(sp.totals, ss.totals)
-                assert sp.gain_pct == ss.gain_pct
-                assert sp.group == ss.group
-
-    def test_single_scenario_and_run_strategy(self, banks, workers):
-        bank = banks["s2"]
-        es = evaluate_scenario(
-            bank, STRATEGIES[:2], iterations=ITERATIONS, reps=REPS, workers=1
-        )
-        ep = evaluate_scenario(
-            bank, STRATEGIES[:2], iterations=ITERATIONS, reps=REPS,
-            workers=workers,
-        )
-        assert ep.all_nodes_mean == es.all_nodes_mean
-        for ss, sp in zip(es.summaries, ep.summaries):
-            assert np.array_equal(sp.totals, ss.totals)
-        t1 = run_strategy("DC", bank, iterations=20, reps=4, workers=1)
-        tn = run_strategy("DC", bank, iterations=20, reps=4, workers=workers)
-        assert np.array_equal(t1, tn)
-
-    def test_traces_and_regrets_bit_identical(self, banks, workers):
-        cells = plan_cells(banks, STRATEGIES[:2], REPS)
-        r1 = run_cells(banks, cells, ITERATIONS, workers=1)
-        rn = run_cells(banks, cells, ITERATIONS, workers=workers)
-        assert len(r1) == len(rn) == len(cells)
-        for a, b in zip(r1, rn):
-            assert a.cell == b.cell
-            assert np.array_equal(a.chosen, b.chosen)
-            assert np.array_equal(a.durations, b.durations)
-            assert a.total == b.total
-            best = banks[a.cell.scenario].mean(
-                banks[a.cell.scenario].best_action()
-            )
-            assert cumulative_regret(a.durations, best) == cumulative_regret(
-                b.durations, best
-            )
-
-    def test_worker_order_independence(self, banks, workers):
+class TestCellIndependence:
+    def test_cell_results_independent_of_submission_order(self, banks):
         """Shuffled submission order must not change any cell's result."""
         cells = plan_cells(banks, ("DC", "UCB"), REPS)
-        ordered = run_cells(banks, cells, ITERATIONS, workers=workers)
+        ordered = run_cells(banks, cells, ITERATIONS)
         shuffled = list(cells)
         random.Random(0).shuffle(shuffled)
-        by_cell = {
-            r.cell: r
-            for r in run_cells(banks, shuffled, ITERATIONS, workers=workers)
-        }
+        by_cell = {r.cell: r for r in run_cells(banks, shuffled, ITERATIONS)}
         for r in ordered:
             assert np.array_equal(by_cell[r.cell].durations, r.durations)
             assert by_cell[r.cell].total == r.total
@@ -165,8 +81,9 @@ class TestSeedDerivation:
         assert p1[0] == EvalCell("s1", ALL_NODES_CELL, 0)
 
 
-class TestStatefulBankGuard:
-    def test_drifting_bank_rejected_in_parallel(self, banks):
+class TestDriftingBank:
+    def test_serial_run_keeps_the_regime_clock(self, banks):
+        """A stateful bank runs through the harness; its clock spans cells."""
         before = banks["s1"]
         after = synthetic_bank(
             f=lambda n: 5.0 + 50.0 / n, actions=range(2, 13), seed=9,
@@ -174,42 +91,12 @@ class TestStatefulBankGuard:
         )
         drift = DriftingBank(before, after, switch_at=10)
         cells = [EvalCell("d", "DC", rep) for rep in range(2)]
-        with pytest.raises(ValueError, match="stateful"):
-            run_cells({"d": drift}, cells, 10, workers=2)
-        # Serial execution remains supported.
-        assert len(run_cells({"d": drift}, cells, 10, workers=1)) == 2
+        assert len(run_cells({"d": drift}, cells, 10)) == 2
+        assert drift.current() is after
 
 
-class TestRebuildApp:
-    """Direct unit test of the shared pickle-safe worker rebuild helper."""
-
-    def test_rebuilds_consistent_application(self, monkeypatch):
-        scenario = get_scenario("b")
-        # Touch the variable through monkeypatch first so the original
-        # value is restored after rebuild_app overwrites it.
-        monkeypatch.setenv("REPRO_TILES_101", "10")
-        app, cluster, workload = rebuild_app(scenario, 10)
-        assert os.environ[f"REPRO_TILES_{scenario.workload}"] == "10"
-        assert workload.t == 10
-        assert len(cluster) == scenario.total_nodes
-        assert app.cluster is cluster
-
-    def test_tile_count_is_pinned_not_inherited(self, monkeypatch):
-        scenario = get_scenario("b")
-        monkeypatch.setenv("REPRO_TILES_101", "12")
-        _, _, w1 = rebuild_app(scenario, 8)
-        assert w1.t == 8
-        _, _, w2 = rebuild_app(scenario, 10)
-        assert w2.t == 10
-
-    def test_simulation_matches_sweep_worker(self, monkeypatch):
-        """The helper reproduces what the sweep's pool worker computes."""
-        from repro.measure.sweep import _measure_action
-
-        monkeypatch.setenv("REPRO_TILES_101", "10")
-        scenario = get_scenario("b")
-        n, duration, rigid = _measure_action((scenario, 10, 7, True))
-        app, cluster, _ = rebuild_app(scenario, 10)
-        assert n == 7
-        assert duration == app.measure(7, len(cluster))
-        assert rigid is not None
+class TestEvaluateScenario:
+    def test_only_one_worker_is_accepted(self, banks):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            evaluate_scenario(banks["s1"], ("DC",), iterations=5, reps=1,
+                              workers=2)

@@ -81,18 +81,6 @@ class TestAcceptance:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_the_result(self, bank):
-        canned = canned_schedules(8, 20)
-        kwargs = dict(
-            schedules={"crash": canned["crash"]},
-            strategies=("UCB", "Resilient(UCB)"),
-            iterations=20,
-            reps=2,
-        )
-        serial = run_campaign(bank, **kwargs)
-        pooled = run_campaign(bank, workers=2, **kwargs)
-        assert serial == pooled
-
     def test_fingerprints_recorded_per_schedule(self, crash_campaign):
         canned = canned_schedules(8, ITERATIONS)
         assert crash_campaign.fingerprints == {

@@ -1,13 +1,9 @@
 """Tests for the fault injector: determinism, identity, arithmetic.
 
-Two acceptance-grade properties live here:
-
-* an **empty schedule is the identity** -- running the harness with a
-  stationary injector produces byte-identical cells to running with no
-  injector at all (same RNG draws, same totals, same arrays);
-* **fault application is worker-count independent** -- the same faulted
-  campaign at ``workers=1`` and ``workers=2`` produces bit-identical
-  results.
+The acceptance-grade property: an **empty schedule is the identity** --
+running the harness with a stationary injector produces byte-identical
+cells to running with no injector at all (same RNG draws, same totals,
+same arrays).
 """
 
 import numpy as np
@@ -72,25 +68,6 @@ class TestIdentity:
             inj = injector.plan(t, 8)
             assert inj.scale == 1.0 and inj.shift == 0.0
             assert not inj.degraded and inj.effective_n == 8
-
-
-class TestWorkerEquivalence:
-    def test_faulted_run_bit_identical_across_worker_counts(self, bank):
-        schedule = FaultSchedule(
-            label="mixed",
-            faults=(
-                NodeCrash(node=8, start=6),
-                NodeSlowdown(node=4, gflops_factor=0.5, start=3, end=12),
-                InterferenceBurst(magnitude_s=0.8, start=8, jitter=0.3),
-            ),
-            seed=5,
-        )
-        injector = FaultInjector(schedule, bank.actions, 18)
-        cells = cells_for(bank, strategies=("DC", "UCB", "GP-UCB"), reps=2)
-        serial = run_cells({bank.label: bank}, cells, 18, injector=injector)
-        pooled = run_cells({bank.label: bank}, cells, 18, injector=injector,
-                           workers=2)
-        assert as_tuples(serial) == as_tuples(pooled)
 
 
 class TestFeasibility:

@@ -30,7 +30,7 @@ def test_golden_structure(path):
     platform = FuzzedPlatform.from_dict(payload["platform"])
     assert platform.to_dict() == payload["platform"]
     assert payload["failure"]["check"] in (
-        "regret-bound", "regret-monotone", "replay", "workers-equivalence"
+        "regret-bound", "regret-monotone", "replay"
     )
 
 

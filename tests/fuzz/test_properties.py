@@ -26,7 +26,7 @@ FAST_STRATEGIES = ("DC", "UCB", "GP-discontinuous", "Resilient(UCB)")
 
 
 def fast_config(**overrides):
-    base = dict(strategies=FAST_STRATEGIES, check_workers=False)
+    base = dict(strategies=FAST_STRATEGIES)
     base.update(overrides)
     return PropertyConfig(**base)
 
@@ -131,7 +131,7 @@ class TestBuildBank:
 class TestCheckPlatform:
     def test_clean_platform_passes_every_property(self):
         outcome = check_platform(
-            sample_platform(1, root_seed=7), fast_config(check_workers=True)
+            sample_platform(1, root_seed=7), fast_config()
         )
         assert outcome.failures == []
         assert set(outcome.ratios) == set(FAST_STRATEGIES)
@@ -144,16 +144,6 @@ class TestCheckPlatform:
         )
         outcome = check_platform(platform, fast_config())
         assert outcome.failures == []
-
-    def test_workers_equivalence_is_exercised(self):
-        outcome = check_platform(
-            sample_platform(0, root_seed=7), fast_config(),
-            check_workers=True,
-        )
-        assert outcome.workers_checked
-        assert not any(
-            f.check == "workers-equivalence" for f in outcome.failures
-        )
 
     def test_tight_bound_forces_a_regret_failure(self):
         outcome = check_platform(
@@ -173,8 +163,6 @@ class TestCheckPlatform:
             PropertyConfig(iterations=0)
         with pytest.raises(ValueError):
             PropertyConfig(regret_bound=0.0)
-        with pytest.raises(ValueError):
-            PropertyConfig(workers=0)
 
 
 class TestRunProperties:
@@ -201,8 +189,3 @@ class TestRunProperties:
         blob = json.dumps(payload, sort_keys=True)
         assert json.loads(blob) == json.loads(json.dumps(payload,
                                                          sort_keys=True))
-
-    def test_report_is_worker_count_invariant(self, report):
-        corpus = sample_corpus(4, root_seed=7)
-        fanned = run_properties(corpus, fast_config(workers=2))
-        assert fanned.to_dict() == report.to_dict()

@@ -23,7 +23,7 @@ def forced():
     """A real failure, forced by an absurdly tight bound on UCB."""
     platform = sample_platform(0, root_seed=7)
     config = PropertyConfig(regret_bound=1e-6, strategies=("UCB",),
-                            check_replay=False, check_workers=False)
+                            check_replay=False)
     outcome = check_platform(platform, config)
     failure = next(f for f in outcome.failures
                    if f.check == "regret-bound")
@@ -126,6 +126,16 @@ class TestGoldens:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
+            load_golden(bad)
+
+    def test_load_golden_rejects_an_unknown_check(self, forced, tmp_path):
+        """A golden naming no current property would replay vacuously."""
+        platform, failure, config = forced
+        payload = golden_payload(platform, failure, config)
+        payload["failure"]["check"] = "no-such-check"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unknown check"):
             load_golden(bad)
 
     def test_load_golden_requires_the_core_fields(self, tmp_path):

@@ -1,9 +1,4 @@
-"""Tests for parallel sweeps (worker-count invariance + duration cache).
-
-The worker body itself (the pickle-safe scenario rebuild shared with the
-evaluation harness) is unit-tested directly in
-``tests/evaluate/test_parallel_harness.py::TestRebuildApp``.
-"""
+"""Tests for sweeps through the duration cache and the bank-file cache."""
 
 import numpy as np
 import pytest
@@ -17,30 +12,6 @@ from repro.platform import get_scenario
 def small(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_TILES_101", "10")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-
-
-class TestParallelSweep:
-    def test_identical_to_serial(self):
-        scenario = get_scenario("b")
-        serial = sweep_scenario(scenario, actions=[2, 7, 14], augment=4,
-                                seed=5, workers=1)
-        parallel = sweep_scenario(scenario, actions=[2, 7, 14], augment=4,
-                                  seed=5, workers=2)
-        for n in serial.actions:
-            assert np.allclose(serial.samples[n], parallel.samples[n])
-            assert serial.true_means[n] == parallel.true_means[n]
-            assert serial.lp[n] == pytest.approx(parallel.lp[n])
-
-    def test_rigid_line_parallel(self):
-        scenario = get_scenario("b")
-        bank = sweep_scenario(scenario, actions=[3, 14], augment=3,
-                              include_rigid=True, workers=2)
-        assert set(bank.rigid) == {3, 14}
-
-    def test_cached_bank_env_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
-        bank = cached_bank(get_scenario("b"), augment=3, seed=8)
-        assert bank.actions[-1] == 14
 
 
 class TestSweepDurationCache:
@@ -71,26 +42,29 @@ class TestSweepDurationCache:
                        include_rigid=False, cache=cache)
         assert cache.misses == 0
 
-    def test_cache_with_worker_pool(self):
-        scenario = get_scenario("b")
-        cache = DurationCache()
-        serial = sweep_scenario(scenario, actions=[2, 7, 14], augment=4,
-                                seed=5, workers=1)
-        pooled = sweep_scenario(scenario, actions=[2, 7, 14], augment=4,
-                                seed=5, workers=2, cache=cache)
-        for n in serial.actions:
-            assert np.array_equal(serial.samples[n], pooled.samples[n])
-        assert len(cache) > 0
-        # A second pooled sweep is served from the now-warm cache.
-        cache.reset_stats()
-        warm = sweep_scenario(scenario, actions=[2, 7, 14], augment=4,
-                              seed=5, workers=2, cache=cache)
-        assert cache.hits > 0 and cache.misses == 0
-        for n in serial.actions:
-            assert np.array_equal(serial.samples[n], warm.samples[n])
-
     def test_cached_bank_threads_cache_through(self, monkeypatch):
         cache = DurationCache()
         bank = cached_bank(get_scenario("b"), augment=3, seed=8, cache=cache)
         assert bank.actions[-1] == 14
         assert len(cache) == len(bank.actions)
+
+
+class TestCachedBankFile:
+    def test_truncated_bank_file_is_rebuilt(self, tmp_path, capsys):
+        scenario = get_scenario("b")
+        cached_bank(scenario, augment=3, seed=8)
+        (path,) = tmp_path.glob("bank_v*_b_*.json")
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        rebuilt = cached_bank(scenario, augment=3, seed=8)
+        assert "unreadable cached bank" in capsys.readouterr().err
+        fresh = sweep_scenario(scenario, augment=3, seed=8)
+        assert rebuilt.actions == fresh.actions
+        for n in fresh.actions:
+            assert np.array_equal(rebuilt.samples[n], fresh.samples[n])
+            assert rebuilt.true_means[n] == fresh.true_means[n]
+            assert rebuilt.lp[n] == fresh.lp[n]
+        # The file was rewritten whole: it now loads without a warning.
+        assert path.read_text() == text
+        cached_bank(scenario, augment=3, seed=8)
+        assert capsys.readouterr().err == ""

@@ -1,15 +1,14 @@
-"""Instrumentation-is-inert proof and cross-worker trace determinism.
+"""Instrumentation-is-inert proof and trace determinism.
 
 Two contracts:
 
 * **Inert**: enabling a trace changes no experiment output bit.  The
   tracer never touches an RNG stream and never feeds a value back, so
   ``evaluate_scenarios`` must return bit-identical evaluations with
-  tracing on or off, at any worker count.
+  tracing on or off.
 * **Deterministic**: under the injected tick clock the merged trace is a
-  pure function of the work -- byte-identical across repeated runs *and*
-  across worker counts (per-cell capture with fresh clocks, merged in
-  input order).
+  pure function of the work -- byte-identical across repeated runs
+  (per-cell capture with fresh clocks, merged in cell order).
 """
 
 import pytest
@@ -58,17 +57,14 @@ def flatten(evaluations):
 
 
 class TestTracingIsInert:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_outputs_bit_identical_with_tracing(self, banks, workers):
+    def test_outputs_bit_identical_with_tracing(self, banks):
         plain = flatten(evaluate_scenarios(
             banks, STRATEGIES, iterations=ITERATIONS, reps=REPS,
-            workers=workers,
         ))
         obs.start_trace(ticks=True)
         try:
             traced = flatten(evaluate_scenarios(
                 banks, STRATEGIES, iterations=ITERATIONS, reps=REPS,
-                workers=workers,
             ))
         finally:
             obs.finish_trace()
@@ -89,26 +85,39 @@ class TestTracingIsInert:
 
 
 class TestTraceDeterminism:
-    def _trace_lines(self, banks, workers):
+    def _trace_lines(self, banks):
         cells = plan_cells(banks, STRATEGIES, REPS)
         tracer = obs.start_trace(ticks=True)
         try:
-            run_cells(banks, cells, ITERATIONS, workers=workers)
+            run_cells(banks, cells, ITERATIONS)
             return tracer.sink.lines()
         finally:
             obs.finish_trace()
 
     def test_identical_runs_identical_lines(self, banks):
-        first = self._trace_lines(banks, workers=1)
-        second = self._trace_lines(banks, workers=1)
+        first = self._trace_lines(banks)
+        second = self._trace_lines(banks)
         assert first == second
         assert len(first) > len(plan_cells(banks, STRATEGIES, REPS))
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_does_not_change_trace(self, banks, workers):
-        serial = self._trace_lines(banks, workers=1)
-        pooled = self._trace_lines(banks, workers=workers)
-        assert pooled == serial
+    def test_cell_trace_independent_of_preceding_cells(self, banks):
+        """Per-cell capture: a cell traces the same bytes run alone."""
+        cells = plan_cells(banks, STRATEGIES, REPS)
+        last = cells[-1]
+        last_id = f"{last.scenario}/{last.strategy}/{last.rep}"
+
+        def cell_lines(to_run):
+            tracer = obs.start_trace(ticks=True)
+            try:
+                run_cells(banks, to_run, ITERATIONS)
+                return [line for line, rec in zip(tracer.sink.lines(),
+                                                  tracer.sink.records)
+                        if rec.get("cell_id") == last_id]
+            finally:
+                obs.finish_trace()
+
+        in_grid = cell_lines(cells)
+        assert in_grid and in_grid == cell_lines([last])
 
     def test_jsonl_file_byte_identical_across_runs(self, banks, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
@@ -116,7 +125,7 @@ class TestTraceDeterminism:
             cells = plan_cells(banks, STRATEGIES, REPS)
             obs.start_trace(path, ticks=True)
             try:
-                run_cells(banks, cells, ITERATIONS, workers=1)
+                run_cells(banks, cells, ITERATIONS)
             finally:
                 obs.finish_trace()
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -127,7 +136,7 @@ class TestDecisionLog:
         cells = plan_cells({"s1": banks["s1"]}, ("GP-discontinuous",), 1)
         tracer = obs.start_trace(ticks=True)
         try:
-            run_cells({"s1": banks["s1"]}, cells, ITERATIONS, workers=1)
+            run_cells({"s1": banks["s1"]}, cells, ITERATIONS)
             decisions = [r for r in tracer.sink.records
                          if r["kind"] == "decision"
                          and r["strategy"] == "GP-discontinuous"]

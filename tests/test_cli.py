@@ -32,7 +32,6 @@ BAD_ARGUMENTS = [
     (["overhead", "--reps", "0"], "--reps"),
     (["overhead", "--iterations", "0"], "--iterations"),
     (["faults", "run", "b", "--reps", "0"], "--reps"),
-    (["faults", "run", "b", "--workers", "0"], "--workers"),
     (["faults", "run", "b", "--iterations", "8"], "--iterations"),
     (["faults", "list", "--nodes", "1"], "--nodes"),
     (["grid", "f", "--step", "0"], "--step"),
@@ -42,7 +41,6 @@ BAD_ARGUMENTS = [
     (["predict", "--range", "0"], "--range"),
     (["serve", "bench", "--arrival-window", "0"], "--arrival-window"),
     (["serve", "bench", "--seed", "-1"], "--seed"),
-    (["fuzz", "run", "--workers", "0"], "--workers"),
     (["fuzz", "promote", "-1", "--strategy", "UCB", "--check", "replay"],
      "index"),
 ]

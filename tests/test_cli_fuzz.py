@@ -10,7 +10,7 @@ from repro.cli import main
 RUN_ARGS = [
     "fuzz", "run", "--count", "2", "--seed", "7",
     "--strategies", "DC", "UCB", "Resilient(UCB)",
-    "--iterations", "20", "--no-workers-check",
+    "--iterations", "20",
 ]
 
 
@@ -65,7 +65,7 @@ class TestFuzzRun:
     def test_report_bytes_are_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(RUN_ARGS + ["--out", str(a)]) == 0
-        assert main(RUN_ARGS + ["--out", str(b), "--workers", "2"]) == 0
+        assert main(RUN_ARGS + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_failing_run_shrinks_promotes_and_exits_1(self, capsys,
@@ -75,7 +75,7 @@ class TestFuzzRun:
             main([
                 "fuzz", "run", "--count", "1", "--seed", "7",
                 "--strategies", "UCB", "--iterations", "20",
-                "--no-workers-check", "--bound", "0.0001",
+                "--bound", "0.0001",
                 "--out", "", "--artifact-dir", str(art),
             ])
         assert exc.value.code == 1

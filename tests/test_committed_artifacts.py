@@ -14,6 +14,7 @@ be a file some command writes on demand, listed in ``GENERATED`` with
 that command.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -115,6 +116,48 @@ def test_readme_figure6_gains_match_fig6():
     assert gp_disc[best.group(2)] == float(best.group(1)) == max(
         gp_disc.values())
     assert gp_disc[p_gain.group(1)] == float(p_gain.group(2))
+
+
+_CAMPAIGN_ROW = re.compile(
+    r"^\| ([a-p]) \| (crash|compound) \| (\d+\.\d\d) \| (\d+\.\d\d) \| "
+    r"(yes|no) \|$")
+
+#: sha256 of the campaign table's cells: the table is a frozen record of
+#: a 16-scenario run that no CI job repeats, so editing it is deliberate
+#: (rerun the campaign, then update the prose and this digest together).
+CAMPAIGN_TABLE_SHA256 = (
+    "d62d739da43926d51ddac56c92947b09b56de762285dc24b739f902156c041c3")
+
+
+def test_experiments_fault_campaign_claims():
+    text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("## Fault campaign, all 16 scenarios", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [_CAMPAIGN_ROW.match(line).groups()
+            for line in section.splitlines() if line.startswith("| ")
+            and not line.startswith(("| scenario", "|---"))]
+    assert len(rows) == 32
+    assert {(key, sched) for key, sched, *_ in rows} == {
+        (key, sched) for key in "abcdefghijklmnop"
+        for sched in ("crash", "compound")}
+    gains = {}
+    for key, sched, raw, resilient, improved in rows:
+        raw, resilient = float(raw), float(resilient)
+        assert improved == ("yes" if resilient < raw else "no"), (key, sched)
+        gains[(key, sched)] = 100.0 * (1.0 - resilient / raw)
+    prose = " ".join(section.split())
+    count = re.search(r"improves (\d+) of (\d+) \(scenario, schedule\)",
+                      prose)
+    best = re.search(r"up to (\d+) % \((\w), (\w+)\)", prose)
+    assert count and best
+    assert (int(count.group(1)), int(count.group(2))) == (
+        sum(g > 0 for g in gains.values()), len(rows))
+    top = max(gains, key=gains.get)
+    assert (best.group(2), best.group(3)) == top
+    assert int(best.group(1)) == round(gains[top])
+    digest = hashlib.sha256(
+        "\n".join("|".join(row) for row in rows).encode()).hexdigest()
+    assert digest == CAMPAIGN_TABLE_SHA256
 
 
 #: Paths the docs cite that a command writes on demand, never committed,
