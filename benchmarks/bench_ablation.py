@@ -12,9 +12,9 @@ import numpy as np
 from conftest import bench_reps, emit
 
 from repro import cached_bank, get_scenario
-from repro.evaluate import format_table
-from repro.evaluate.runner import run_strategy_once, _baseline_totals
-from repro.strategies import AllNodesStrategy, GPDiscontinuousStrategy
+from repro.evaluate import evaluate_scenario, format_table
+from repro.evaluate.runner import run_strategy_once
+from repro.strategies import GPDiscontinuousStrategy
 
 VARIANTS = [
     ("full", {}),
@@ -44,9 +44,9 @@ def test_ablation_gp_discontinuous(benchmark):
     def run_all():
         out = {}
         for key, bank in banks.items():
-            baseline = float(np.mean(
-                _baseline_totals(AllNodesStrategy, bank, 127, reps, 0)
-            ))
+            baseline = evaluate_scenario(
+                bank, strategies=(), iterations=127, reps=reps
+            ).all_nodes_mean
             out[key] = {
                 name: (baseline - _evaluate_variant(bank, kwargs, reps))
                 / baseline * 100.0

@@ -12,10 +12,9 @@ import numpy as np
 from conftest import bench_reps, emit
 
 from repro import cached_bank, get_scenario
-from repro.evaluate import format_table, gain_percent
-from repro.evaluate.runner import _baseline_totals, run_strategy_once
+from repro.evaluate import evaluate_scenario, format_table, gain_percent
+from repro.evaluate.runner import run_strategy_once
 from repro.strategies import (
-    AllNodesStrategy,
     GPDiscontinuousStrategy,
     SimulatedAnnealingStrategy,
     StochasticApproximationStrategy,
@@ -36,9 +35,9 @@ def test_discarded_strategies_not_parsimonious(benchmark):
         out = {}
         for key, bank in banks.items():
             space = bank.action_space()
-            baseline = float(np.mean(
-                _baseline_totals(AllNodesStrategy, bank, 127, reps, 0)
-            ))
+            baseline = evaluate_scenario(
+                bank, strategies=(), iterations=127, reps=reps
+            ).all_nodes_mean
             gains = {}
             for name, cls in CONTENDERS:
                 totals = []

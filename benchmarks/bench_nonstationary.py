@@ -4,7 +4,9 @@ Section VIII: "further investigation is required to propose or adapt the
 GP strategies to non-stationary scenarios".  This bench builds a
 drifting platform from two real scenario banks ((i)'s behaviour suddenly
 degraded by a factor emulating network sharing) and compares the frozen
-GP-discontinuous with the sliding-window variant.
+GP-discontinuous with the repo's two non-stationary mechanisms: the
+sliding-window variant and the change-detecting ``Resilient(...)``
+wrapper of the fault subsystem.
 """
 
 import numpy as np
@@ -15,7 +17,12 @@ from repro.measure import DriftingBank, MeasurementBank
 from repro.strategies import (
     GPDiscontinuousStrategy,
     WindowedGPDiscontinuousStrategy,
+    make_strategy,
 )
+
+
+def resilient_gp(space, seed):
+    return make_strategy("Resilient(GP-discontinuous)", space, seed)
 
 
 def degraded(bank: MeasurementBank, factor: float = 2.0) -> MeasurementBank:
@@ -69,6 +76,7 @@ def test_nonstationary_windowed_adaptation(benchmark):
         for cls, label in (
             (GPDiscontinuousStrategy, "frozen GP-discontinuous"),
             (WindowedGPDiscontinuousStrategy, "windowed GP-discontinuous"),
+            (resilient_gp, "Resilient(GP-discontinuous)"),
         ):
             drift = DriftingBank(bank, after, switch_at=switch)
             out[label] = total_after_switch(cls, drift, horizon, switch)

@@ -4,25 +4,20 @@ The reproduction's results (Figure 6's ≈51 % adaptation gain) are only
 meaningful if every experiment is bit-deterministic and every strategy
 honours the ``Strategy`` contract.  This package enforces both
 mechanically: an AST-based engine (stdlib only) runs a registry of
-rules over ``src/``, ``tests/`` and ``benchmarks/``, reconciles the
-findings against a committed baseline, and gates CI via
-``python -m repro.analysis --strict`` (also ``repro lint``).
+rules over ``src/``, ``tests/`` and ``benchmarks/`` and gates CI via
+``python -m repro.analysis --strict``.  An inline
+``# repro-lint: disable=RULE`` comment on the offending line is the one
+way to accept a reviewed finding.
 
 Public surface:
 
-* :func:`run_analysis` — programmatic one-call entry point.
 * :class:`Analyzer`, :func:`all_rules`, :func:`register` — engine and
   rule registry (see :mod:`repro.analysis.rules` for the built-ins).
 * :class:`Finding`, :class:`Severity`, :class:`Report` — result types.
-* :class:`Baseline` — grandfathered-findings store.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Sequence
-
-from .baseline import Baseline, BaselineEntry
 from .engine import (
     Analyzer,
     ParsedModule,
@@ -34,32 +29,8 @@ from .engine import (
 )
 from .findings import Finding, Report, Severity
 
-
-def run_analysis(
-    root: Path,
-    paths: Sequence[str] = ("src", "tests", "benchmarks"),
-    baseline_path: Optional[Path] = None,
-    rules: Optional[Sequence[Rule]] = None,
-) -> Report:
-    """Analyze ``paths`` under ``root`` with the full rule set.
-
-    ``baseline_path`` defaults to ``<root>/analysis-baseline.json``;
-    pass an explicit path (or a nonexistent one) to control suppression.
-    """
-    from .baseline import DEFAULT_BASELINE_NAME
-
-    if baseline_path is None:
-        baseline_path = Path(root) / DEFAULT_BASELINE_NAME
-    baseline = Baseline.load(Path(baseline_path))
-    analyzer = Analyzer(rules=rules, baseline=baseline)
-    existing = [p for p in paths if (Path(root) / p).exists()]
-    return analyzer.run_paths(Path(root), existing)
-
-
 __all__ = [
     "Analyzer",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ParsedModule",
     "ProjectRule",
@@ -69,5 +40,4 @@ __all__ = [
     "all_rules",
     "parse_source",
     "register",
-    "run_analysis",
 ]

@@ -1,8 +1,7 @@
-"""Command-line front end: ``python -m repro.analysis`` / ``repro lint``.
+"""Command-line front end: ``python -m repro.analysis``.
 
 Exit codes: 0 clean, 1 findings (see :meth:`Report.exit_code`), 2 usage
-error.  ``--strict`` is what CI runs: any non-baselined finding of any
-severity fails, and stale baseline entries fail too.
+error.  ``--strict`` is what CI runs: any finding of any severity fails.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .engine import Analyzer, all_rules
 from .findings import Report
 from .sarif import to_sarif
@@ -49,20 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="repo root (default: nearest ancestor with pyproject.toml)",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--strict", action="store_true",
-        help="fail on any non-baselined finding and on stale baseline entries",
+        help="fail on any finding, warnings included",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -71,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select", metavar="IDS", default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline keeping only entries that still match",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -86,22 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _render_text(report: Report, strict: bool, out) -> None:
     for finding in report.findings:
         print(finding.render(), file=out)
-    for entry in report.stale_baseline:
-        print(
-            f"{entry.path}: stale suppression: baseline entry for "
-            f"{entry.rule} no longer matches any finding: "
-            f"{entry.context!r} — delete it or run --prune-baseline",
-            file=out,
-        )
     n = len(report.findings)
     summary = (
         f"{report.files_analyzed} files, {report.rules_run} rules: "
         f"{n} finding{'s' if n != 1 else ''}"
     )
-    if report.baselined:
-        summary += f", {len(report.baselined)} baselined"
-    if report.stale_baseline:
-        summary += f", {len(report.stale_baseline)} stale baseline entries"
     print(summary, file=out)
 
 
@@ -110,12 +81,6 @@ def _render_json(report: Report, strict: bool, out) -> None:
         "files_analyzed": report.files_analyzed,
         "rules_run": report.rules_run,
         "findings": [f.to_dict() for f in report.findings],
-        "baselined": [f.to_dict() for f in report.baselined],
-        "stale_baseline": [
-            {"rule": e.rule, "path": e.path, "context": e.context,
-             "reason": e.reason}
-            for e in report.stale_baseline
-        ],
         "exit_code": report.exit_code(strict=strict),
     }
     print(json.dumps(payload, indent=2), file=out)
@@ -159,40 +124,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"error: nothing to analyze under {root}", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or (root / DEFAULT_BASELINE_NAME)
-    if args.no_baseline or args.write_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"error: bad baseline file: {exc}", file=sys.stderr)
-            return 2
-
-    analyzer = Analyzer(rules=rules, baseline=baseline)
-    report = analyzer.run_paths(root, targets)
-
-    if args.prune_baseline:
-        stale = {e.fingerprint for e in report.stale_baseline}
-        kept = [e for e in baseline.entries if e.fingerprint not in stale]
-        pruned = Baseline(entries=kept)
-        pruned.write(baseline_path)
-        print(
-            f"pruned {len(baseline.entries) - len(kept)} stale "
-            f"entr{'y' if len(baseline.entries) - len(kept) == 1 else 'ies'}, "
-            f"kept {len(kept)} in {baseline_path}",
-            file=out,
-        )
-        return 0
-
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).write(baseline_path)
-        print(
-            f"wrote {len(report.findings)} entries to {baseline_path}",
-            file=out,
-        )
-        return 0
-
+    report = Analyzer(rules=rules).run_paths(root, targets)
     if args.format == "json":
         _render_json(report, args.strict, out)
     elif args.format == "sarif":

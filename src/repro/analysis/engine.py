@@ -15,9 +15,9 @@ Rules self-register through the :func:`register` decorator; the CLI and
 tests enumerate them via :func:`all_rules`.
 
 Inline suppression: a finding on a line whose source contains
-``# repro-lint: disable=RULE1,RULE2`` (or ``disable-all``) is dropped
-before baseline matching.  Suppressions are for reviewed, intentional
-code; the committed baseline is for grandfathered findings.
+``# repro-lint: disable=RULE1,RULE2`` (or ``disable-all``) is dropped.
+Suppressions are for reviewed, intentional code, and they are the only
+exception mechanism: there is no baseline file.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
-from .baseline import Baseline
 from .findings import Finding, Report, Severity, sort_key
 
 #: Directories never descended into while collecting files.
@@ -201,18 +200,13 @@ def parse_source(source: str, rel: str) -> ParsedModule:
 
 
 class Analyzer:
-    """Run a rule set over a corpus and reconcile with the baseline."""
+    """Run a rule set over a corpus."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        baseline: Optional[Baseline] = None,
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules = list(rules) if rules is not None else all_rules()
-        self.baseline = baseline if baseline is not None else Baseline()
 
     def run(self, modules: Sequence[ParsedModule]) -> Report:
-        """Analyze parsed modules and return the reconciled report."""
+        """Analyze parsed modules and return the report."""
         raw: List[Finding] = []
         for rule in self.rules:
             for module in modules:
@@ -230,13 +224,7 @@ class Analyzer:
                 disabled = module.suppressed_rules(finding.line)
                 if disabled is None or finding.rule in disabled:
                     continue
-            if self.baseline.matches(finding):
-                report.baselined.append(finding)
-            else:
-                report.findings.append(finding)
-        report.stale_baseline = self.baseline.stale_entries(
-            analyzed_paths=by_rel.keys()
-        )
+            report.findings.append(finding)
         return report
 
     def run_paths(self, root: Path, paths: Sequence[str]) -> Report:

@@ -1,12 +1,14 @@
 """Finding and severity primitives of the analysis subsystem.
 
 A :class:`Finding` is one diagnostic produced by one rule at one source
-location.  Findings are value objects: the engine produces them, the
-baseline suppresses some of them, and the CLI renders the rest.
+location.  Findings are value objects: the engine produces them, inline
+``# repro-lint: disable=...`` comments drop some of them, and the CLI
+renders the rest.
 
-Baseline matching is *content-based*, not line-number-based: a finding's
+A finding's identity is *content-based*, not line-number-based: its
 :attr:`Finding.context` is the stripped text of the offending source
-line, so entries survive unrelated edits that merely shift line numbers.
+line, so the SARIF fingerprint survives unrelated edits that merely
+shift line numbers.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ class Finding:
     Attributes
     ----------
     rule:
-        Rule identifier (e.g. ``"DET001"``).  This is the id findings
-        and baseline entries are matched on, and the id that inline
+        Rule identifier (e.g. ``"DET001"``): the id that inline
         ``# repro-lint: disable=...`` comments name.
     path:
         Path of the offending file, POSIX-style, relative to the
@@ -57,8 +58,8 @@ class Finding:
     severity:
         The rule's severity (possibly specialized per finding).
     context:
-        Stripped source text of the offending line; used for
-        content-based baseline matching.
+        Stripped source text of the offending line; part of the
+        content-based fingerprint.
     """
 
     rule: str
@@ -71,7 +72,8 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity used by the baseline: rule + file + line text."""
+        """Stable identity (SARIF ``partialFingerprints``): rule + file +
+        line text."""
         return f"{self.rule}|{self.path}|{self.context}"
 
     def to_dict(self) -> Dict[str, object]:
@@ -104,8 +106,6 @@ class Report:
     """Outcome of one analysis run."""
 
     findings: list = field(default_factory=list)
-    baselined: list = field(default_factory=list)
-    stale_baseline: list = field(default_factory=list)
     files_analyzed: int = 0
     rules_run: int = 0
 
@@ -117,14 +117,9 @@ class Report:
     def exit_code(self, strict: bool = False) -> int:
         """0 when clean.
 
-        Non-strict: non-baselined ERROR findings fail the run, and so
-        do stale baseline entries — a suppression that no longer
-        matches anything is rot that must be deleted (or pruned with
-        ``--prune-baseline``) in the same change that fixed it.
-        Strict: any non-baselined finding of any severity fails too.
+        Non-strict: ERROR findings fail the run.  Strict: any finding of
+        any severity fails.
         """
         if strict and self.findings:
-            return 1
-        if self.stale_baseline:
             return 1
         return 1 if any(f.severity >= Severity.ERROR for f in self.findings) else 0

@@ -4,13 +4,13 @@
 numerical code: the value being compared went through arithmetic, and
 exact equality silently turns a closed-form fast path (or a guard) into
 dead code for inputs that are one ulp off.  The reproduction's Matern
-dispatch (``smoothness == 0.5`` in geostat/covariance.py, rewritten with
-``math.isclose`` in this PR) is the canonical in-repo example.
+dispatch (``smoothness == 0.5`` in geostat/covariance.py, since rewritten
+with ``math.isclose``) is the canonical in-repo example.
 
 Comparisons against ``0.0`` and integer-valued literals used as exact
 sentinels are still flagged — if the comparison is genuinely intended to
-be exact, say so with an inline ``# repro-lint: disable=FLT001`` or a
-baseline entry carrying the justification.
+be exact, say so with an inline ``# repro-lint: disable=FLT001`` and a
+comment carrying the justification.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class FloatEqualityRule(Rule):
     name = "float-equality"
     description = (
         "== / != against a float literal; use math.isclose / np.isclose "
-        "or an explicit tolerance (inline-disable or baseline if the "
-        "exact comparison is intentional)"
+        "or an explicit tolerance (inline-disable if the exact "
+        "comparison is intentional)"
     )
     severity = Severity.WARNING
     scopes = ("src", "benchmarks")

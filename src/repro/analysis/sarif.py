@@ -1,12 +1,12 @@
-"""SARIF 2.1.0 emitter (``repro lint --format sarif``).
+"""SARIF 2.1.0 emitter (``python -m repro.analysis --format sarif``).
 
 Produces the minimal static-analysis interchange document GitHub code
 scanning ingests: one run, one ``tool.driver`` with per-rule metadata,
-one ``results`` row per non-baselined finding.  Severities map onto
-SARIF levels (ERROR → ``error``, WARNING → ``warning``, INFO →
-``note``); the content-based fingerprint the baseline uses doubles as
+one ``results`` row per finding.  Severities map onto SARIF levels
+(ERROR → ``error``, WARNING → ``warning``, INFO → ``note``); the
+content-based :attr:`Finding.fingerprint` becomes
 ``partialFingerprints`` so alert identity survives line drift on the
-code-scanning side exactly as it does locally.
+code-scanning side.
 """
 
 from __future__ import annotations

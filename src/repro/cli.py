@@ -511,37 +511,6 @@ def _cmd_trace(args) -> None:
         print(f"\n{desc} (makespan {makespan:.2f} s)\n{art}")
 
 
-def _cmd_predict(args) -> None:
-    from .geostat import MaternParams, holdout_experiment
-
-    params = MaternParams(range_=args.range_, nugget=1e-4)
-    out = holdout_experiment(
-        n_total=args.points, n_missing=args.missing, params=params,
-        seed=args.seed,
-    )
-    print(f"hold-out prediction of {args.missing} of {args.points} points "
-          f"(Matern range {args.range_}):")
-    print(f"  kriging MSPE : {out['mspe_kriging']:.4f}")
-    print(f"  trivial MSPE : {out['mspe_trivial']:.4f}")
-    print(f"  95% coverage : {out['coverage95']:.0%}")
-
-
-def _cmd_lint(args) -> None:
-    from .analysis.cli import main as lint_main
-
-    argv = list(args.paths)
-    if args.strict:
-        argv.append("--strict")
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.prune_baseline:
-        argv.append("--prune-baseline")
-    argv.extend(["--format", args.format])
-    code = lint_main(argv)
-    if code != 0:
-        sys.exit(code)
-
-
 def _cmd_checks(args) -> None:
     from .measure import consistency_report
     from .platform import get_scenario
@@ -765,26 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="three-iteration timelines (Fig 1)")
     p.add_argument("scenario", nargs="?", default="b", type=_scenario)
     p.set_defaults(fn=_cmd_trace)
-
-    p = sub.add_parser("predict", help="kriging prediction of held-out points")
-    p.add_argument("--points", type=_bounded(int, 2), default=100)
-    p.add_argument("--missing", type=_count, default=20)
-    p.add_argument("--range", dest="range_", type=_positive, default=0.2)
-    p.add_argument("--seed", type=_non_negative, default=0)
-    p.set_defaults(fn=_cmd_predict)
-
-    p = sub.add_parser("lint", help="static analysis (determinism, contracts)")
-    p.add_argument("paths", nargs="*",
-                   help="files/dirs to analyze (default: src tests benchmarks)")
-    p.add_argument("--strict", action="store_true",
-                   help="fail on any non-baselined finding")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="grandfather current findings into the baseline")
-    p.add_argument("--prune-baseline", action="store_true",
-                   help="drop stale baseline entries and rewrite the file")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text")
-    p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("checks", help="simulator consistency checks")
     p.add_argument("scenario", nargs="?", default="b", type=_scenario)

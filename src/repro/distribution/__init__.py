@@ -1,20 +1,11 @@
 """Data distributions over heterogeneous nodes + the LP lower bound."""
 
-from .base import (
-    TileDistribution,
-    integer_shares,
-    load_imbalance,
-    tile_counts,
-    weighted_round_robin,
-)
-from .block_cyclic import grid_shape, one_d_cyclic, two_d_block_cyclic
+from .base import TileDistribution, integer_shares, tile_counts
 from .heterogeneous import (
     column_slice_distribution,
     column_slice_pattern,
     factorization_distribution,
     generation_distribution,
-    weighted_pattern,
-    weighted_two_d_cyclic,
 )
 from .lp_bound import (
     FACTORIZATION_KERNELS,
@@ -33,15 +24,8 @@ __all__ = [
     "column_slice_pattern",
     "factorization_distribution",
     "generation_distribution",
-    "grid_shape",
     "integer_shares",
-    "load_imbalance",
     "lp_task_allocation",
     "node_kernel_rate",
-    "one_d_cyclic",
     "tile_counts",
-    "two_d_block_cyclic",
-    "weighted_pattern",
-    "weighted_round_robin",
-    "weighted_two_d_cyclic",
 ]

@@ -1,9 +1,8 @@
 """Distribution utilities shared by all distribution schemes.
 
 A *distribution* maps a lower tile coordinate ``(i, j)`` to a node index.
-This module provides the quantization and analysis helpers: integer share
-allocation (largest remainder), smooth weighted round-robin sequences, and
-balance statistics used by tests and by the LP comparison.
+This module provides integer share allocation (largest remainder) and the
+per-node tile count of a distribution.
 """
 
 from __future__ import annotations
@@ -55,31 +54,6 @@ def integer_shares(
     return floors
 
 
-def weighted_round_robin(weights: Sequence[float], length: int) -> List[int]:
-    """Smooth weighted round-robin sequence of node indices.
-
-    The classic smooth-WRR: at each step every node's credit increases by
-    its weight and the richest node is picked and pays the total.  Produces
-    interleaved sequences whose composition converges to the weights.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if not weights or any(w <= 0 for w in weights):
-        raise ValueError("weights must be non-empty and positive")
-    total = float(sum(weights))
-    credit = [0.0] * len(weights)
-    out: List[int] = []
-    for _ in range(length):
-        best = 0
-        for i in range(len(weights)):
-            credit[i] += weights[i]
-            if credit[i] > credit[best]:
-                best = i
-        credit[best] -= total
-        out.append(best)
-    return out
-
-
 def tile_counts(distribution: TileDistribution, t: int) -> Dict[int, int]:
     """Tiles owned by each node under ``distribution`` on a t x t grid."""
     counts: Dict[int, int] = {}
@@ -89,21 +63,3 @@ def tile_counts(distribution: TileDistribution, t: int) -> Dict[int, int]:
             counts[node] = counts.get(node, 0) + 1
     return counts
 
-
-def load_imbalance(
-    distribution: TileDistribution, t: int, weights: Sequence[float]
-) -> float:
-    """Weighted load imbalance of a distribution.
-
-    Returns ``max_i (tiles_i / weight_i) / (total_tiles / total_weight)``;
-    1.0 is a perfectly speed-proportional split.  Nodes owning zero tiles
-    are ignored (they simply do not participate).
-    """
-    counts = tile_counts(distribution, t)
-    total_tiles = sum(counts.values())
-    total_weight = float(sum(weights))
-    ideal = total_tiles / total_weight
-    worst = 0.0
-    for node, c in counts.items():
-        worst = max(worst, (c / weights[node]) / ideal)
-    return worst

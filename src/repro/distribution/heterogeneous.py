@@ -4,13 +4,9 @@ Following the heterogeneous allocation literature the paper builds on
 (Beaumont et al. [13], [14]) and the application-tailored distributions of
 Nesi et al. [4], tiles are assigned to nodes proportionally to their
 throughput while retaining a 2-D cyclic structure for communication
-locality:
-
-1. node weights are quantized to integer *shares* (largest remainder,
-   resolution ``resolution * n`` units);
-2. a roughly square pattern matrix is filled with a smooth weighted
-   round-robin sequence of node indices;
-3. tile ``(i, j)`` belongs to ``pattern[i mod P][j mod Q]``.
+locality: :func:`column_slice_pattern` builds a square owner pattern from
+balanced column slices, and tile ``(i, j)`` belongs to
+``pattern[i mod P][j mod P]``.
 
 Changing the number of nodes reshapes the pattern, which is precisely what
 produces the paper's "small breaks related to the distribution"
@@ -23,35 +19,7 @@ import math
 from typing import List, Sequence
 
 from ..platform.cluster import Cluster
-from .base import TileDistribution, integer_shares, weighted_round_robin
-
-
-def weighted_pattern(weights: Sequence[float], resolution: int = 4) -> List[List[int]]:
-    """Build the P x Q owner pattern for the given node weights."""
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    n = len(weights)
-    units = max(n, resolution * n)
-    shares = integer_shares(weights, units)
-    seq = weighted_round_robin([float(s) for s in shares], units)
-    p = max(1, int(math.isqrt(units)))
-    q = math.ceil(units / p)
-    # Pad by cycling the sequence so the pattern is fully populated.
-    pattern = [[seq[(r * q + c) % units] for c in range(q)] for r in range(p)]
-    return pattern
-
-
-def weighted_two_d_cyclic(
-    weights: Sequence[float], resolution: int = 4
-) -> TileDistribution:
-    """2-D cyclic distribution with node frequencies proportional to weights."""
-    pattern = weighted_pattern(weights, resolution)
-    p, q = len(pattern), len(pattern[0])
-
-    def owner(i: int, j: int) -> int:
-        return pattern[i % p][j % q]
-
-    return owner
+from .base import TileDistribution, integer_shares
 
 
 def _balanced_slices(weights: Sequence[float], n_slices: int) -> List[List[int]]:

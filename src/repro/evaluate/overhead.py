@@ -17,18 +17,16 @@ reports exactly the numbers aggregated here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..distribution import LPBoundCalculator
 from ..geostat import ExaGeoStat
-from ..measure.bank import MeasurementBank
 from ..measure.noisemodel import for_mode
 from ..platform.scenarios import Scenario, get_scenario
-from ..strategies import ActionSpace, GPDiscontinuousStrategy, make_strategy
+from ..strategies import ActionSpace, GPDiscontinuousStrategy
 from ..workload import Workload
-from .parallel import derive_cell_seed, run_cell_trace
 
 
 def strategy_space_for(
@@ -94,32 +92,3 @@ def measure_overhead(
         per_iteration=np.asarray(overheads),
         iteration_durations=np.asarray(durations),
     )
-
-
-def strategy_overheads(
-    names: Sequence[str],
-    bank: MeasurementBank,
-    iterations: int = 30,
-    reps: int = 3,
-    base_seed: int = 0,
-) -> Dict[str, float]:
-    """Mean per-iteration overhead (seconds) of each named strategy.
-
-    Runs each strategy through the standard resampling loop on ``bank``
-    (same seeds as the Figure 6 harness) and averages the self-timed
-    ``Strategy.overheads``.  This is the Figure 7 comparison quantity:
-    the paper's expected ordering is naive < bandits < GP.
-    """
-    space = bank.action_space()
-    out: Dict[str, float] = {}
-    for name in names:
-        per_iter: List[float] = []
-        for rep in range(reps):
-            rng = np.random.default_rng(
-                derive_cell_seed(name, rep, base_seed)
-            )
-            strategy = make_strategy(name, space, seed=rep + base_seed)
-            run_cell_trace(strategy, bank, iterations, rng)
-            per_iter.extend(strategy.overheads)
-        out[name] = float(np.mean(per_iter))
-    return out

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..measure.bank import MeasurementBank
-from .metrics import StrategySummary
 from .runner import ScenarioEvaluation
 
 
@@ -74,9 +73,3 @@ def figure6_matrix(evaluations: Dict[str, ScenarioEvaluation]) -> str:
             + [f"{oracle_gain:+.1f}%"]
         )
     return format_table(headers, rows)
-
-
-def summaries_ranking(summaries: List[StrategySummary]) -> str:
-    """One-line ranking of strategies by mean total."""
-    ordered = sorted(summaries, key=lambda s: s.mean_total)
-    return " > ".join(f"{s.name} ({s.mean_total:.0f}s)" for s in ordered)

@@ -31,7 +31,6 @@ from .parallel import (
     ALL_NODES_CELL,
     ORACLE_CELL,
     CellResult,
-    EvalCell,
     ProgressFn,
     plan_cells,
     run_cell_trace,
@@ -47,28 +46,6 @@ def run_strategy_once(
     """One run: total time over ``iterations`` resampled iterations."""
     total, _, _ = run_cell_trace(strategy, bank, iterations, rng, injector)
     return total
-
-
-def run_strategy(
-    name: str,
-    bank: MeasurementBank,
-    iterations: int = config.EVAL_ITERATIONS,
-    reps: int = config.EVAL_REPETITIONS,
-    base_seed: int = 0,
-    injector=None,
-) -> np.ndarray:
-    """Totals of ``reps`` independent runs of a named strategy.
-
-    ``injector`` (a :class:`repro.faults.injector.FaultInjector`)
-    perturbs every repetition identically; ``None`` leaves the
-    stationary path byte-untouched.
-    """
-    label = getattr(bank, "label", "_")
-    cells = [EvalCell(label, name, rep) for rep in range(reps)]
-    results = run_cells(
-        {label: bank}, cells, iterations, base_seed, injector=injector,
-    )
-    return np.asarray([r.total for r in results])
 
 
 @dataclass

@@ -10,8 +10,8 @@ the non-stationary experiment axis the ROADMAP asks for, in four layers:
   bank/PerfModel boundary as a pure function of ``(iteration,
   action)``, so every cell is perturbed identically and the duration
   cache never serves stale stationary results;
-* :mod:`repro.faults.detector` -- online Page-Hinkley / sliding-window
-  change-point detection with a pinned stationary false-positive bound;
+* :mod:`repro.faults.detector` -- online Page-Hinkley change-point
+  detection with a pinned stationary false-positive bound;
 * :mod:`repro.faults.resilience` -- the ``Resilient(<strategy>)``
   wrapper: bounded re-exploration on detected change, action-space
   contraction on crashes, retry-with-backoff on transient failures.
@@ -21,12 +21,7 @@ The campaign driver comparing raw vs. resilient strategies lives in
 which this package must not import); the ``repro faults`` CLI fronts it.
 """
 
-from .detector import (
-    Alarm,
-    PageHinkleyDetector,
-    STATIONARY_FP_BOUND,
-    SlidingWindowDetector,
-)
+from .detector import Alarm, PageHinkleyDetector, STATIONARY_FP_BOUND
 from .injector import FaultEvent, FaultInjector, Injection, faulted_perfmodel
 from .models import (
     FAULT_KINDS,
@@ -41,7 +36,7 @@ from .models import (
     fault_from_dict,
     fault_to_dict,
 )
-from .resilience import RESILIENT_BASES, ResilientStrategy, resilient_name
+from .resilience import ResilientStrategy, resilient_name
 
 __all__ = [
     "Alarm",
@@ -56,11 +51,9 @@ __all__ = [
     "NodeCrash",
     "NodeSlowdown",
     "PageHinkleyDetector",
-    "RESILIENT_BASES",
     "ResilientStrategy",
     "STATIONARY",
     "STATIONARY_FP_BOUND",
-    "SlidingWindowDetector",
     "canned_schedules",
     "fault_from_dict",
     "fault_to_dict",

@@ -6,22 +6,18 @@ and the stale model silently bleeds time.  The resilience layer needs a
 cheap, online, *low-false-positive* signal that the duration stream is
 no longer stationary.
 
-Two detectors, both O(1) per observation and free of any global state:
-
-* :class:`PageHinkleyDetector` -- the classic Page-Hinkley test on the
-  cumulative deviation from the running mean.  The default in
-  :class:`repro.faults.resilience.ResilientStrategy`.
-* :class:`SlidingWindowDetector` -- compares the mean of the most
-  recent window against the preceding reference window; simpler to
-  reason about, used for cross-checks and ablations.
+:class:`PageHinkleyDetector` is the classic Page-Hinkley test on the
+cumulative deviation from the running mean: O(1) per observation, free
+of any global state, and the detector of
+:class:`repro.faults.resilience.ResilientStrategy`.
 
 Thresholds are expressed in units of the stream's own noise scale
 (estimated over the first ``burn_in`` observations), so the same
 defaults work for a 6-second scenario and a 60-second one.
 
-Both families were grid-swept once against the canned fault schedules;
-the frozen ranked table lives in EXPERIMENTS.md under "Detector sweep".
-The class defaults
+It was grid-swept once, together with a sliding-window detector since
+deleted, against the canned fault schedules; the frozen ranked table
+lives in EXPERIMENTS.md under "Detector sweep".  The class defaults
 below are conservative stationary-trace settings (they carry the pinned
 false-positive bound); :class:`repro.faults.resilience.ResilientStrategy`
 overrides the Page-Hinkley knobs with the sweep's top-ranked
@@ -36,9 +32,8 @@ Page-Hinkley configuration must alarm on at most
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -163,60 +158,3 @@ class PageHinkleyDetector:
         ))
         self.reset()
 
-
-@dataclass
-class SlidingWindowDetector:
-    """Mean-shift detector over two adjacent sliding windows.
-
-    Keeps the last ``2 * window`` observations split into a reference
-    half and a recent half; alarms when the recent mean departs from the
-    reference mean by more than ``threshold`` times the pooled standard
-    deviation.  More memory than Page-Hinkley but directly
-    interpretable ("the last 10 iterations are 3 sigma slower than the
-    10 before").
-    """
-
-    window: int = 10
-    threshold: float = 3.0
-    min_scale: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        self.alarms: List[Alarm] = []
-        self._seen = 0
-        self._buffer: Deque[float] = deque(maxlen=2 * self.window)
-
-    def reset(self) -> None:
-        """Drop the buffered observations (alarm history is kept)."""
-        self._buffer.clear()
-
-    @property
-    def observations(self) -> int:
-        """Total observations fed in (across resets)."""
-        return self._seen
-
-    def update(self, value: float) -> bool:
-        """Feed one observation; True when a change point is detected."""
-        self._seen += 1
-        self._buffer.append(float(value))
-        if len(self._buffer) < 2 * self.window:
-            return False
-        values = np.asarray(self._buffer, dtype=float)
-        reference, recent = values[: self.window], values[self.window:]
-        pooled = max(
-            float(np.sqrt((np.var(reference) + np.var(recent)) / 2.0)),
-            self.min_scale,
-        )
-        shift = float(np.mean(recent) - np.mean(reference))
-        if abs(shift) > self.threshold * pooled:
-            self.alarms.append(Alarm(
-                index=self._seen - 1,
-                statistic=abs(shift) / pooled,
-                direction="up" if shift > 0 else "down",
-            ))
-            self.reset()
-            return True
-        return False

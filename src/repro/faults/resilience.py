@@ -48,17 +48,6 @@ from .injector import FaultEvent
 #: Prime stride decorrelating the seeds of successive inner rebuilds.
 REBUILD_SEED_STRIDE = 104729
 
-#: Names of the inner strategies the registry wraps (the paper's seven).
-RESILIENT_BASES = (
-    "DC",
-    "Right-Left",
-    "Brent",
-    "UCB",
-    "UCB-struct",
-    "GP-UCB",
-    "GP-discontinuous",
-)
-
 
 def resilient_name(inner: str) -> str:
     """Registry name of the wrapped variant of ``inner``."""

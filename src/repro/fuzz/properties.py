@@ -58,7 +58,6 @@ ADAPTIVE_BASES = (
     "UCB",
     "GP-UCB",
     "GP-discontinuous",
-    "GP-EI",
     "GP-discontinuous-windowed",
 )
 

@@ -16,12 +16,6 @@ from .likelihood import (
 )
 from .mixed import TradeoffRow, mixed_log_likelihood, mixed_precision_tradeoff
 from .phases import PHASES, IterationPlan, build_iteration_graph, submit_generation
-from .prediction import (
-    PredictionResult,
-    cross_covariance,
-    holdout_experiment,
-    predict_missing,
-)
 from .spatial import SpatialData, jittered_grid, synthetic_dataset
 
 __all__ = [
@@ -31,23 +25,19 @@ __all__ = [
     "LikelihoodBreakdown",
     "MaternParams",
     "PHASES",
-    "PredictionResult",
     "RunResult",
     "SpatialData",
     "TradeoffRow",
     "build_iteration_graph",
     "covariance_matrix",
-    "cross_covariance",
     "direct_log_likelihood",
     "golden_section_range_search",
-    "holdout_experiment",
     "jittered_grid",
     "log_likelihood",
     "make_covariance",
     "matern_correlation",
     "mixed_log_likelihood",
     "mixed_precision_tradeoff",
-    "predict_missing",
     "submit_generation",
     "synthetic_dataset",
     "tile_size_for",

@@ -1,7 +1,6 @@
 """Gaussian-Process surrogate modelling (DiceKriging-like, from scratch)."""
 
-from .acquisition import expected_improvement, probability_of_improvement
-from .kernels import Exponential, Gaussian, Kernel, Matern52
+from .kernels import Exponential, Gaussian, Kernel
 from .noise import estimate_noise_variance, group_observations
 from .regression import GaussianProcess, GPFit
 from .trend import (
@@ -22,10 +21,7 @@ __all__ = [
     "Kernel",
     "Linear2DTrend",
     "LinearTrend",
-    "Matern52",
     "TrendBasis",
     "estimate_noise_variance",
-    "expected_improvement",
-    "probability_of_improvement",
     "group_observations",
 ]

@@ -3,13 +3,12 @@
 The paper's Eq. 3 parameterizes the GP covariance as
 ``Sigma(x, x') = alpha * exp(-||x - x'|| / theta)`` -- an exponential
 kernel with scale ``alpha`` and length ``theta``.  We implement the
-correlation part here (``alpha`` lives in the regression); Gaussian and
-Matern-5/2 alternatives are provided for comparison.
+correlation part here (``alpha`` lives in the regression); a Gaussian
+alternative is provided for comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +76,3 @@ class Gaussian(Kernel):
         """``exp(-(d / theta)^2)``."""
         s = np.asarray(d, dtype=float) / self.theta
         return np.exp(-(s**2))
-
-
-@dataclass(frozen=True)
-class Matern52(Kernel):
-    """Matern nu=5/2 correlation (twice differentiable sample paths)."""
-
-    def correlation(self, d: np.ndarray) -> np.ndarray:
-        """Matern-5/2 correlation at distance ``d``."""
-        s = math.sqrt(5.0) * np.asarray(d, dtype=float) / self.theta
-        return (1.0 + s + s**2 / 3.0) * np.exp(-s)

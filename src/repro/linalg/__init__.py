@@ -6,13 +6,8 @@ pipeline.
 """
 
 from . import kernels
-from .cholesky import critical_path_flops, numeric_cholesky, submit_cholesky
-from .precision import (
-    PrecisionPolicy,
-    mixed_factorization_flops,
-    numeric_cholesky_mixed,
-    quantize_fp32,
-)
+from .cholesky import numeric_cholesky, submit_cholesky
+from .precision import PrecisionPolicy, numeric_cholesky_mixed, quantize_fp32
 from .solve import (
     numeric_dot,
     numeric_log_det,
@@ -29,9 +24,7 @@ __all__ = [
     "TileDistribution",
     "TileGrid",
     "TileStore",
-    "critical_path_flops",
     "kernels",
-    "mixed_factorization_flops",
     "numeric_cholesky",
     "numeric_cholesky_mixed",
     "numeric_dot",

@@ -110,16 +110,3 @@ def numeric_cholesky(store: TileStore) -> TileStore:
             for j in range(k + 1, i):
                 b[(i, j)] = kernels.gemm(b[(i, j)], b[(i, k)], b[(j, k)])
     return out
-
-
-def critical_path_flops(t: int, nb: int) -> float:
-    """Flops along the tile Cholesky critical path.
-
-    The chain POTRF(k) -> TRSM(k+1,k) -> SYRK(k+1) -> POTRF(k+1) ... gives
-    per-step cost potrf + trsm + syrk; useful as a makespan floor that no
-    amount of parallelism beats.
-    """
-    per_step = (
-        kernels.potrf_flops(nb) + kernels.trsm_flops(nb) + kernels.syrk_flops(nb)
-    )
-    return (t - 1) * per_step + kernels.potrf_flops(nb)

@@ -96,17 +96,3 @@ def numeric_cholesky_mixed(store: TileStore, policy: PrecisionPolicy) -> TileSto
             for j in range(k + 1, i):
                 b[(i, j)] = q(i, j, kernels.gemm(b[(i, j)], b[(i, k)], b[(j, k)]))
     return out
-
-
-def mixed_factorization_flops(t: int, nb: int, policy: PrecisionPolicy) -> float:
-    """Total effective flop cost of the banded mixed-precision Cholesky."""
-    total = 0.0
-    for k in range(t):
-        total += kernels.potrf_flops(nb) * policy.flops_scale(k, k)
-        for i in range(k + 1, t):
-            total += kernels.trsm_flops(nb) * policy.flops_scale(i, k)
-        for i in range(k + 1, t):
-            total += kernels.syrk_flops(nb) * policy.flops_scale(i, i)
-            for j in range(k + 1, i):
-                total += kernels.gemm_flops(nb) * policy.flops_scale(i, j)
-    return total

@@ -51,7 +51,6 @@ from .trace import (
     scoped,
     set_tracer,
     start_trace,
-    trace_session,
 )
 
 # NOTE: repro.obs.timeline is intentionally NOT imported here: it
@@ -89,7 +88,6 @@ __all__ = [
     "set_tracer",
     "start_trace",
     "stats_to_json",
-    "trace_session",
     "write_atomic",
     "write_root_report",
 ]

@@ -217,20 +217,3 @@ def finish_trace() -> None:
     tracer = set_tracer(NULL_TRACER)
     if tracer is not NULL_TRACER:
         tracer.close()
-
-
-@contextmanager
-def trace_session(
-    path: Optional[Union[str, Path]] = None, ticks: bool = False
-) -> Iterator[Tracer]:
-    """:func:`start_trace` paired with a guaranteed :func:`finish_trace`.
-
-    The exception-safe form of the start/finish pair: a body that raises
-    still gets its registry summary emitted and its sink closed, so the
-    trace on disk is complete up to the crash.
-    """
-    tracer = start_trace(path, ticks=ticks)
-    try:
-        yield tracer
-    finally:
-        finish_trace()

@@ -17,7 +17,7 @@ from .catalog import (
     node_type,
     table2_rows,
 )
-from .cluster import Cluster, Group, composition_label
+from .cluster import Cluster, Group
 from .network import NetworkModel
 from .node import CATEGORIES, Node, NodeType
 from .scenarios import FIGURE2_KEYS, SCENARIOS, Scenario, all_scenarios, get_scenario
@@ -40,7 +40,6 @@ __all__ = [
     "Scenario",
     "TABLE_II",
     "all_scenarios",
-    "composition_label",
     "get_scenario",
     "network_for_site",
     "node_type",

@@ -12,7 +12,7 @@ switch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .network import NetworkModel
 from .node import Node, NodeType
@@ -184,8 +184,3 @@ class Cluster:
         for g in self._groups:
             out[g.node_type.category] = out.get(g.node_type.category, 0) + g.size
         return out
-
-
-def composition_label(composition: Sequence[Tuple[NodeType, int]]) -> str:
-    """Paper-style label such as ``"2L-6M-6S"`` for a composition."""
-    return "-".join(f"{count}{nt.category}" for nt, count in composition)

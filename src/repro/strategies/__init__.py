@@ -5,7 +5,6 @@ from .base import ActionSpace, AllNodesStrategy, OracleStrategy, Strategy
 from .brent import BrentStrategy, brent_minimizer
 from .gp_2d import GP2DStrategy
 from .gp_discontinuous import GPDiscontinuousStrategy
-from .gp_ei import GPEIStrategy
 from .gp_ucb import GPUCBStrategy, beta_t
 from .naive import DichotomyStrategy, RightLeftStrategy
 from .nonstationary import WindowedGPDiscontinuousStrategy
@@ -29,7 +28,6 @@ __all__ = [
     "DichotomyStrategy",
     "GP2DStrategy",
     "GPDiscontinuousStrategy",
-    "GPEIStrategy",
     "GPUCBStrategy",
     "OracleStrategy",
     "RightLeftStrategy",

@@ -2,7 +2,7 @@
 
 The paper's seven strategies (Figure 6's x-axis) keep their names and
 grouping; the extensions that grew alongside the reproduction (annealing,
-stochastic approximation, GP-EI, the windowed GP, and the all-nodes
+stochastic approximation, the windowed GP, and the all-nodes
 default) are registered too so every sweep can reach them by name.  The
 ``REG001`` registry-coverage rule of ``repro.analysis`` enforces that
 every concrete ``Strategy`` subclass stays registered (``OracleStrategy``
@@ -32,7 +32,6 @@ from .bandits import UCBStrategy, UCBStructStrategy
 from .base import ActionSpace, AllNodesStrategy, OracleStrategy, Strategy
 from .brent import BrentStrategy
 from .gp_discontinuous import GPDiscontinuousStrategy
-from .gp_ei import GPEIStrategy
 from .gp_ucb import GPUCBStrategy
 from .naive import DichotomyStrategy, RightLeftStrategy
 from .nonstationary import WindowedGPDiscontinuousStrategy
@@ -58,18 +57,6 @@ def _resilient_factory(inner: str) -> StrategyFactory:
     return build
 
 
-#: Inner strategies wrapped as ``Resilient(<name>)`` registry entries
-#: (the paper's seven; extensions can be wrapped explicitly).
-RESILIENT_WRAPPED = (
-    "DC",
-    "Right-Left",
-    "Brent",
-    "UCB",
-    "UCB-struct",
-    "GP-UCB",
-    "GP-discontinuous",
-)
-
 _REGISTRY: Dict[str, StrategyFactory] = {
     # The paper's seven (Figure 6).
     "DC": lambda space, seed: DichotomyStrategy(space, seed),
@@ -83,14 +70,8 @@ _REGISTRY: Dict[str, StrategyFactory] = {
     "All-nodes": lambda space, seed: AllNodesStrategy(space, seed),
     "SANN": lambda space, seed: SimulatedAnnealingStrategy(space, seed),
     "StochasticApprox": lambda space, seed: StochasticApproximationStrategy(space, seed),
-    "GP-EI": lambda space, seed: GPEIStrategy(space, seed),
     "GP-discontinuous-windowed": lambda space, seed: WindowedGPDiscontinuousStrategy(space, seed),
 }
-
-# Fault-tolerant wrappers (repro.faults): one per paper strategy.
-_REGISTRY.update({
-    f"Resilient({name})": _resilient_factory(name) for name in RESILIENT_WRAPPED
-})
 
 #: Figure 6 ordering.
 STRATEGY_ORDER = (
@@ -103,6 +84,11 @@ STRATEGY_ORDER = (
     "GP-discontinuous",
 )
 
+# Fault-tolerant wrappers (repro.faults): one per paper strategy.
+_REGISTRY.update({
+    f"Resilient({name})": _resilient_factory(name) for name in STRATEGY_ORDER
+})
+
 #: Figure 6 colour groups.
 STRATEGY_GROUPS: Dict[str, str] = {
     "DC": "Heuristics",
@@ -114,7 +100,7 @@ STRATEGY_GROUPS: Dict[str, str] = {
     "GP-discontinuous": "GP",
 }
 STRATEGY_GROUPS.update({
-    f"Resilient({name})": "Resilient" for name in RESILIENT_WRAPPED
+    f"Resilient({name})": "Resilient" for name in STRATEGY_ORDER
 })
 
 
@@ -142,7 +128,6 @@ def make_strategy(name: str, space: ActionSpace, seed: int = 0) -> Strategy:
 __all__ = [
     "AllNodesStrategy",
     "OracleStrategy",
-    "RESILIENT_WRAPPED",
     "STRATEGY_GROUPS",
     "STRATEGY_ORDER",
     "StrategyFactory",

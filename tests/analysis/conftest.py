@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import Analyzer, Baseline, parse_source
+from repro.analysis import Analyzer, parse_source
 
 
 def mk(rel, source):
@@ -14,7 +14,7 @@ def mk(rel, source):
 
 def run_rules(rules, *modules):
     """Run the given rule instances over in-memory modules."""
-    report = Analyzer(rules=rules, baseline=Baseline()).run(list(modules))
+    report = Analyzer(rules=rules).run(list(modules))
     return report.findings
 
 

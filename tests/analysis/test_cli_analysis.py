@@ -62,25 +62,6 @@ class TestMain:
         assert payload["exit_code"] == code == 1
         assert payload["findings"][0]["rule"] == "MUT001"
 
-    def test_write_baseline_then_strict_green(self, project):
-        code, _ = run(["--root", str(project), "--write-baseline"])
-        assert code == 0
-        assert (project / "analysis-baseline.json").exists()
-        code, out = run(["--root", str(project), "--strict"])
-        assert code == 0
-        assert "1 baselined" in out
-
-    def test_stale_baseline_fails_strict(self, project):
-        run(["--root", str(project), "--write-baseline"])
-        (project / "src" / "bad.py").write_text("x = 1\n")
-        code, out = run(["--root", str(project), "--strict"])
-        assert code == 1
-        assert "stale" in out
-
-    def test_no_baseline_flag(self, project):
-        run(["--root", str(project), "--write-baseline"])
-        assert run(["--root", str(project), "--no-baseline"])[0] == 1
-
     def test_select(self, project):
         code, out = run(["--root", str(project), "--select", "FLT001"])
         assert code == 0  # MUT001 not selected
@@ -120,45 +101,11 @@ class TestErrorPaths:
         assert code == 1
         assert "PARSE000" in out
 
-    def test_malformed_baseline_json_is_usage_error(self, project, capsys):
-        (project / "analysis-baseline.json").write_text("{not json")
-        code, _ = run(["--root", str(project)])
-        assert code == 2
-        assert "bad baseline file" in capsys.readouterr().err
-
     def test_empty_root_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
         code, _ = run(["--root", str(tmp_path)])
         assert code == 2
         assert "nothing to analyze" in capsys.readouterr().err
-
-
-class TestStaleSuppressions:
-    def test_stale_entry_fails_default_mode_with_guidance(self, project):
-        run(["--root", str(project), "--write-baseline"])
-        (project / "src" / "bad.py").write_text("x = 1\n")
-        code, out = run(["--root", str(project)])
-        assert code == 1
-        assert "stale suppression" in out
-        assert "--prune-baseline" in out
-
-    def test_prune_baseline_round_trip(self, project):
-        run(["--root", str(project), "--write-baseline"])
-        (project / "src" / "bad.py").write_text("x = 1\n")
-        code, out = run(["--root", str(project), "--prune-baseline"])
-        assert code == 0
-        assert "pruned 1 stale entry" in out
-        baseline = json.loads(
-            (project / "analysis-baseline.json").read_text())
-        assert baseline["entries"] == []
-        assert run(["--root", str(project), "--strict"])[0] == 0
-
-    def test_prune_keeps_live_entries(self, project):
-        run(["--root", str(project), "--write-baseline"])
-        code, out = run(["--root", str(project), "--prune-baseline"])
-        assert code == 0
-        assert "kept 1" in out
-        assert run(["--root", str(project), "--strict"])[0] == 0
 
 
 class TestRemovedFlowFlags:
@@ -170,13 +117,16 @@ class TestRemovedFlowFlags:
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--flow"], ["--graph", "g.json"],
-                                      ["--write-purity", "p.json"]])
-    def test_repro_lint_rejects(self, capsys, flag):
-        from repro.cli import main as repro_main
 
+class TestRemovedBaselineFlags:
+    """Inline suppression is the one exception mechanism: no baseline."""
+
+    @pytest.mark.parametrize("flag", [["--baseline", "b.json"],
+                                      ["--no-baseline"]],
+                             ids=["baseline", "no-baseline"])
+    def test_rejected(self, project, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            repro_main(["lint", *flag])
+            run(["--root", str(project), *flag])
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
 

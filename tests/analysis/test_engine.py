@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import Analyzer, Baseline, all_rules
+from repro.analysis import Analyzer, all_rules
 from repro.analysis.engine import collect_files, register, Rule
 
 from .conftest import mk, run_rules
@@ -66,7 +66,7 @@ class TestRunPaths:
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "ok.py").write_text("x = 1\n")
         (tmp_path / "src" / "bad.py").write_text("if x == 0.5:\n    pass\n")
-        report = Analyzer(baseline=Baseline()).run_paths(tmp_path, ["src"])
+        report = Analyzer().run_paths(tmp_path, ["src"])
         assert report.files_analyzed == 2
         assert [f.rule for f in report.findings] == ["FLT001"]
         assert report.findings[0].path == "src/bad.py"
@@ -74,7 +74,7 @@ class TestRunPaths:
     def test_syntax_error_becomes_finding(self, tmp_path):
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "broken.py").write_text("def f(:\n")
-        report = Analyzer(baseline=Baseline()).run_paths(tmp_path, ["src"])
+        report = Analyzer().run_paths(tmp_path, ["src"])
         assert [f.rule for f in report.findings] == ["PARSE000"]
         assert report.exit_code() == 1
 

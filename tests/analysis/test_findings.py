@@ -52,10 +52,5 @@ class TestReport:
         report = Report(findings=[self._finding(Severity.ERROR)])
         assert report.exit_code(strict=False) == 1
 
-    def test_exit_code_stale_baseline_fails_both_modes(self):
-        report = Report(stale_baseline=[object()])
-        assert report.exit_code(strict=False) == 1
-        assert report.exit_code(strict=True) == 1
-
     def test_clean(self):
         assert Report().exit_code(strict=True) == 0

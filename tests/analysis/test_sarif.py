@@ -83,10 +83,3 @@ class TestResults:
         assert "PARSE000" in descriptor_ids
         [result] = run["results"]
         assert descriptor_ids[result["ruleIndex"]] == "PARSE000"
-
-    def test_baselined_findings_are_not_results(self):
-        suppressed = Finding(rule="MUT001", path="src/m.py", line=1,
-                             message="m", context="c")
-        report = Report(findings=[], baselined=[suppressed],
-                        files_analyzed=1, rules_run=1)
-        assert to_sarif(report, all_rules())["runs"][0]["results"] == []

@@ -1,15 +1,10 @@
-"""Tests for distribution helpers: shares, WRR, balance stats."""
+"""Tests for distribution helpers: integer shares and tile counts."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distribution import (
-    integer_shares,
-    load_imbalance,
-    tile_counts,
-    weighted_round_robin,
-)
+from repro.distribution import integer_shares, tile_counts
 
 positive_weights = st.lists(
     st.floats(min_value=0.1, max_value=100.0, allow_nan=False),
@@ -52,49 +47,7 @@ class TestIntegerShares:
             integer_shares([1.0], 0)
 
 
-class TestWeightedRoundRobin:
-    def test_uniform_is_round_robin(self):
-        seq = weighted_round_robin([1, 1, 1], 6)
-        assert sorted(seq[:3]) == [0, 1, 2]
-        assert sorted(seq[3:]) == [0, 1, 2]
-
-    def test_composition_matches_weights(self):
-        seq = weighted_round_robin([1, 3], 100)
-        assert seq.count(0) == 25
-        assert seq.count(1) == 75
-
-    def test_smooth_interleaving(self):
-        """The heavy node never waits long: with weights 3:1 node 0 appears
-        in every window of 2."""
-        seq = weighted_round_robin([3, 1], 40)
-        for a, b in zip(seq, seq[1:]):
-            assert 0 in (a, b)
-
-    @settings(max_examples=50, deadline=None)
-    @given(weights=positive_weights, length=st.integers(min_value=0, max_value=200))
-    def test_property_valid_indices(self, weights, length):
-        seq = weighted_round_robin(weights, length)
-        assert len(seq) == length
-        assert all(0 <= s < len(weights) for s in seq)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            weighted_round_robin([], 3)
-        with pytest.raises(ValueError):
-            weighted_round_robin([1.0], -1)
-
-
 class TestBalanceStats:
     def test_tile_counts_cover_lower_triangle(self):
         counts = tile_counts(lambda i, j: 0, t=5)
         assert counts == {0: 15}
-
-    def test_load_imbalance_perfect(self):
-        # Two equal nodes, alternating rows: near-perfect balance.
-        dist = lambda i, j: i % 2
-        imb = load_imbalance(dist, t=8, weights=[1.0, 1.0])
-        assert imb == pytest.approx(1.0, rel=0.15)
-
-    def test_load_imbalance_detects_skew(self):
-        dist = lambda i, j: 0  # everything on node 0 of 2
-        assert load_imbalance(dist, t=6, weights=[1.0, 1.0]) == pytest.approx(2.0)

@@ -1,73 +1,13 @@
-"""Tests for the weighted heterogeneous distribution."""
+"""Tests for the per-phase heterogeneous distributions of a scenario."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.distribution import (
     factorization_distribution,
     generation_distribution,
     tile_counts,
-    weighted_pattern,
-    weighted_two_d_cyclic,
 )
 from repro.platform import get_scenario
-
-
-class TestWeightedPattern:
-    def test_pattern_contains_all_nodes(self):
-        pattern = weighted_pattern([5.0, 1.0, 1.0])
-        flat = {x for row in pattern for x in row}
-        assert flat == {0, 1, 2}
-
-    def test_frequencies_follow_weights(self):
-        pattern = weighted_pattern([3.0, 1.0], resolution=8)
-        flat = [x for row in pattern for x in row]
-        assert flat.count(0) > 2 * flat.count(1)
-
-    def test_resolution_validation(self):
-        with pytest.raises(ValueError):
-            weighted_pattern([1.0], resolution=0)
-
-
-class TestWeightedTwoDCyclic:
-    def test_valid_node_indices(self):
-        dist = weighted_two_d_cyclic([1.0, 2.0, 3.0])
-        for j in range(10):
-            for i in range(j, 10):
-                assert 0 <= dist(i, j) < 3
-
-    def test_heavier_node_owns_more_tiles(self):
-        dist = weighted_two_d_cyclic([10.0, 1.0])
-        counts = tile_counts(dist, t=20)
-        assert counts.get(0, 0) > 3 * counts.get(1, 0)
-
-    def test_deterministic(self):
-        d1 = weighted_two_d_cyclic([2.0, 1.0])
-        d2 = weighted_two_d_cyclic([2.0, 1.0])
-        assert all(
-            d1(i, j) == d2(i, j) for j in range(8) for i in range(j, 8)
-        )
-
-    def test_changing_n_reshapes_pattern(self):
-        """Adding one node changes some existing assignments -- the source
-        of the paper's distribution breaks."""
-        d2 = weighted_two_d_cyclic([1.0, 1.0])
-        d3 = weighted_two_d_cyclic([1.0, 1.0, 1.0])
-        changed = sum(
-            d2(i, j) != d3(i, j) for j in range(12) for i in range(j, 12)
-        )
-        assert changed > 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        weights=st.lists(
-            st.floats(min_value=0.5, max_value=50.0), min_size=1, max_size=12
-        )
-    )
-    def test_property_all_weights_valid_owner(self, weights):
-        dist = weighted_two_d_cyclic(weights)
-        assert 0 <= dist(7, 3) < len(weights)
 
 
 class TestScenarioDistributions:

@@ -9,16 +9,18 @@ regressions guard it:
 * the qualitative cost ordering holds: heuristics < multi-armed bandits
   < GP fitting (per-family mean), each by a comfortable factor.
 
-Timings use the strategies' self-timed ``Strategy.overheads`` via
-:func:`repro.evaluate.strategy_overheads` on a synthetic bank, so no
+Timings use the strategies' self-timed ``Strategy.overheads``, run
+through the Figure 6 resampling loop on a synthetic bank, so no
 simulator time pollutes the measurement.
 """
 
 import numpy as np
 import pytest
 
-from repro.evaluate import measure_overhead, strategy_overheads
+from repro.evaluate import measure_overhead
+from repro.evaluate.parallel import derive_cell_seed, run_cell_trace
 from repro.measure import synthetic_bank
+from repro.strategies import make_strategy
 
 #: Generous CI bound: per-iteration strategy cost, seconds.  The paper
 #: reports 0.04-0.06 s for the GP; anything near 0.25 s is a regression.
@@ -29,6 +31,20 @@ FAMILIES = {
     "bandits": ("UCB", "UCB-struct"),
     "gp": ("GP-UCB", "GP-discontinuous"),
 }
+
+
+def strategy_overheads(names, bank, iterations, reps):
+    """Mean per-iteration overhead (seconds) of each named strategy."""
+    out = {}
+    for name in names:
+        per_iter = []
+        for rep in range(reps):
+            rng = np.random.default_rng(derive_cell_seed(name, rep))
+            strategy = make_strategy(name, bank.action_space(), seed=rep)
+            run_cell_trace(strategy, bank, iterations, rng)
+            per_iter.extend(strategy.overheads)
+        out[name] = float(np.mean(per_iter))
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from repro.evaluate import (
     evaluation_table,
     figure6_matrix,
     format_table,
-    summaries_ranking,
     sweep_table,
 )
 from repro.measure import synthetic_bank
@@ -64,10 +63,6 @@ class TestEvaluationTables:
     def test_figure6_matrix(self, evaluation):
         text = figure6_matrix({"x": evaluation})
         assert "(x)" in text
-        assert "DC" in text
-
-    def test_ranking(self, evaluation):
-        text = summaries_ranking(evaluation.summaries)
         assert "DC" in text
 
     def test_empty_matrix(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.evaluate import evaluate_scenario, run_strategy, run_strategy_once
+from repro.evaluate import evaluate_scenario, run_strategy_once
 from repro.measure import synthetic_bank
 from repro.strategies import AllNodesStrategy, make_strategy
 
@@ -35,19 +35,6 @@ class TestRunStrategyOnce:
         s = AllNodesStrategy(bank.action_space())
         run_strategy_once(s, bank, iterations=5, rng=rng)
         assert all(y in bank.samples[14] for y in s.ys)
-
-
-class TestRunStrategy:
-    def test_shape_and_determinism(self, bank):
-        t1 = run_strategy("DC", bank, iterations=20, reps=5, base_seed=7)
-        t2 = run_strategy("DC", bank, iterations=20, reps=5, base_seed=7)
-        assert t1.shape == (5,)
-        assert np.allclose(t1, t2)
-
-    def test_different_seeds_differ(self, bank):
-        t1 = run_strategy("DC", bank, iterations=20, reps=3, base_seed=1)
-        t2 = run_strategy("DC", bank, iterations=20, reps=3, base_seed=2)
-        assert not np.allclose(t1, t2)
 
 
 class TestEvaluateScenario:

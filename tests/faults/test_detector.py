@@ -1,4 +1,4 @@
-"""Tests for the online change-point detectors.
+"""Tests for the online change-point detector.
 
 The headline here is the **pinned stationary false-positive bound**: on
 30 stationary Gaussian repetitions of the Figure 6 shape (127
@@ -11,11 +11,7 @@ against it).
 import numpy as np
 import pytest
 
-from repro.faults import (
-    PageHinkleyDetector,
-    STATIONARY_FP_BOUND,
-    SlidingWindowDetector,
-)
+from repro.faults import PageHinkleyDetector, STATIONARY_FP_BOUND
 
 #: The Figure 6 evaluation shape the bound is pinned on.
 REPS = 30
@@ -107,32 +103,3 @@ class TestPageHinkley:
             f"{tripped}/{REPS} stationary repetitions alarmed; the pinned "
             f"bound is {STATIONARY_FP_BOUND:.0%}"
         )
-
-
-class TestSlidingWindow:
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SlidingWindowDetector(window=1)
-        with pytest.raises(ValueError):
-            SlidingWindowDetector(threshold=0.0)
-
-    def test_detects_shift(self):
-        rng = np.random.default_rng(6)
-        trace = np.concatenate([
-            10.0 + rng.normal(0.0, 0.3, 30),
-            13.0 + rng.normal(0.0, 0.3, 30),
-        ])
-        detector = SlidingWindowDetector()
-        hits = feed(detector, trace)
-        assert hits and 30 <= hits[0] < 50
-        assert detector.alarms[0].direction == "up"
-
-    def test_stationary_stays_quiet(self):
-        rng = np.random.default_rng(7)
-        trace = 10.0 + rng.normal(0.0, 0.5, ITERATIONS)
-        assert feed(SlidingWindowDetector(), trace) == []
-
-    def test_needs_full_buffer(self):
-        detector = SlidingWindowDetector(window=5)
-        # 9 observations < 2 * window: never enough evidence to alarm.
-        assert feed(detector, [1.0] * 4 + [100.0] * 5) == []

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultEvent, ResilientStrategy
-from repro.faults.resilience import RESILIENT_BASES, resilient_name
-from repro.strategies import ActionSpace, make_strategy
+from repro.faults.resilience import resilient_name
+from repro.strategies import STRATEGY_ORDER, ActionSpace, make_strategy
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ def drive(strategy, f, rounds, events=None):
 
 class TestRegistration:
     def test_every_base_is_wrapped(self, space):
-        for inner in RESILIENT_BASES:
+        for inner in STRATEGY_ORDER:
             s = make_strategy(resilient_name(inner), space, seed=1)
             assert isinstance(s, ResilientStrategy)
             assert s.name == f"Resilient({inner})"

@@ -1,12 +1,12 @@
 """Characterization goldens for the Figure 6 `compare` pipeline.
 
-Pins the exact per-repetition totals and chosen-arm sequences of three
-strategy families (heuristic DC, bandit UCB, and the GPs:
-GP-discontinuous with fixed hyper-parameters and GP-UCB with its
-per-iteration maximum-likelihood refit) on two scenarios at reduced
-scale.  Any change to the simulator, the noise
-model, the seed derivation or the strategies that shifts a single
-resampled duration or decision fails here with a precise diff.
+Pins the exact per-repetition totals and chosen-arm sequences of the
+seven Figure 6 strategies (heuristics DC and Right-Left, Brent, bandits
+UCB and UCB-struct, and the GPs: GP-discontinuous with fixed
+hyper-parameters and GP-UCB with its per-iteration maximum-likelihood
+refit) on two scenarios at reduced scale.  Any change to the simulator,
+the noise model, the seed derivation or the strategies that shifts a
+single resampled duration or decision fails here with a precise diff.
 
 Regenerate deliberately after an intended behaviour change::
 
@@ -23,10 +23,11 @@ import pytest
 from repro.evaluate import plan_cells, run_cells
 from repro.measure import cached_bank
 from repro.platform import get_scenario
+from repro.strategies import STRATEGY_ORDER
 
 GOLDEN = Path(__file__).parent / "goldens" / "compare_golden.json"
 SCENARIO_KEYS = ("b", "c")
-STRATEGIES = ("DC", "UCB", "GP-discontinuous", "GP-UCB")
+STRATEGIES = STRATEGY_ORDER
 ITERATIONS = 20
 REPS = 2
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.linalg import (
     TileGrid,
     TileStore,
-    critical_path_flops,
     kernels,
     numeric_cholesky,
     submit_cholesky,
@@ -105,11 +104,3 @@ class TestCholeskyTaskGraph:
     def test_phase_label(self):
         graph, _, _ = self.build()
         assert all(t.phase == "factorization" for t in graph.tasks)
-
-
-class TestCriticalPath:
-    def test_positive_and_grows_with_t(self):
-        assert critical_path_flops(10, 8) > critical_path_flops(5, 8) > 0
-
-    def test_single_tile(self):
-        assert critical_path_flops(1, 8) == pytest.approx(kernels.potrf_flops(8))

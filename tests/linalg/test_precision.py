@@ -6,8 +6,6 @@ import pytest
 from repro.linalg import (
     PrecisionPolicy,
     TileStore,
-    kernels,
-    mixed_factorization_flops,
     numeric_cholesky,
     numeric_cholesky_mixed,
     quantize_fp32,
@@ -91,25 +89,3 @@ class TestMixedCholesky:
             errs.append(np.max(np.abs(mixed - ref)))
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[2] == 0.0
-
-
-class TestMixedFlops:
-    def test_all_double_matches_reference_total(self):
-        t, nb = 7, 4
-        assert mixed_factorization_flops(
-            t, nb, PrecisionPolicy(dp_bands=t)
-        ) == pytest.approx(kernels.cholesky_total_flops(t, nb))
-
-    def test_fewer_bands_fewer_flops(self):
-        t, nb = 10, 4
-        costs = [
-            mixed_factorization_flops(t, nb, PrecisionPolicy(b))
-            for b in (1, 4, 10)
-        ]
-        assert costs[0] < costs[1] < costs[2]
-
-    def test_floor_is_half(self):
-        t, nb = 12, 4
-        full = kernels.cholesky_total_flops(t, nb)
-        minimal = mixed_factorization_flops(t, nb, PrecisionPolicy(1))
-        assert full * 0.5 <= minimal <= full

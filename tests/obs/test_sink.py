@@ -17,7 +17,6 @@ from repro.obs import (
     NULL_TRACER,
     read_trace,
     start_trace,
-    trace_session,
     write_atomic,
     write_root_report,
 )
@@ -151,24 +150,6 @@ class TestExceptionPaths:
         records = read_trace(path)
         assert records[-1]["kind"] == "summary"
         assert records[-1]["registry"]["counters"]["work.done"] == 7
-
-    def test_trace_session_restores_null_tracer_on_exception(
-            self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with pytest.raises(RuntimeError, match="mid-run"):
-            with trace_session(path, ticks=True) as tracer:
-                # The injected mid-run exception of the satellite spec:
-                # crash halfway through an instrumented campaign loop.
-                for i in range(50):
-                    tracer.event("decision", arm=i, duration=1.0)
-                    if i == 24:
-                        raise RuntimeError("mid-run failure")
-        assert get_tracer() is NULL_TRACER
-        records = read_trace(path)
-        kinds = [r["kind"] for r in records]
-        assert kinds[0] == "trace.start"
-        assert kinds[-1] == "summary"
-        assert kinds.count("decision") == 25
 
     def test_tracer_close_survives_failing_summary_emit(self, tmp_path):
         path = tmp_path / "t.jsonl"

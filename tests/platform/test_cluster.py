@@ -9,7 +9,6 @@ from repro.platform import (
     CHIFFLET,
     CHIFFLOT,
     Cluster,
-    composition_label,
 )
 
 
@@ -116,6 +115,3 @@ class TestMemoryFeasibility:
     def test_nonpositive_matrix(self, g5k_cluster):
         assert g5k_cluster.min_nodes_for(0) == 1
 
-
-def test_composition_label():
-    assert composition_label([(CHIFFLOT, 2), (CHETEMI, 4)]) == "2L-4S"

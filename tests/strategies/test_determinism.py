@@ -40,19 +40,18 @@ def drive(name, space, seed, rounds=10):
 class TestRegistryDeterminism:
     def test_registry_covers_extensions(self):
         names = registered_names()
-        assert {"All-nodes", "SANN", "StochasticApprox", "GP-EI",
+        assert {"All-nodes", "SANN", "StochasticApprox",
                 "GP-discontinuous-windowed"} <= set(names)
         assert {"DC", "Right-Left", "Brent", "UCB", "UCB-struct",
                 "GP-UCB", "GP-discontinuous"} <= set(names)
 
     def test_registry_covers_resilient_wrappers(self):
-        from repro.strategies.registry import RESILIENT_WRAPPED
+        from repro.strategies import STRATEGY_ORDER
 
         names = set(registered_names())
-        assert RESILIENT_WRAPPED == ("DC", "Right-Left", "Brent", "UCB",
-                                     "UCB-struct", "GP-UCB",
-                                     "GP-discontinuous")
-        for inner in RESILIENT_WRAPPED:
+        assert STRATEGY_ORDER == ("DC", "Right-Left", "Brent", "UCB",
+                                  "UCB-struct", "GP-UCB", "GP-discontinuous")
+        for inner in STRATEGY_ORDER:
             assert f"Resilient({inner})" in names
 
     @pytest.mark.parametrize("name", registered_names())

@@ -170,20 +170,6 @@ class TestDecisionLog:
             assert record["acquisition"] == pytest.approx(
                 acq[record["arm"]], rel=1e-9)
 
-    def test_gp_ei_logs_no_acquisition(self, space14_lp):
-        """GP-EI picks by Expected Improvement, not by the LCB."""
-        strategy = make_strategy("GP-EI", space14_lp, seed=1)
-        tracer = obs.start_trace(ticks=True)
-        try:
-            run_env(strategy, stepped, 20, noise_sd=0.2, seed=1)
-            decisions = [r for r in tracer.sink.records
-                         if r["kind"] == "decision"]
-        finally:
-            obs.finish_trace()
-        assert len(decisions) == 20
-        assert any("posterior_mean" in r for r in decisions)
-        assert not any("acquisition" in r for r in decisions)
-
 
 class TestRegistry:
     def test_seven_strategies(self):
