@@ -641,8 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--reps", type=_count, default=5)
     pp.add_argument("--seed", type=int, default=0,
                     help="schedule seed (interference jitter streams)")
-    pp.add_argument("--out", default="BENCH_faults.json",
-                    help="root-level campaign artifact ('' disables)")
+    pp.add_argument("--out", default="",
+                    help="write the campaign report to this path "
+                         "(default: no report)")
     _add_trace_args(pp)
     pp.set_defaults(fn=_cmd_faults_run)
 

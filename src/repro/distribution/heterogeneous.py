@@ -100,28 +100,24 @@ def column_slice_distribution(
 
 
 def factorization_distribution(
-    cluster: Cluster, n_fact: int, resolution: int = 4
+    cluster: Cluster, n_fact: int
 ) -> TileDistribution:
     """Distribution of Sigma tiles for the factorization phase.
 
     Uses the ``n_fact`` fastest nodes, weighted by their full (CPU + GPU)
-    throughput -- the resource mix the Cholesky kernels exploit.  The
-    ``resolution`` parameter is kept for API symmetry and ignored by the
-    column-slice scheme.
+    throughput -- the resource mix the Cholesky kernels exploit.
     """
-    del resolution
     weights = [node.total_gflops for node in cluster.subset(n_fact)]
     return column_slice_distribution(weights)
 
 
 def generation_distribution(
-    cluster: Cluster, n_gen: int, resolution: int = 4
+    cluster: Cluster, n_gen: int
 ) -> TileDistribution:
     """Distribution of Sigma tiles for the generation phase.
 
     Uses the ``n_gen`` fastest nodes weighted by CPU throughput only,
     since the ``dcmg`` kernel is CPU-bound (Section II).
     """
-    del resolution
     weights = [node.generation_gflops for node in cluster.subset(n_gen)]
     return column_slice_distribution(weights)

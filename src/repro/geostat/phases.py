@@ -16,7 +16,6 @@ like the paper's Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..distribution import factorization_distribution, generation_distribution
 from ..linalg import (
@@ -69,7 +68,6 @@ def build_iteration_parts(
     cluster: Cluster,
     workload: Workload,
     plan: IterationPlan,
-    resolution: Optional[int] = None,
     precision_policy=None,
 ):
     """Like :func:`build_iteration_graph`, but also return the data parts.
@@ -84,9 +82,8 @@ def build_iteration_parts(
     if not (1 <= plan.n_fact <= n and 1 <= plan.n_gen <= n):
         raise ValueError(f"plan {plan} out of range for a {n}-node cluster")
 
-    kwargs = {} if resolution is None else {"resolution": resolution}
-    gen_dist = generation_distribution(cluster, plan.n_gen, **kwargs)
-    fact_dist = factorization_distribution(cluster, plan.n_fact, **kwargs)
+    gen_dist = generation_distribution(cluster, plan.n_gen)
+    fact_dist = factorization_distribution(cluster, plan.n_fact)
 
     graph = TaskGraph(DataRegistry())
     tiles = TileGrid(workload.t, workload.nb)
@@ -123,7 +120,6 @@ def build_iteration_graph(
     cluster: Cluster,
     workload: Workload,
     plan: IterationPlan,
-    resolution: Optional[int] = None,
     precision_policy=None,
 ) -> TaskGraph:
     """Build the full five-phase task graph for one iteration.
@@ -136,6 +132,5 @@ def build_iteration_graph(
     work.
     """
     return build_iteration_parts(
-        cluster, workload, plan, resolution=resolution,
-        precision_policy=precision_policy,
+        cluster, workload, plan, precision_policy=precision_policy
     )[0]

@@ -21,7 +21,9 @@ pipeline (enforced by ``tests/runtime/differential/test_batch_sweep.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..distribution import factorization_distribution, generation_distribution
 from ..geostat.phases import IterationPlan, build_iteration_parts
@@ -30,11 +32,6 @@ from ..runtime.perfmodel import PerfModel
 from ..runtime.simfast import FastSimulator, compile_template
 from ..runtime.simulator import SimulationResult
 from ..workload import Workload
-
-#: Task-placement spec kinds (see ``ScenarioBatch._specs``).
-_GEN = 0   # generation task: node = gen_dist(i, j) of its tile tag
-_OWNER = 1  # owner-computes task: node = new home of its first write
-
 
 class ScenarioBatch:
     """Batched simulation of one scenario's configuration space.
@@ -64,25 +61,35 @@ class ScenarioBatch:
 
         # Which distribution re-homes each handle: tiles and the solve
         # rhs blocks follow the factorization distribution; everything
-        # else (the reduction scratch) keeps its template home.
-        self._tile_of = {h.hid: ij for ij, h in tiles.handles.items()}
-        self._rhs_of = {h.hid: k for k, h in enumerate(rhs)}
-        self._fixed_home = {
-            hid: graph.registry[hid].home
-            for hid in self._template.sizes
-            if hid not in self._tile_of and hid not in self._rhs_of
-        }
+        # else (the reduction scratch) keeps its template home.  Handle
+        # ids are dense, so homes are one int array indexed by hid.
+        self._tiles = list(tiles.handles)
+        self._tile_hids = np.array(
+            [h.hid for h in tiles.handles.values()], dtype=np.intp
+        )
+        self._rhs_hids = np.array([h.hid for h in rhs], dtype=np.intp)
+        self._rhs_blocks = range(len(rhs))
+        self._homes0 = np.array(
+            [h.home for h in graph.registry], dtype=np.intp
+        )
 
-        # Owner-computes placement spec per task.  Generation tasks were
+        # Owner-computes placement per task.  Generation tasks were
         # submitted *before* the redistribution, so their node follows
-        # the generation distribution of their tile tag; every later
-        # task executes where its first written handle lives (dag.py's
-        # owner-computes rule over the post-redistribution homes).
-        self._specs: List[Tuple[int, int, int]] = [
-            (_GEN, t.tag[0], t.tag[1]) if t.phase == "generation"
-            else (_OWNER, t.writes[0], 0)
-            for t in graph.tasks
-        ]
+        # the generation distribution of their tile tag (an index into
+        # ``self._tiles``); every later task executes where its first
+        # written handle lives (dag.py's owner-computes rule over the
+        # post-redistribution homes).
+        tile_index = {ij: k for k, ij in enumerate(self._tiles)}
+        gen = [t.phase == "generation" for t in graph.tasks]
+        self._is_gen = np.array(gen, dtype=bool)
+        self._gen_tile = np.array(
+            [tile_index[t.tag] if g else 0 for t, g in zip(graph.tasks, gen)],
+            dtype=np.intp,
+        )
+        self._owner_hid = np.array(
+            [0 if g else t.writes[0] for t, g in zip(graph.tasks, gen)],
+            dtype=np.intp,
+        )
         self._memo: Dict[Tuple[int, int], float] = {}
 
     # -- binding --------------------------------------------------------------------
@@ -99,21 +106,15 @@ class ScenarioBatch:
             )
         gen_dist = generation_distribution(self.cluster, n_gen)
         fact_dist = factorization_distribution(self.cluster, n_fact)
-        tile_of = self._tile_of
-        rhs_of = self._rhs_of
-        fixed = self._fixed_home
-        homes: Dict[int, int] = {}
-        for hid in self._template.sizes:
-            ij = tile_of.get(hid)
-            if ij is not None:
-                homes[hid] = fact_dist(ij[0], ij[1])
-            else:
-                k = rhs_of.get(hid)
-                homes[hid] = fact_dist(k, k) if k is not None else fixed[hid]
-        nodes = [
-            gen_dist(a, b) if kind == _GEN else homes[a]
-            for kind, a, b in self._specs
-        ]
+        homes = self._homes0.copy()
+        homes[self._tile_hids] = [fact_dist(i, j) for i, j in self._tiles]
+        homes[self._rhs_hids] = [fact_dist(k, k) for k in self._rhs_blocks]
+        gen_nodes = np.array(
+            [gen_dist(i, j) for i, j in self._tiles], dtype=np.intp
+        )
+        nodes = np.where(
+            self._is_gen, gen_nodes[self._gen_tile], homes[self._owner_hid]
+        )
         return self._template.bind(nodes, homes)
 
     # -- measurement ----------------------------------------------------------------

@@ -23,6 +23,12 @@ Two mechanisms, each exact, never approximate:
    :class:`GraphPlan`.  An iteration graph's structure does not depend
    on ``n_fact``, so a sweep compiles once per scenario and binds once
    per configuration instead of rebuilding and re-deriving per run.
+   Binding is array work too: the eager-push plan keeps the first
+   occurrence of each ``(writer, handle, destination)`` key among the
+   cross-node reads with ``np.unique(..., return_index=True)`` and
+   groups the kept entries by writer with a stable argsort, so no
+   Python loop walks the reads.  Every task without pushes shares one
+   empty tuple instead of owning a fresh list.
 
 2. **One ordered heap**: events live in a single heap ordered by
    ``(time, push sequence)``, exactly like the reference's.  Both
@@ -32,13 +38,18 @@ Two mechanisms, each exact, never approximate:
    Worker-free events that share a timestamp and node ride a single
    entry listing the freed lanes: the reference applies all events at a
    timestamp before dispatching, so grouping cannot change a decision.
+   Completion (writes, eager pushes, successors) runs inline in
+   ``dispatch``, where the reference calls its ``complete``, and a
+   timestamp with a single event dispatches its node directly.
 
 Replication contract (enforced by ``tests/runtime/differential``):
 
 * queue-class classification and its ``RuntimeError`` (first offending
   task in submission order, same message);
-* eager-push plan construction order (reads before writes, ``pushed``
-  keyed ``(writer, hid, node)``);
+* eager-push plan construction order (reads before writes, first
+  occurrence of each ``(writer, hid, node)`` key, per-writer lists in
+  read order -- pinned against the reference's per-read loop by
+  ``test_push_plan.py``);
 * ``set(task.reads)`` deduplication order (a CPython int-set's iteration
   order depends only on its contents and insertion sequence, so
   freezing the tuple at compile time is exact);
@@ -60,7 +71,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from itertools import count
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,11 +128,12 @@ class PlanTemplate:
         "overhead_s", "rp_tid", "rp_hid", "rp_w", "n_handles",
     )
 
-    def bind(self, nodes: List[int], homes: Dict[int, int]) -> GraphPlan:
+    def bind(self, nodes: Sequence[int], homes: Sequence[int]) -> GraphPlan:
         """Produce the :class:`GraphPlan` for one placement assignment.
 
-        ``nodes`` is the per-task execution node, ``homes`` the per-handle
-        home node; both must describe the same graph this template was
+        ``nodes`` is the per-task execution node and ``homes`` the
+        per-handle home node indexed by handle id (lists or integer
+        arrays); both must describe the same graph this template was
         compiled from.  Raises the reference engine's classification
         ``RuntimeError`` (first offending task in submission order) when
         a task can run nowhere under this placement.
@@ -144,43 +156,13 @@ class PlanTemplate:
         plan.bw = self.bw
         plan.latency = self.latency
         plan.n_streams = self.n_streams
-        plan.nodes = nodes
-        plan.homes = homes
-
-        # Eager-push plan, identical construction order to the reference
-        # (per task: reads before writes; ``pushed`` keyed on the
-        # (writer, handle, destination) triple).  The (reader, handle,
-        # last-writer) stream is structural and precomputed; only the
-        # cross-node entries -- a small minority -- are walked in
-        # Python, in the original flattened submission order.
-        node_arr = np.array(nodes, dtype=np.intp)
-        push_after: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        initial_push: List[Tuple[int, int]] = []
-        rp_w = self.rp_w
-        if len(rp_w):
-            homes_np = np.zeros(self.n_handles, dtype=np.intp)
-            for hid, home in homes.items():
-                homes_np[hid] = home
-            src = np.where(
-                rp_w >= 0, node_arr[rp_w], homes_np[self.rp_hid]
-            )
-            dst = node_arr[self.rp_tid]
-            idx = np.nonzero(dst != src)[0]
-            pushed = set()
-            for w, hid, nd in zip(
-                rp_w[idx].tolist(),
-                self.rp_hid[idx].tolist(),
-                dst[idx].tolist(),
-            ):
-                key = (w, hid, nd)
-                if key not in pushed:
-                    pushed.add(key)
-                    if w >= 0:
-                        push_after[w].append((hid, nd))
-                    else:
-                        initial_push.append((hid, nd))
-        plan.push_after = push_after
-        plan.initial_push = initial_push
+        node_arr = np.asarray(nodes, dtype=np.intp)
+        homes_np = np.asarray(homes, dtype=np.intp)
+        plan.nodes = node_arr.tolist()
+        plan.homes = homes_np.tolist()
+        plan.push_after, plan.initial_push = self._push_plan(
+            node_arr, homes_np
+        )
 
         # Vectorized duration model + queue classification.  Every
         # elementwise float64 op mirrors the scalar expression of
@@ -198,7 +180,7 @@ class PlanTemplate:
             bad = int(np.argmin(runnable))
             raise RuntimeError(
                 f"task {self.names[bad]!r} (tid={bad}) can run on no "
-                f"worker of node {nodes[bad]}"
+                f"worker of node {plan.nodes[bad]}"
             )
         on_cpu = cpu_rate * 3.0 >= best  # SLOWDOWN_CAP
         on_gpu = gpu_rate * 3.0 >= best
@@ -223,6 +205,56 @@ class PlanTemplate:
         )
         plan.eligible = elig_np.tolist()
         return plan
+
+    def _push_plan(
+        self, node_arr: np.ndarray, homes_np: np.ndarray
+    ) -> Tuple[List[tuple], List[Tuple[int, int]]]:
+        """Eager-push plan: ``(push_after, initial_push)``.
+
+        The reference walks every read in submission order (reads before
+        writes per task) and keeps the first occurrence of each
+        ``(writer, handle, destination)`` key whose source node differs
+        from the reader's; a kept entry goes to its writer's list, or to
+        ``initial_push`` for a handle read before any write.  Here the
+        structural (reader, handle, last-writer) stream is precomputed,
+        ``np.unique``'s ``return_index`` finds each key's first
+        occurrence, and a stable argsort groups the kept entries by
+        writer -- the same entries in the same order.  Tasks without
+        pushes share one empty tuple.
+        """
+        rp_w = self.rp_w
+        src = np.where(rp_w >= 0, node_arr[rp_w], homes_np[self.rp_hid])
+        dst = node_arr[self.rp_tid]
+        idx = np.flatnonzero(dst != src)
+        push_after: List[tuple] = [()] * self.n_tasks
+        initial_push: List[Tuple[int, int]] = []
+        if not len(idx):
+            return push_after, initial_push
+        w = rp_w[idx]
+        hid = self.rp_hid[idx]
+        dst = dst[idx]
+        # One int64 key per (writer + 1, handle, destination) triple,
+        # below (n_tasks + 1) * n_handles * n_nodes, so it cannot wrap;
+        # np.unique's return_index is each key's first occurrence.
+        key = (
+            (w + 1).astype(np.int64) * self.n_handles + hid
+        ) * self.n_nodes + dst
+        first = np.sort(np.unique(key, return_index=True)[1])
+        # A stable sort by writer keeps each group in read order; the
+        # initial pushes (writer -1) form the first group.
+        order = first[np.argsort(w[first], kind="stable")]
+        w = w[order]
+        pairs = list(zip(hid[order].tolist(), dst[order].tolist()))
+        bounds = (np.flatnonzero(w[1:] != w[:-1]) + 1).tolist()
+        starts = [0] + bounds
+        for writer, a, b in zip(
+            w[starts].tolist(), starts, bounds + [len(pairs)]
+        ):
+            if writer < 0:
+                initial_push = pairs[a:b]
+            else:
+                push_after[writer] = tuple(pairs[a:b])
+        return push_after, initial_push
 
 
 def compile_template(
@@ -331,8 +363,7 @@ def compile_plan(
     """
     tmpl = compile_template(graph, cluster, perfmodel)
     return tmpl.bind(
-        [t.node for t in graph.tasks],
-        {hid: graph.registry[hid].home for hid in tmpl.sizes},
+        [t.node for t in graph.tasks], [h.home for h in graph.registry]
     )
 
 
@@ -457,21 +488,12 @@ class FastSimulator:
             nbytes = sizes[hid]
             s_slots = send_slots[src]
             r_slots = recv_slots[dst]
-            si = 0
-            s_best = s_slots[0]
-            for i in range(1, n_streams):
-                v = s_slots[i]
-                if v < s_best:
-                    s_best = v
-                    si = i
-            ri = 0
-            r_best = r_slots[0]
-            for i in range(1, n_streams):
-                v = r_slots[i]
-                if v < r_best:
-                    r_best = v
-                    ri = i
-            start = max(avail, s_slots[si], r_slots[ri])
+            # First minimum of each NIC's stream lanes.
+            s_best = min(s_slots)
+            si = s_slots.index(s_best)
+            r_best = min(r_slots)
+            ri = r_slots.index(r_best)
+            start = max(avail, s_best, r_best)
             dur = 0.0 if src == dst else latency + nbytes / bw[src][dst]
             end = start + dur
             s_slots[si] = end
@@ -522,44 +544,19 @@ class FastSimulator:
                     ready = t
             return ready
 
-        def complete(tid: int, end: float) -> None:
-            """Reference ``complete``: writes, eager pushes, successors."""
-            nonlocal drop_pending, makespan_v
-            if end > makespan_v:
-                makespan_v = end
-            dst = node_of[tid]
-            for hid in writes_of[tid]:
-                valid[hid] = {dst: end}
-            pa = push_after[tid]
-            if drop_pending and pa:
-                drop_pending = False  # seeded defect: lose one transfer
-                pa = pa[:-1]
-            for hid, consumer in pa:
-                locs = valid[hid]
-                if consumer not in locs:
-                    src = (
-                        next(iter(locs)) if len(locs) == 1
-                        else pick_source(locs)
-                    )
-                    locs[consumer] = transfer(hid, src, consumer, locs[src])
-            for s in succs[tid]:
-                if end > pred_finish[s]:
-                    pred_finish[s] = end
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heappush(
-                        events,
-                        (ready_time(s), next_seq(), _TASK_READY, s, ()),
-                    )
-
         def dispatch(nd: int, now: float) -> None:
-            """Greedy assignment at one timestamp (reference ``dispatch``)."""
-            nonlocal scheduled
+            """Greedy assignment at one timestamp (reference ``dispatch``).
+
+            Each assignment completes its task on the spot, as the
+            reference's ``complete`` does: writes, eager pushes, then
+            successors.
+            """
+            nonlocal scheduled, drop_pending, makespan_v
             fc = free_c[nd]
             fg = free_g[nd]
             qs = queues[nd]
             q0, q1, q2 = qs
-            ends: Dict[float, list] = {}
+            ends = None
             while fc or fg:
                 best_key = None
                 best_q = -1
@@ -582,7 +579,36 @@ class FastSimulator:
                     gpu = bool(fg) and (not fc or prefer_gpu[tid])
                 lane = (fg if gpu else fc).pop(0)
                 end = now + (dur_gpu[tid] if gpu else dur_cpu[tid])
-                complete(tid, end)
+
+                if end > makespan_v:
+                    makespan_v = end
+                for hid in writes_of[tid]:
+                    valid[hid] = {nd: end}
+                pa = push_after[tid]
+                if pa:
+                    if drop_pending:
+                        drop_pending = False  # seeded defect: lose one push
+                        pa = pa[:-1]
+                    for hid, consumer in pa:
+                        locs = valid[hid]
+                        if consumer not in locs:
+                            src = (
+                                next(iter(locs)) if len(locs) == 1
+                                else pick_source(locs)
+                            )
+                            locs[consumer] = transfer(
+                                hid, src, consumer, locs[src]
+                            )
+                for s in succs[tid]:
+                    if end > pred_finish[s]:
+                        pred_finish[s] = end
+                    indeg[s] -= 1
+                    if indeg[s] == 0:
+                        heappush(
+                            events,
+                            (ready_time(s), next_seq(), _TASK_READY, s, ()),
+                        )
+
                 scheduled += 1
                 ph = phases_of[tid]
                 span = phase_spans.get(ph)
@@ -600,13 +626,19 @@ class FastSimulator:
                             GPU if gpu else CPU, now, end, worker=lane,
                         )
                     )
-                bucket = ends.get(end)
-                if bucket is None:
-                    ends[end] = [lane]
+                if ends is None:
+                    ends = {end: [lane]}
                 else:
-                    bucket.append(lane)
-            for end, lanes in ends.items():
-                heappush(events, (end, next_seq(), _WORKER_FREE, nd, lanes))
+                    bucket = ends.get(end)
+                    if bucket is None:
+                        ends[end] = [lane]
+                    else:
+                        bucket.append(lane)
+            if ends is not None:
+                for end, lanes in ends.items():
+                    heappush(
+                        events, (end, next_seq(), _WORKER_FREE, nd, lanes)
+                    )
 
         # -- initial state ---------------------------------------------------
 
@@ -624,11 +656,15 @@ class FastSimulator:
 
         # -- main loop -------------------------------------------------------
 
+        node_type_names = plan.node_type_names
         while events:
             # Apply every state change at this timestamp before
             # dispatching, so simultaneous arrivals compete by priority.
+            # A lone event (the common case) dirties one node, which
+            # dispatches without the set and the sort.
             now = events[0][0]
-            dirty = set()
+            first = -1
+            dirty = None
             while events and events[0][0] == now:
                 _t, _s, kind, a, lanes = heappop(events)
                 if kind == _TASK_READY:
@@ -636,20 +672,27 @@ class FastSimulator:
                     if not eligible[a]:
                         raise RuntimeError(
                             f"task {names[a]!r} (tid={a}) has no eligible "
-                            f"worker on node {nd} "
-                            f"({plan.node_type_names[nd]})"
+                            f"worker on node {nd} ({node_type_names[nd]})"
                         )
                     heappush(
                         queues[nd][qclass[a]], (-prio_of[a], next_seq(), a)
                     )
-                    dirty.add(nd)
                 else:
+                    nd = a
                     g = gpu_counts[a]
                     for lane in lanes:
                         insort(free_g[a] if lane < g else free_c[a], lane)
-                    dirty.add(a)
-            for nd in sorted(dirty):
-                dispatch(nd, now)
+                if first < 0:
+                    first = nd
+                elif dirty is None:
+                    dirty = {first, nd}
+                else:
+                    dirty.add(nd)
+            if dirty is None:
+                dispatch(first, now)
+            else:
+                for nd in sorted(dirty):
+                    dispatch(nd, now)
 
         if scheduled != n_tasks:
             raise ValueError(

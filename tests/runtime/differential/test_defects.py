@@ -64,6 +64,44 @@ def test_drop_transfer_defect_is_caught():
     assert results_differ(ref, bad)
 
 
+def test_drop_transfer_drops_the_last_push_of_the_first_pusher():
+    """The mutation loses exactly one push: the first pushing task's last.
+
+    ``w`` (node 0) pushes ``a`` then ``b`` to node 1; ``v`` (node 2)
+    then pushes ``e`` there, through a single-stream NIC.  Without the
+    push of ``b`` the reader fetches it only once ``v`` has made it
+    ready, behind ``e``: that one transfer moves later and the push of
+    ``a`` is untouched.
+    """
+    unit = NodeType(
+        name="unit", site="SD", category="S", cpu_desc="", gpu_desc="",
+        cpu_gflops=1.0, gpus=0, gpu_gflops=0.0, nic_gbps=8.0,
+        memory_gb=1.0, cpu_slots=1,
+    )
+    net = NetworkModel(
+        latency_s=0.0, backbone_gbps=None, efficiency=1.0, streams=1
+    )
+    cluster = Cluster([(unit, 3)], network=net)
+    pm = PerfModel(efficiency={("t", "cpu"): 1.0}, overhead_s=0.0)
+    g = TaskGraph(DataRegistry())
+    a = g.registry.register("a", 1 << 20, home=0)
+    b = g.registry.register("b", 1 << 20, home=0)
+    e = g.registry.register("e", 1 << 20, home=2)
+    y = g.registry.register("y", 0, home=1)
+    g.submit("t", "p", 1e9, writes=[a, b])  # w
+    g.submit("t", "p", 1e9, writes=[e])  # v
+    g.submit("t", "p", 1e9, reads=[a, b, e], writes=[y])
+    ref = Simulator(cluster, pm, trace=True).run(g)
+    bad = FastSimulator(
+        cluster, pm, trace=True, _defects=("drop_transfer",)
+    ).run(g)
+    ref_a, ref_b, _ = ref.transfer_records
+    assert [t.hid for t in ref.transfer_records] == [a.hid, b.hid, e.hid]
+    assert [t.hid for t in bad.transfer_records] == [a.hid, e.hid, b.hid]
+    assert bad.transfer_records[0] == ref_a
+    assert bad.transfer_records[2].start > ref_b.start
+
+
 def test_tie_break_defect_is_caught():
     """Flipping the equal-rate CPU/GPU tie must change worker kinds.
 

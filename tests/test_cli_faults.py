@@ -71,6 +71,15 @@ class TestFaultsRun:
         assert main(self.RUN_ARGS + ["--out", ""]) == 0
         assert not (tmp_path / "BENCH_faults.json").exists()
 
+    def test_no_out_leaves_the_root_report_untouched(self, capsys, tmp_path):
+        # The fixture runs in tmp_path: a committed root report there
+        # must survive a campaign that did not ask for a report.
+        root_report = tmp_path / "BENCH_faults.json"
+        root_report.write_text('{"committed": true}\n')
+        assert main(self.RUN_ARGS) == 0
+        assert "report :" not in capsys.readouterr().out
+        assert root_report.read_text() == '{"committed": true}\n'
+
     def test_unknown_schedule_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["faults", "run", "b", "--schedules", "crash", "meteor"])
