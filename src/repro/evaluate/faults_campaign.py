@@ -36,9 +36,6 @@ from ..measure.bank import MeasurementBank
 from ..obs import get_tracer, write_root_report
 from .parallel import CellResult, plan_cells, run_cells
 
-#: Canonical root-level campaign artifact.
-ROOT_FAULTS_OUT = Path("BENCH_faults.json")
-
 #: Raw strategies compared against their resilient wrappers by default.
 DEFAULT_CAMPAIGN_BASES = ("DC", "UCB", "GP-discontinuous")
 
@@ -265,11 +262,12 @@ def campaign_metrics(result: CampaignResult) -> Dict[str, float]:
     return metrics
 
 
-def write_campaign_report(
-    result: CampaignResult,
-    path: Union[str, Path] = ROOT_FAULTS_OUT,
-) -> Path:
-    """Write the root-level ``BENCH_faults.json`` report."""
+def write_campaign_report(result: CampaignResult, path: Union[str, Path]) -> Path:
+    """Write the campaign report (the committed one is ``BENCH_faults.json``).
+
+    ``path`` has no default, so no caller rewrites the committed root
+    report by leaving it out.
+    """
     return write_root_report(
         path,
         f"faults-campaign {result.scenario}",

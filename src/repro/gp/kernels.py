@@ -46,7 +46,16 @@ class Kernel:
             raise ValueError("theta must be positive")
 
     def correlation(self, d: np.ndarray) -> np.ndarray:
-        """Correlation at distances ``d``; implemented by subclasses."""
+        """Correlation at distances ``d``."""
+        return self.correlation_at(np.asarray(d, dtype=float), self.theta)
+
+    @staticmethod
+    def correlation_at(d: np.ndarray, theta: float) -> np.ndarray:
+        """Correlation at float distances ``d`` for length ``theta``.
+
+        Implemented by subclasses.  The likelihood fit builds R(theta)
+        here at every trial theta without constructing a kernel.
+        """
         raise NotImplementedError
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -62,17 +71,19 @@ class Kernel:
 class Exponential(Kernel):
     """``exp(-d / theta)`` -- the paper's kernel (Eq. 3)."""
 
-    def correlation(self, d: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def correlation_at(d: np.ndarray, theta: float) -> np.ndarray:
         """``exp(-d / theta)``."""
         # d / -theta is -d / theta bit for bit, without the negated copy of d.
-        return np.exp(np.asarray(d, dtype=float) / -self.theta)
+        return np.exp(d / -theta)
 
 
 @dataclass(frozen=True)
 class Gaussian(Kernel):
     """``exp(-(d / theta)^2)`` -- very smooth alternative."""
 
-    def correlation(self, d: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def correlation_at(d: np.ndarray, theta: float) -> np.ndarray:
         """``exp(-(d / theta)^2)``."""
-        s = np.asarray(d, dtype=float) / self.theta
+        s = d / theta
         return np.exp(-(s**2))

@@ -134,18 +134,23 @@ class GaussianProcess:
         self.fit_ = self._assemble(x, y, d, alpha, theta, noise)
         return self
 
-    def _cholesky(self, d: np.ndarray, alpha, theta, noise) -> np.ndarray:
-        """Lower Cholesky factor of ``K = alpha R_theta(d) + (noise + jitter) I``."""
-        k = alpha * self.kernel.with_theta(theta).correlation(d)
-        k.flat[:: k.shape[0] + 1] += noise + _JITTER * max(alpha, 1.0)
+    def _cholesky(self, r: np.ndarray, alpha, noise) -> Tuple[np.ndarray, int]:
+        """Lower Cholesky factor of ``K = alpha R + (noise + jitter) I``.
+
+        Returns potrf's ``info`` with it: nonzero when K is not positive
+        definite.  ``r`` is left untouched, so one R(theta) serves every
+        alpha tried at that theta.
+        """
+        k = alpha * r
+        # alpha * r is a fresh C-ordered array, so ravel() is a view of it.
+        k.ravel()[:: k.shape[0] + 1] += noise + _JITTER * max(alpha, 1.0)
         # K is symmetric, so k.T is K in Fortran order: potrf factors in place.
-        chol, info = _POTRF(k.T, lower=1, overwrite_a=1, clean=0)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"K is not positive definite (info {info})")
-        return chol
+        return _POTRF(k.T, lower=1, overwrite_a=1, clean=0)
 
     def _assemble(self, x, y, d, alpha, theta, noise) -> GPFit:
-        chol = self._cholesky(d, alpha, theta, noise)
+        chol, info = self._cholesky(self.kernel.correlation_at(d, theta), alpha, noise)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"K is not positive definite (info {info})")
         f = self.trend.design_matrix(x)
         kinv_f = _solve(chol, f)
         fkf_inv = np.linalg.inv(f.T @ kinv_f + _JITTER * np.eye(f.shape[1]))
@@ -164,20 +169,35 @@ class GaussianProcess:
         # Everything independent of (alpha, theta) is computed once per fit.
         f = self.trend.design_matrix(x)
         jitter_p = _JITTER * np.eye(f.shape[1])
+        scalar_gls = f.shape[1] == 1
         const = float(x.shape[0] * np.log(2.0 * np.pi))
         span = max(float(np.ptp(x, axis=0).max()), 1.0)
         alpha0 = max(y_var, 1e-8)
         lo, hi = self.theta_bounds
+        correlation = self.kernel.correlation_at
 
-        def objective(params):
-            """Negative log marginal likelihood with GLS-profiled trend."""
-            alpha, theta = np.exp(params)
-            try:
-                chol = self._cholesky(d, alpha, theta, noise)
-                kinv_f = _solve(chol, f)
-                gamma = np.linalg.solve(f.T @ kinv_f + jitter_p, kinv_f.T @ y)
-            except np.linalg.LinAlgError:  # K not PD, or the GLS step singular
+        def objective(r, alpha):
+            """Negative log marginal likelihood with GLS-profiled trend,
+            at ``alpha`` and the theta that built ``r = R(theta)``."""
+            chol, info = self._cholesky(r, alpha, noise)
+            if info != 0:  # K not positive definite
                 return 1e12
+            kinv_f = _solve(chol, f)
+            fkf = f.T @ kinv_f + jitter_p
+            fky = kinv_f.T @ y
+            if scalar_gls:
+                # The 1x1 GLS step: np.linalg.solve's LU solve reduces to
+                # this one division (tests/gp/test_mle_bits.py guards that)
+                # and rejects exactly a zero pivot as singular.
+                pivot = fkf[0, 0]
+                if pivot == 0.0:  # repro-lint: disable=FLT001
+                    return 1e12
+                gamma = fky / pivot
+            else:
+                try:
+                    gamma = np.linalg.solve(fkf, fky)
+                except np.linalg.LinAlgError:  # the GLS step is singular
+                    return 1e12
             resid = y - f @ gamma
             quad = float(resid @ _solve(chol, resid))
             logdet = 2.0 * float(np.log(chol.diagonal()).sum())
@@ -185,6 +205,13 @@ class GaussianProcess:
 
         bounds = [(np.log(1e-10), np.log(1e12)), (np.log(lo), np.log(hi))]
         upper = [b for _, b in bounds]
+
+        def shifted(p, i):
+            """``p`` moved 1e-8 along axis ``i`` (backward at the bound)."""
+            x1 = p.copy()
+            step = p[i] + 1e-8
+            x1[i] = step if step <= upper[i] else p[i] - 1e-8
+            return x1
 
         def value_and_grad(p):
             """Objective and its 2-point forward difference, step 1e-8.
@@ -197,14 +224,18 @@ class GaussianProcess:
             interval is wider than the step (theta's is log(hi / lo), 11.5
             at the default bounds), and ``p + 1e-8 == p`` needs
             |p| >= 2**27 (about 1.3e8) while the log-bounds stay within 28.
+            The alpha step leaves log theta's bits, and so R(theta), as
+            they are: two R builds serve the three evaluations.
             """
-            f0 = objective(p)
-            g = np.empty(p.size)
-            for i in range(p.size):
-                x1 = p.copy()
-                step = p[i] + 1e-8
-                x1[i] = step if step <= upper[i] else p[i] - 1e-8
-                g[i] = (objective(x1) - f0) / (x1[i] - p[i])
+            alpha, theta = np.exp(p)
+            r = correlation(d, theta)
+            f0 = objective(r, alpha)
+            g = np.empty(2)
+            x1 = shifted(p, 0)
+            g[0] = (objective(r, np.exp(x1)[0]) - f0) / (x1[0] - p[0])
+            x1 = shifted(p, 1)
+            alpha, theta = np.exp(x1)
+            g[1] = (objective(correlation(d, theta), alpha) - f0) / (x1[1] - p[1])
             return f0, g
 
         starts = self.theta_starts or (span / 4.0, span, self.kernel.theta)

@@ -135,6 +135,8 @@ class Strategy:
         self.xs: List[int] = []
         self.ys: List[float] = []
         self._stats: Dict[int, List[float]] = {}
+        #: Memo of ``mean_duration``; observing an arm drops its entry.
+        self._means: Dict[int, float] = {}
         #: Per-iteration strategy overhead: time spent inside propose()
         #: plus observe() for each completed iteration (the Figure 7
         #: quantity, self-timed so every caller gets it for free).
@@ -180,6 +182,7 @@ class Strategy:
         self.xs.append(int(n))
         self.ys.append(float(duration))
         self._stats.setdefault(int(n), []).append(float(duration))
+        self._means.pop(int(n), None)
         self._after_observe(int(n), float(duration))
         overhead = self._propose_elapsed + (self._clock() - t0)
         self._propose_elapsed = 0.0
@@ -237,10 +240,13 @@ class Strategy:
 
     def mean_duration(self, n: int) -> float:
         """Mean observed duration of action ``n``."""
-        values = self._stats.get(n)
-        if not values:
-            raise KeyError(f"action {n} has no observations")
-        return float(np.mean(values))
+        mean = self._means.get(n)
+        if mean is None:
+            values = self._stats.get(n)
+            if not values:
+                raise KeyError(f"action {n} has no observations")
+            mean = self._means[n] = float(np.mean(values))
+        return mean
 
     def times_selected(self, n: int) -> int:
         """How often action ``n`` has been measured so far."""

@@ -125,6 +125,13 @@ class TestReporting:
         assert "crash" in table
         assert "Resilient(GP-discontinuous)" in table
 
+    def test_report_path_is_required(self, crash_campaign, tmp_path,
+                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError):
+            write_campaign_report(crash_campaign)
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_artifact_contents(self, crash_campaign, tmp_path):
         out = tmp_path / "BENCH_faults.json"
         path = write_campaign_report(crash_campaign, path=out)

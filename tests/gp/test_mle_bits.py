@@ -10,9 +10,16 @@ L-BFGS-B path and fails here.
 
 The work pins count objective evaluations per fit, so a gradient that
 reaches the same optimum through more (or fewer) evaluations fails
-exactly, with no wall-time threshold.  A start on theta's upper bound
-forces the gradient's backward step.  The refit digest covers every
-(alpha, theta) of a whole GP-UCB run, warm starts included.
+exactly, with no wall-time threshold.  They also count R(theta) builds:
+a gradient evaluates three points but builds R at two thetas, since its
+alpha step keeps theta.  A start on theta's upper bound forces the
+gradient's backward step.  The refit digest covers every (alpha, theta)
+of a whole GP-UCB run, warm starts included.
+
+The constant trend's 1x1 GLS step is a division standing in for
+``np.linalg.solve``; a guard checks the two agree bit for bit on the
+toolchain running the tests, so a LAPACK build where they differ fails
+there first.
 """
 
 import hashlib
@@ -56,6 +63,10 @@ WORK = {
     (9.0,): (54, "0x1.38a3709d2a074p+12", "0x1.3b7489708effep+9"),
     (1e3,): (51, "0x1.38a73b9e03f35p+12", "0x1.3b7942deab017p+9"),
 }
+
+#: starts -> R(theta) builds per fit: two per gradient (three objective
+#: evaluations), plus one for the final assembly.
+R_BUILDS = {None: 143, (9.0,): 37, (1e3,): 35}
 
 #: sha256 over "alpha.hex(),theta.hex()" of every refit, joined by ";".
 REFITS = (56, "39801e94ba067852cb118f8b9fa5ba177b7d71af1ad6e10581969b5a9cf44857")
@@ -135,3 +146,38 @@ def test_gp_ucb_refit_digest():
     count, digest = REFITS
     assert len(fits) == count
     assert hashlib.sha256(";".join(fits).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("starts", list(WORK),
+                         ids=["multi-start", "warm", "upper-bound"])
+def test_correlation_builds_per_fit(starts, monkeypatch):
+    """The alpha step of each gradient reuses its base point's R(theta)."""
+    build = Exponential.correlation_at
+    shapes = []
+
+    def counted(d, theta):
+        shapes.append(d.shape)
+        return build(d, theta)
+
+    monkeypatch.setattr(Exponential, "correlation_at", staticmethod(counted))
+    gp = make_gp(starts).fit(*dataset())
+    evaluations = WORK[starts][0]
+    assert len(shapes) == R_BUILDS[starts] == 2 * evaluations // 3 + 1
+    assert set(shapes) == {(100, 100)}
+    assert gp.fit_.theta.hex() == WORK[starts][2]
+
+
+def test_scalar_gls_division_matches_solve():
+    """``b / a`` is what ``np.linalg.solve`` returns for a 1x1 system.
+
+    The draws span 26 decades of each operand; ``b * (1 / a)``, the
+    other way a LAPACK build could divide, differs on about a quarter
+    of them, so agreement here is not a coincidence of easy values.
+    """
+    rng = np.random.default_rng(2024)
+    a = np.exp(rng.uniform(-30.0, 30.0, 20_000))
+    b = rng.normal(size=a.size) * np.exp(rng.uniform(-30.0, 30.0, a.size))
+    solved = np.array([np.linalg.solve(np.array([[ai]]), np.array([bi]))[0]
+                       for ai, bi in zip(a, b)])
+    assert np.array_equal(solved, b / a)
+    assert np.count_nonzero(solved != b * (1.0 / a)) > a.size // 10

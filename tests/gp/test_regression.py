@@ -173,12 +173,16 @@ class TestFailurePaths:
             gp.predict(np.array([1.5, bad]))
 
     def test_factor_rejects_non_positive_definite_k(self):
-        """A negative nugget larger than alpha makes K indefinite: potrf
-        reports it and the factor helper raises LinAlgError."""
+        """A negative nugget larger than alpha makes K indefinite: the
+        factor helper returns potrf's nonzero info, and the final
+        assembly raises LinAlgError on it."""
         x = np.arange(1.0, 6.0)
+        d = _distances(x, x)
         gp = GaussianProcess()
+        _, info = gp._cholesky(Exponential.correlation_at(d, 1.0), 1.0, -2.0)
+        assert info > 0
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            gp._cholesky(_distances(x, x), 1.0, 1.0, -2.0)
+            gp._assemble(x, np.sin(x), d, 1.0, 1.0, -2.0)
 
     def test_singular_trend_fails_every_objective_call(self):
         """Two identical trend columns make the GLS step singular for any

@@ -1,6 +1,9 @@
 """Tests for the strategy base classes and action space."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.strategies import ActionSpace, AllNodesStrategy, OracleStrategy
 
@@ -215,6 +218,27 @@ class TestStrategyBookkeeping:
     def test_mean_of_unknown_action(self, space14):
         with pytest.raises(KeyError):
             AllNodesStrategy(space14).mean_duration(5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(
+        st.tuples(st.integers(1, 5),
+                  st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+                  st.booleans()),
+        min_size=1, max_size=40))
+    def test_memoized_mean_equals_np_mean(self, steps):
+        """Observations interleaved with mean reads, which fill the memo:
+        every read, and every arm at the end, is ``np.mean`` bit for bit."""
+        s = AllNodesStrategy(ActionSpace(actions=(1, 2, 3, 4, 5), n_total=5))
+        history = {}
+        for arm, duration, read in steps:
+            s.observe(arm, duration)
+            history.setdefault(arm, []).append(duration)
+            if read:
+                assert s.mean_duration(arm) == float(np.mean(history[arm]))
+        for arm, values in history.items():
+            assert s.mean_duration(arm) == float(np.mean(values))
+        best = min(history, key=lambda a: (float(np.mean(history[a])), a))
+        assert s.best_observed() == best
 
 
 class TestOracle:
