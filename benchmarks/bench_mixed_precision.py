@@ -42,7 +42,7 @@ def test_mixed_precision_frontier(benchmark):
     # are faster and (weakly) less accurate.  Full DP is the reference
     # the error is computed against, so its error is bitwise zero by
     # construction and any tolerance would weaken the assertion.
-    assert rows[-1].loglik_error == 0.0  # repro-lint: disable=FLT001
+    assert rows[-1].loglik_error == 0.0
     assert rows[0].iteration_time < rows[-1].iteration_time
     assert rows[0].loglik_error >= rows[-1].loglik_error
     assert speedup > 1.1

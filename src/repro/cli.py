@@ -666,8 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ticks over which tenant arrivals are spread")
     pp.add_argument("--p99-bound", type=_positive, default=8.0,
                     help="propose-latency p99 SLO bound in shard ticks")
-    pp.add_argument("--out", default="BENCH_serve.json",
-                    help="root-level bench artifact ('' disables)")
+    pp.add_argument("--out", default="",
+                    help="write the bench report to this path "
+                         "(default: no report)")
     pp.add_argument("--quiet", action="store_true",
                     help="suppress progress lines")
     pp.set_defaults(fn=_cmd_serve_bench)

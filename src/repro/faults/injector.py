@@ -206,13 +206,13 @@ class FaultInjector:
             # Exact sentinels: an untouched injection carries precisely
             # scale 1.0 / shift 0.0 by construction, never a computed
             # approximation of them.
-            if injection.scale != 1.0:  # repro-lint: disable=FLT001
+            if injection.scale != 1.0:
                 tracer.registry.counter("fault.scaled").inc()
-            if injection.shift != 0.0:  # repro-lint: disable=FLT001
+            if injection.shift != 0.0:
                 tracer.registry.counter("fault.shifted").inc()
             if (injection.degraded
-                    or injection.scale != 1.0   # repro-lint: disable=FLT001
-                    or injection.shift != 0.0):  # repro-lint: disable=FLT001
+                    or injection.scale != 1.0
+                    or injection.shift != 0.0):
                 tracer.event(
                     "fault",
                     iteration=injection.iteration,
@@ -294,7 +294,7 @@ def faulted_perfmodel(
         if burst.active(iteration):
             overhead += burst.magnitude_s * 1e-3
     # Exact sentinel: no active fault leaves factor at precisely 1.0.
-    if factor == 1.0 and overhead == base.overhead_s:  # repro-lint: disable=FLT001
+    if factor == 1.0 and overhead == base.overhead_s:
         return base
     efficiency = {
         key: eff * factor for key, eff in base.efficiency.items()

@@ -28,8 +28,8 @@ behaviours a non-stationary platform demands:
 
 The wrapper is registered for every paper strategy as
 ``Resilient(<name>)`` in :mod:`repro.strategies.registry`, so the
-registry-wide determinism smoke test and REG001/REG002 coverage apply to
-it automatically.  All decisions are pure functions of the observation
+registry-wide determinism smoke test and the strategy-contract test
+apply to it automatically.  All decisions are pure functions of the observation
 stream and the seed: same seed, same events -> same actions.
 """
 

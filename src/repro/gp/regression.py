@@ -190,7 +190,7 @@ class GaussianProcess:
                 # this one division (tests/gp/test_mle_bits.py guards that)
                 # and rejects exactly a zero pivot as singular.
                 pivot = fkf[0, 0]
-                if pivot == 0.0:  # repro-lint: disable=FLT001
+                if pivot == 0.0:
                     return 1e12
                 gamma = fky / pivot
             else:

@@ -12,11 +12,12 @@ the active tracer.  Two implementations exist:
   byte-identical JSONL traces; ``wall_time()`` is pinned to ``0.0``.
 
 This module is the repository's **single audited wall-clock source**: the
-``time.time()`` call below is allowlisted in the DET001 determinism rule
-(see ``repro.analysis.rules.determinism.WALL_CLOCK_ALLOWLIST``) because
-its output is trace metadata only -- it never feeds an experiment input,
-a seed, or a measured quantity.  Production code anywhere else must not
-read the calendar clock.
+``time.time()`` call below carries the one inline DET001 exemption in
+``src/`` (``# repro-lint: disable=DET001``, see
+``repro.analysis.determinism``) because its output is trace metadata
+only -- it never feeds an experiment input, a seed, or a measured
+quantity.  Production code anywhere else must not read the calendar
+clock.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ class WallClock(Clock):
         return time.perf_counter()
 
     def wall_time(self) -> float:
-        # The single audited calendar read (DET001 allowlist): header
-        # metadata only, never an experiment input.
-        return time.time()
+        # The single audited calendar read: header metadata only, never
+        # an experiment input.
+        return time.time()  # repro-lint: disable=DET001
 
 
 class TickClock(Clock):

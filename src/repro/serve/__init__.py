@@ -35,7 +35,6 @@ from .protocol import (  # noqa: F401
 from .session import SERVE_TAG, TenantSession, derive_tenant_seed  # noqa: F401
 from .service import BankStore, ShardWorker, TuningService, shard_for  # noqa: F401
 from .loadgen import (  # noqa: F401
-    ROOT_SERVE_OUT,
     TenantSpec,
     latency_verdicts,
     run_bench,
@@ -57,7 +56,6 @@ __all__ = [
     "ShardWorker",
     "TuningService",
     "shard_for",
-    "ROOT_SERVE_OUT",
     "TenantSpec",
     "latency_verdicts",
     "run_bench",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from ..obs.stats import quantile
 from . import protocol
 from .service import BankStore, TuningService
 from .session import SERVE_TAG
-
-#: Canonical root-level artifact written by ``repro serve bench``.
-ROOT_SERVE_OUT = Path("BENCH_serve.json")
 
 #: Default bound on the per-tenant propose p99 latency, in shard ticks:
 #: the absolute SLO ``serve.propose_p99_ticks`` must satisfy
@@ -388,8 +385,12 @@ def run_bench(
 
 
 def write_serve_report(report: Dict[str, object],
-                       path=ROOT_SERVE_OUT) -> Path:
-    """Persist a bench report as the canonical root artifact."""
+                       path: Union[str, Path]) -> Path:
+    """Write a bench report (the committed one is ``BENCH_serve.json``).
+
+    ``path`` has no default, so no caller rewrites the committed root
+    report by leaving it out.
+    """
     return write_root_report(
         path,
         str(report["label"]),

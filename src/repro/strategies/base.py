@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,12 +118,61 @@ class ActionSpace:
         )
 
 
+class ArmHistory:
+    """Observation bookkeeping shared by every arm type.
+
+    Integer arms (:class:`Strategy`) and ``(n_gen, n_fact)`` pair arms
+    (:class:`~repro.strategies.gp_2d.GP2DStrategy`) keep the same
+    history, per-arm statistics and iteration counter.
+    """
+
+    def _reset_history(self) -> None:
+        self.xs: List[Hashable] = []
+        self.ys: List[float] = []
+        self._stats: Dict[Hashable, List[float]] = {}
+        #: Memo of ``mean_duration``; observing an arm drops its entry.
+        self._means: Dict[Hashable, float] = {}
+
+    def _record(self, arm: Hashable, duration: float) -> None:
+        """Append one observation of ``arm``."""
+        self.xs.append(arm)
+        self.ys.append(duration)
+        self._stats.setdefault(arm, []).append(duration)
+        self._means.pop(arm, None)
+
+    @property
+    def iteration(self) -> int:
+        """Number of completed observations."""
+        return len(self.ys)
+
+    def mean_duration(self, arm: Hashable) -> float:
+        """Mean observed duration of ``arm``."""
+        mean = self._means.get(arm)
+        if mean is None:
+            values = self._stats.get(arm)
+            if not values:
+                raise KeyError(f"action {arm} has no observations")
+            mean = self._means[arm] = float(np.mean(values))
+        return mean
+
+    def times_selected(self, arm: Hashable) -> int:
+        """How often ``arm`` has been measured so far."""
+        return len(self._stats.get(arm, ()))
+
+    def best_observed(self):
+        """Arm with the lowest mean observed duration."""
+        if not self._stats:
+            raise RuntimeError("no observations yet")
+        return min(self._stats, key=lambda a: (self.mean_duration(a), a))
+
+
 @dataclass
-class Strategy:
+class Strategy(ArmHistory):
     """Base class for exploration strategies.
 
     Subclasses implement :meth:`_next_action`; bookkeeping (history,
-    per-action statistics, iteration counter) lives here.
+    per-action statistics, iteration counter) comes from
+    :class:`ArmHistory`.
     """
 
     space: ActionSpace
@@ -132,11 +181,7 @@ class Strategy:
 
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng(self.seed)
-        self.xs: List[int] = []
-        self.ys: List[float] = []
-        self._stats: Dict[int, List[float]] = {}
-        #: Memo of ``mean_duration``; observing an arm drops its entry.
-        self._means: Dict[int, float] = {}
+        self._reset_history()
         #: Per-iteration strategy overhead: time spent inside propose()
         #: plus observe() for each completed iteration (the Figure 7
         #: quantity, self-timed so every caller gets it for free).
@@ -179,10 +224,7 @@ class Strategy:
         beta = (float(self.current_beta())
                 if tracer.enabled and hasattr(self, "current_beta") else None)
         t0 = self._clock()
-        self.xs.append(int(n))
-        self.ys.append(float(duration))
-        self._stats.setdefault(int(n), []).append(float(duration))
-        self._means.pop(int(n), None)
+        self._record(int(n), float(duration))
         self._after_observe(int(n), float(duration))
         overhead = self._propose_elapsed + (self._clock() - t0)
         self._propose_elapsed = 0.0
@@ -230,33 +272,6 @@ class Strategy:
             "posterior_sd": float(sd[0]),
             "acquisition": float(mean[0] - math.sqrt(beta) * sd[0]),
         }
-
-    # -- shared helpers ---------------------------------------------------------------
-
-    @property
-    def iteration(self) -> int:
-        """Number of completed observations."""
-        return len(self.ys)
-
-    def mean_duration(self, n: int) -> float:
-        """Mean observed duration of action ``n``."""
-        mean = self._means.get(n)
-        if mean is None:
-            values = self._stats.get(n)
-            if not values:
-                raise KeyError(f"action {n} has no observations")
-            mean = self._means[n] = float(np.mean(values))
-        return mean
-
-    def times_selected(self, n: int) -> int:
-        """How often action ``n`` has been measured so far."""
-        return len(self._stats.get(n, ()))
-
-    def best_observed(self) -> int:
-        """Action with the lowest mean observed duration."""
-        if not self._stats:
-            raise RuntimeError("no observations yet")
-        return min(self._stats, key=lambda n: (self.mean_duration(n), n))
 
 
 @dataclass

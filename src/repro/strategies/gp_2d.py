@@ -23,6 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..gp import Exponential, GaussianProcess, Linear2DTrend, estimate_noise_variance
+from .base import ArmHistory
 from .gp_ucb import beta_t
 
 #: One action: (n_gen, n_fact).
@@ -30,7 +31,7 @@ Pair = Tuple[int, int]
 
 
 @dataclass
-class GP2DStrategy:
+class GP2DStrategy(ArmHistory):
     """GP bandit over (generation, factorization) node-count pairs.
 
     Parameters
@@ -56,9 +57,7 @@ class GP2DStrategy:
         if (self.n_total, self.n_total) not in self.pairs:
             raise ValueError("pairs must contain the all-nodes action (N, N)")
         self.rng = np.random.default_rng(self.seed)
-        self.xs: List[Pair] = []
-        self.ys: List[float] = []
-        self._stats = {}
+        self._reset_history()
         self.gp: Optional[GaussianProcess] = None
         self._bound_cache: Optional[np.ndarray] = None
         self._init_queue: List[Pair] = [(self.n_total, self.n_total)]
@@ -66,31 +65,12 @@ class GP2DStrategy:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    @property
-    def iteration(self) -> int:
-        """Number of completed observations."""
-        return len(self.ys)
-
-    def times_selected(self, pair: Pair) -> int:
-        """How often a pair has been measured."""
-        return len(self._stats.get(tuple(pair), ()))
-
-    def mean_duration(self, pair: Pair) -> float:
-        """Mean observed duration of a pair."""
-        return float(np.mean(self._stats[tuple(pair)]))
-
-    def best_observed(self) -> Pair:
-        """Pair with the lowest mean observed duration."""
-        return min(self._stats, key=lambda p: (np.mean(self._stats[p]), p))
-
     def observe(self, pair: Pair, duration: float) -> None:
         """Record the measured duration of one iteration run with ``pair``."""
         if duration < 0:
             raise ValueError("duration must be non-negative")
         pair = (int(pair[0]), int(pair[1]))
-        self.xs.append(pair)
-        self.ys.append(float(duration))
-        self._stats.setdefault(pair, []).append(float(duration))
+        self._record(pair, float(duration))
         if self._init_queue and self._init_queue[0] == pair:
             self._init_queue.pop(0)
 

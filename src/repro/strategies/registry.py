@@ -3,11 +3,11 @@
 The paper's seven strategies (Figure 6's x-axis) keep their names and
 grouping; the extensions that grew alongside the reproduction (annealing,
 stochastic approximation, the windowed GP, and the all-nodes
-default) are registered too so every sweep can reach them by name.  The
-``REG001`` registry-coverage rule of ``repro.analysis`` enforces that
-every concrete ``Strategy`` subclass stays registered (``OracleStrategy``
-is exempt: it needs the clairvoyant ``best_action`` and is constructed
-explicitly by the evaluation code).
+default) are registered too so every sweep can reach them by name.
+``tests/strategies/test_registry_contract.py`` checks that every
+concrete ``Strategy`` subclass stays registered and names itself
+(``OracleStrategy`` is exempt: it needs the clairvoyant ``best_action``
+and is constructed explicitly by the evaluation code).
 
 Figure 6's seven, with their colour groups:
 

@@ -1,16 +1,14 @@
-"""The analyzer runs clean over this repository (the CI gate, in-tree).
+"""The analyzer runs clean over this repository (the in-tree gate).
 
-This is the acceptance criterion of the subsystem: every finding in
-``src/``, ``tests/`` and ``benchmarks/`` is either fixed or accepted by
-an inline ``# repro-lint: disable=RULE`` comment on its line.
+Every DET001 finding in ``src/`` is either fixed or accepted by an
+inline ``# repro-lint: disable=DET001`` comment on its line.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer
-from repro.analysis.cli import DEFAULT_TARGETS
+from repro.analysis import analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -19,8 +17,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def report():
     if not (REPO_ROOT / "pyproject.toml").exists():
         pytest.skip("repo root not found (installed-package run)")
-    targets = [t for t in DEFAULT_TARGETS if (REPO_ROOT / t).exists()]
-    return Analyzer().run_paths(REPO_ROOT, targets)
+    return analyze_paths(REPO_ROOT, ["src"])
 
 
 class TestSelfHost:
@@ -28,10 +25,15 @@ class TestSelfHost:
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.findings == [], f"findings:\n{rendered}"
 
-    def test_strict_exit_code_is_zero(self, report):
-        assert report.exit_code(strict=True) == 0
+    def test_exit_code_is_zero(self, report):
+        assert report.exit_code() == 0
 
     def test_corpus_was_actually_analyzed(self, report):
-        # Guard against a silently-empty run "passing".
-        assert report.files_analyzed > 100
-        assert report.rules_run >= 6
+        # Guard against a silently-partial run "passing": the analyzed
+        # set is exactly every Python file under src/.
+        expected = {
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "src").rglob("*.py")
+            if "__pycache__" not in path.parts
+        }
+        assert sorted(report.files) == sorted(expected)

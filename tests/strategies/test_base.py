@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.strategies import ActionSpace, AllNodesStrategy, OracleStrategy
+from repro.strategies import ActionSpace, AllNodesStrategy, GP2DStrategy, OracleStrategy
 
 from .conftest import run_env
 
@@ -224,11 +224,19 @@ class TestStrategyBookkeeping:
         st.tuples(st.integers(1, 5),
                   st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
                   st.booleans()),
-        min_size=1, max_size=40))
-    def test_memoized_mean_equals_np_mean(self, steps):
+        min_size=1, max_size=40),
+        pair_arms=st.booleans())
+    def test_memoized_mean_equals_np_mean(self, steps, pair_arms):
         """Observations interleaved with mean reads, which fill the memo:
-        every read, and every arm at the end, is ``np.mean`` bit for bit."""
-        s = AllNodesStrategy(ActionSpace(actions=(1, 2, 3, 4, 5), n_total=5))
+        every read, and every arm at the end, is ``np.mean`` bit for bit,
+        for integer arms and for GP-2D's (n_gen, n_fact) pair arms."""
+        if pair_arms:
+            s = GP2DStrategy(pairs=[(a, 6 - a) for a in range(1, 6)] + [(5, 5)],
+                             n_total=5)
+            steps = [((arm, 6 - arm), duration, read)
+                     for arm, duration, read in steps]
+        else:
+            s = AllNodesStrategy(ActionSpace(actions=(1, 2, 3, 4, 5), n_total=5))
         history = {}
         for arm, duration, read in steps:
             s.observe(arm, duration)

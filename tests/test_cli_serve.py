@@ -50,6 +50,15 @@ class TestServeBench:
         assert main(self.ARGS + ["--out", ""]) == 0
         assert not (tmp_path / "BENCH_serve.json").exists()
 
+    def test_no_out_leaves_the_root_report_untouched(self, capsys, tmp_path):
+        # The fixture runs in tmp_path: a committed root report there
+        # must survive a bench that did not ask for a report.
+        root_report = tmp_path / "BENCH_serve.json"
+        root_report.write_text('{"committed": true}\n')
+        assert main(self.ARGS) == 0
+        assert "report :" not in capsys.readouterr().out
+        assert root_report.read_text() == '{"committed": true}\n'
+
     def test_bad_tenants_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["serve", "bench", "--tenants", "0"])
