@@ -13,8 +13,8 @@ configuration -- and per configuration only re-homes the tiles/vector
 blocks and rebinds the placement-dependent plan arrays before running
 :class:`~repro.runtime.simfast.FastSimulator`'s core engine.
 
-:func:`repro.measure.sweep.sweep_scenario` always sweeps serially
-through this class.  Every makespan produced this way is bit-identical
+:func:`repro.measure.sweep.sweep_scenario`, ``sweep_phases`` and
+``sweep_2d`` all sweep serially through this class.  Every makespan produced this way is bit-identical
 to the naive ``build_iteration_graph`` + reference-``Simulator``
 pipeline (enforced by ``tests/runtime/differential/test_batch_sweep.py``).
 """

@@ -23,10 +23,11 @@ if TYPE_CHECKING:  # import would cycle through repro.evaluate at runtime
 
 from .. import config
 from ..distribution import LPBoundCalculator
-from ..geostat import ExaGeoStat, IterationPlan
+from ..geostat import IterationPlan
 from ..platform.scenarios import Scenario
 from ..workload import Workload
 from .bank import MeasurementBank
+from .batch import ScenarioBatch
 from .noisemodel import for_mode
 
 #: Bump when the simulator/calibration changes to invalidate cached banks.
@@ -122,17 +123,12 @@ def sweep_scenario(
     if pending:
         # Plan-batched one-pass sweep: the graph build + template compile
         # are shared across every pending configuration (see
-        # repro.measure.batch).
-        from .batch import ScenarioBatch
-
+        # repro.measure.batch).  The rigid (N, N) plan is the flexible
+        # one at n = N, so the batch's memo serves it.
         app = ScenarioBatch(cluster, workload)
         for i, n in enumerate(pending):
-            duration = app.measure(n, len(cluster))
-            rig = (
-                app.simulate(IterationPlan(n_fact=n, n_gen=n)).makespan
-                if include_rigid
-                else None
-            )
+            duration = app.measure(n, n_total)
+            rig = app.measure(n, n) if include_rigid else None
             results[n] = (duration, rig)
             if progress:
                 print(
@@ -224,7 +220,7 @@ def sweep_phases(
     """
     workload = Workload.from_name(scenario.workload)
     cluster = scenario.build_cluster()
-    app = ExaGeoStat(cluster, workload)
+    app = ScenarioBatch(cluster, workload)
     if actions is None:
         actions = scenario_actions(scenario, workload)
     out: Dict[int, Dict[str, float]] = {}
@@ -257,7 +253,7 @@ def sweep_2d(
     """
     workload = Workload.from_name(scenario.workload)
     cluster = scenario.build_cluster()
-    app = ExaGeoStat(cluster, workload)
+    app = ScenarioBatch(cluster, workload)
     allowed = scenario_actions(scenario, workload)
     if gen_counts is None:
         gen_counts = allowed
@@ -266,8 +262,7 @@ def sweep_2d(
     out = np.empty((len(gen_counts), len(fact_counts)))
     for gi, n_gen in enumerate(gen_counts):
         for fi, n_fact in enumerate(fact_counts):
-            result = app.simulate(IterationPlan(n_fact=int(n_fact), n_gen=int(n_gen)))
-            out[gi, fi] = result.makespan
+            out[gi, fi] = app.measure(int(n_fact), int(n_gen))
         if progress:
             print(
                 f"\r  2d sweep {scenario.key}: row {gi + 1}/{len(gen_counts)}",

@@ -8,7 +8,7 @@ the fast engine produces **bit-identical** results -- the same
 ``TaskRecord``/``TransferRecord`` streams, the same obs trace bytes,
 and the same error behaviour.  It runs the same task-by-task event loop
 as the reference; what it saves is the work the reference repeats on
-every run.
+every run and the cost of its event and ready-queue tuples.
 
 Two mechanisms, each exact, never approximate:
 
@@ -30,17 +30,36 @@ Two mechanisms, each exact, never approximate:
    Python loop walks the reads.  Every task without pushes shares one
    empty tuple instead of owning a fresh list.
 
-2. **One ordered heap**: events live in a single heap ordered by
-   ``(time, push sequence)``, exactly like the reference's.  Both
-   engines push in strict simulated chronology and in the same order
-   within a timestamp (dirty nodes dispatch in sorted order, successors
-   in list order), so a sequence number reproduces every tie-break.
-   Worker-free events that share a timestamp and node ride a single
-   entry listing the freed lanes: the reference applies all events at a
-   timestamp before dispatching, so grouping cannot change a decision.
-   Completion (writes, eager pushes, successors) runs inline in
-   ``dispatch``, where the reference calls its ``complete``, and a
-   timestamp with a single event dispatches its node directly.
+2. **A calendar of exact timestamps**: pending events live in a heap
+   of *distinct* float timestamps plus a dict that maps each timestamp
+   to its events in push order (a tid for a task-ready event, ``~lane``
+   for a worker-free one).  Each node's ready queues hold one int per
+   entry, ``rank << 2b | qseq << b | tid``: ``rank`` is the task's
+   priority rank (0 for the highest), computed once per
+   :class:`PlanTemplate`, and ``qseq`` counts queue insertions.
+   Ready-time computation, dispatch and completion (writes, eager
+   pushes, successors) run inline in the loop, where the reference
+   calls ``task_ready_time``, ``dispatch`` and ``complete``.  Why this
+   is exact:
+
+   * The reference's heap pops events of equal time in push-sequence
+     order; a list appended in push order gives the same order.
+   * Only the *relative* order of insertions into one node's queues
+     breaks priority ties, and a counter of queue insertions alone
+     keeps that order.  So the packed int orders exactly like the
+     reference's ``(-priority, seq, tid)``.
+   * The reference pushes each lane's worker-free event right after
+     completing its task, and the calendar appends it at the same
+     point, so the push order is the reference's.  (Only the previous
+     fast engine grouped freed lanes per dispatch.)
+   * An event pushed at ``now`` during dispatch (a zero-duration task)
+     opens a fresh bucket after ``now``'s was popped; it is handled on
+     the next pass, as in the reference.
+   * Equal floats, ``-0.0 == 0.0`` included, share one bucket, keyed by
+     the first value pushed.  Equal floats differ at most in the sign of
+     zero, and no simulated time is ``-0.0`` (each is a sum or maximum
+     of ``0.0`` and non-negative durations), so ``now`` carries the
+     reference's bits.
 
 Replication contract (enforced by ``tests/runtime/differential``):
 
@@ -56,7 +75,7 @@ Replication contract (enforced by ``tests/runtime/differential``):
 * NIC stream selection (first minimum), relay-source selection
   ``min(locs, key=(max(send_free, avail), node))``, and the
   count/bytes/seconds accumulation order of ``comm_stats``;
-* heap semantics: all events at a timestamp apply before dispatching,
+* event semantics: all events at a timestamp apply before dispatching,
   dirty nodes dispatch in sorted order, queue ties break by insertion
   sequence, the worker is the first rate-maximum over free CPUs then
   free GPUs (so rate ties favour the lowest CPU lane);
@@ -70,7 +89,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,10 +98,6 @@ from ..platform.cluster import Cluster
 from .dag import TaskGraph
 from .perfmodel import CPU, GPU, PerfModel
 from .simulator import SimulationResult, TaskRecord, TransferRecord
-
-# Event kinds (the reference engine's).
-_TASK_READY = 0
-_WORKER_FREE = 1
 
 #: Mutations the seeded-defect harness may inject (`_defects` parameter).
 DEFECT_KINDS = ("drop_transfer", "tie_break")
@@ -98,7 +112,7 @@ class GraphPlan:
     """
 
     __slots__ = (
-        "n_tasks", "n_nodes", "names", "phases", "nodes", "prios",
+        "n_tasks", "n_nodes", "names", "phases", "nodes", "queue_keys",
         "reads_dedup", "writes", "succs", "indeg0", "push_after",
         "initial_push", "qclass", "eligible", "dur_cpu", "dur_gpu",
         "prefer_gpu", "sizes", "homes", "gpu_counts", "cpu_slot_counts",
@@ -119,7 +133,7 @@ class PlanTemplate:
     """
 
     __slots__ = (
-        "n_tasks", "n_nodes", "names", "phases", "prios",
+        "n_tasks", "n_nodes", "names", "phases", "queue_keys",
         "reads_dedup", "writes", "succs", "indeg0", "sizes",
         "gpu_counts", "cpu_slot_counts", "node_type_names", "bw",
         "latency", "n_streams",
@@ -144,7 +158,7 @@ class PlanTemplate:
         plan.n_nodes = self.n_nodes
         plan.names = self.names
         plan.phases = self.phases
-        plan.prios = self.prios
+        plan.queue_keys = self.queue_keys
         plan.reads_dedup = self.reads_dedup
         plan.writes = self.writes
         plan.succs = self.succs
@@ -289,7 +303,15 @@ def compile_template(
 
     tmpl.names = [t.name for t in tasks]
     tmpl.phases = [t.phase for t in tasks]
-    tmpl.prios = [t.priority for t in tasks]
+    # Ready-queue keys: rank of the priority (0 = highest) above two
+    # fields of ``n.bit_length()`` bits, the insertion sequence the engine adds
+    # and the tid, so one int orders like the reference's (-prio, seq).
+    prios = [t.priority for t in tasks]
+    rank = {p: r for r, p in enumerate(sorted(set(prios), reverse=True))}
+    bits = n.bit_length()
+    tmpl.queue_keys = [
+        (rank[p] << (2 * bits)) | tid for tid, p in enumerate(prios)
+    ]
     # The reference deduplicates reads with set() on every readiness
     # computation; an int set's iteration order depends only on its
     # contents and insertion sequence, so one materialization is exact.
@@ -423,7 +445,7 @@ class FastSimulator:
         node_of = plan.nodes
         names = plan.names
         phases_of = plan.phases
-        prio_of = plan.prios
+        queue_keys = plan.queue_keys
         reads_dedup = plan.reads_dedup
         writes_of = plan.writes
         succs = plan.succs
@@ -458,15 +480,28 @@ class FastSimulator:
 
         send_slots = [[0.0] * n_streams for _ in range(n_nodes)]
         recv_slots = [[0.0] * n_streams for _ in range(n_nodes)]
-        valid: Dict[int, Dict[int, float]] = {}
-        queues: List[List[list]] = [[[], [], []] for _ in range(n_nodes)]
-        # Idle lanes per node and kind, ascending lane index (GPU lanes
-        # are 0..G-1, CPU lanes G..G+S-1 -- the build_workers order).
-        free_g: List[List[int]] = [list(range(g)) for g in gpu_counts]
-        free_c: List[List[int]] = [
-            list(range(g, g + s))
-            for g, s in zip(gpu_counts, plan.cpu_slot_counts)
-        ]
+        # Per handle: {node: time its current version is available
+        # there}.  The reference creates the {home: 0.0} entry on first
+        # use; it holds the same until the first write replaces it.
+        valid = [{home: 0.0} for home in homes]
+        queues: List[List[List[int]]] = [[[], [], []] for _ in range(n_nodes)]
+        # Idle lanes per node and kind, as ascending *global* lane numbers
+        # (node nd's lane i is lane_base[nd] + i; GPU lanes come first,
+        # the build_workers order).  A worker-free event is ~global lane.
+        lane_base: List[int] = []
+        lane_node: List[int] = []
+        lane_free: List[List[int]] = []
+        free_g: List[List[int]] = []
+        free_c: List[List[int]] = []
+        for nd, (g, s) in enumerate(zip(gpu_counts, plan.cpu_slot_counts)):
+            base = len(lane_node)
+            fg = list(range(base, base + g))
+            fc = list(range(base + g, base + g + s))
+            lane_base.append(base)
+            free_g.append(fg)
+            free_c.append(fc)
+            lane_node.extend([nd] * (g + s))
+            lane_free.extend([fg] * g + [fc] * s)
 
         task_records: List[TaskRecord] = []
         transfer_records: List[TransferRecord] = []
@@ -475,11 +510,15 @@ class FastSimulator:
         scheduled = 0
         makespan_v = 0.0
 
-        # The reference's event heap: (time, seq, kind, tid or node,
-        # freed lanes), one sequence counter shared with the ready-queue
-        # entries.
-        events: List[tuple] = []
-        next_seq = count(1).__next__
+        # The calendar: a heap of distinct timestamps and, per timestamp,
+        # its events in push order (a tid for a task-ready event, ~lane
+        # for a worker-free one).  Queue keys add the insertion sequence
+        # ``qseq`` shifted past the tid field.
+        times: List[float] = []
+        calendar: Dict[float, List[int]] = {}
+        qstep = 1 << n_tasks.bit_length()
+        tid_mask = qstep - 1
+        qseq = 0
         heappush = heapq.heappush
         heappop = heapq.heappop
         inf = float("inf")
@@ -526,173 +565,164 @@ class FastSimulator:
                     src = s
             return src
 
-        def ready_time(tid: int) -> float:
-            dst = node_of[tid]
-            ready = pred_finish[tid]
-            for hid in reads_dedup[tid]:
-                locs = valid.get(hid)
-                if locs is None:
-                    locs = valid[hid] = {homes[hid]: 0.0}
-                t = locs.get(dst)
-                if t is None:
-                    src = (
-                        next(iter(locs)) if len(locs) == 1
-                        else pick_source(locs)
-                    )
-                    locs[dst] = t = transfer(hid, src, dst, locs[src])
-                if t > ready:
-                    ready = t
-            return ready
-
-        def dispatch(nd: int, now: float) -> None:
-            """Greedy assignment at one timestamp (reference ``dispatch``).
-
-            Each assignment completes its task on the spot, as the
-            reference's ``complete`` does: writes, eager pushes, then
-            successors.
-            """
-            nonlocal scheduled, drop_pending, makespan_v
-            fc = free_c[nd]
-            fg = free_g[nd]
-            qs = queues[nd]
-            q0, q1, q2 = qs
-            ends = None
-            while fc or fg:
-                best_key = None
-                best_q = -1
-                if q0 and fc:
-                    best_key = q0[0]
-                    best_q = 0
-                if q1 and fg and (best_key is None or q1[0] < best_key):
-                    best_key = q1[0]
-                    best_q = 1
-                if q2 and (best_key is None or q2[0] < best_key):
-                    best_q = 2
-                if best_q < 0:
-                    break
-                tid = heappop(qs[best_q])[2]
-                if best_q == 0:
-                    gpu = False
-                elif best_q == 1:
-                    gpu = True
-                else:
-                    gpu = bool(fg) and (not fc or prefer_gpu[tid])
-                lane = (fg if gpu else fc).pop(0)
-                end = now + (dur_gpu[tid] if gpu else dur_cpu[tid])
-
-                if end > makespan_v:
-                    makespan_v = end
-                for hid in writes_of[tid]:
-                    valid[hid] = {nd: end}
-                pa = push_after[tid]
-                if pa:
-                    if drop_pending:
-                        drop_pending = False  # seeded defect: lose one push
-                        pa = pa[:-1]
-                    for hid, consumer in pa:
-                        locs = valid[hid]
-                        if consumer not in locs:
-                            src = (
-                                next(iter(locs)) if len(locs) == 1
-                                else pick_source(locs)
-                            )
-                            locs[consumer] = transfer(
-                                hid, src, consumer, locs[src]
-                            )
-                for s in succs[tid]:
-                    if end > pred_finish[s]:
-                        pred_finish[s] = end
-                    indeg[s] -= 1
-                    if indeg[s] == 0:
-                        heappush(
-                            events,
-                            (ready_time(s), next_seq(), _TASK_READY, s, ()),
-                        )
-
-                scheduled += 1
-                ph = phases_of[tid]
-                span = phase_spans.get(ph)
-                if span is None:
-                    phase_spans[ph] = [now, end]
-                else:
-                    if now < span[0]:
-                        span[0] = now
-                    if end > span[1]:
-                        span[1] = end
-                if trace:
-                    task_records.append(
-                        TaskRecord(
-                            tid, names[tid], ph, nd,
-                            GPU if gpu else CPU, now, end, worker=lane,
-                        )
-                    )
-                if ends is None:
-                    ends = {end: [lane]}
-                else:
-                    bucket = ends.get(end)
-                    if bucket is None:
-                        ends[end] = [lane]
-                    else:
-                        bucket.append(lane)
-            if ends is not None:
-                for end, lanes in ends.items():
-                    heappush(
-                        events, (end, next_seq(), _WORKER_FREE, nd, lanes)
-                    )
+        def fetch(hid: int, dst: int) -> float:
+            """Send ``hid``'s current version to ``dst``, which lacks it,
+            from the best holder; returns the arrival time."""
+            locs = valid[hid]
+            src = next(iter(locs)) if len(locs) == 1 else pick_source(locs)
+            locs[dst] = t = transfer(hid, src, dst, locs[src])
+            return t
 
         # -- initial state ---------------------------------------------------
 
         for hid, dst in plan.initial_push:
             home = homes[hid]
-            locs = valid.setdefault(hid, {home: 0.0})
+            locs = valid[hid]
             if dst not in locs:
                 locs[dst] = transfer(hid, home, dst, locs[home])
 
         for tid in range(n_tasks):
             if indeg[tid] == 0:
-                heappush(
-                    events, (ready_time(tid), next_seq(), _TASK_READY, tid, ())
-                )
+                dst = node_of[tid]
+                ready = 0.0
+                for hid in reads_dedup[tid]:
+                    t = valid[hid].get(dst)
+                    if t is None:
+                        t = fetch(hid, dst)
+                    if t > ready:
+                        ready = t
+                bucket = calendar.get(ready)
+                if bucket is None:
+                    calendar[ready] = [tid]
+                    heappush(times, ready)
+                else:
+                    bucket.append(tid)
 
         # -- main loop -------------------------------------------------------
 
         node_type_names = plan.node_type_names
-        while events:
+        while times:
             # Apply every state change at this timestamp before
             # dispatching, so simultaneous arrivals compete by priority.
-            # A lone event (the common case) dirties one node, which
-            # dispatches without the set and the sort.
-            now = events[0][0]
+            # A timestamp that dirties one node (the common case)
+            # dispatches it without the set and the sort.
+            now = heappop(times)
             first = -1
             dirty = None
-            while events and events[0][0] == now:
-                _t, _s, kind, a, lanes = heappop(events)
-                if kind == _TASK_READY:
-                    nd = node_of[a]
-                    if not eligible[a]:
+            for ev in calendar.pop(now):
+                if ev >= 0:
+                    nd = node_of[ev]
+                    if not eligible[ev]:
                         raise RuntimeError(
-                            f"task {names[a]!r} (tid={a}) has no eligible "
+                            f"task {names[ev]!r} (tid={ev}) has no eligible "
                             f"worker on node {nd} ({node_type_names[nd]})"
                         )
-                    heappush(
-                        queues[nd][qclass[a]], (-prio_of[a], next_seq(), a)
-                    )
+                    heappush(queues[nd][qclass[ev]], queue_keys[ev] + qseq)
+                    qseq += qstep
                 else:
-                    nd = a
-                    g = gpu_counts[a]
-                    for lane in lanes:
-                        insort(free_g[a] if lane < g else free_c[a], lane)
-                if first < 0:
-                    first = nd
-                elif dirty is None:
-                    dirty = {first, nd}
-                else:
-                    dirty.add(nd)
-            if dirty is None:
-                dispatch(first, now)
-            else:
-                for nd in sorted(dirty):
-                    dispatch(nd, now)
+                    ev = ~ev
+                    nd = lane_node[ev]
+                    insort(lane_free[ev], ev)
+                if nd != first:
+                    if first < 0:
+                        first = nd
+                    elif dirty is None:
+                        dirty = {first, nd}
+                    else:
+                        dirty.add(nd)
+
+            # Greedy assignment on each dirty node (the reference's
+            # ``dispatch``); each assignment completes its task on the
+            # spot, as the reference's ``complete`` does: writes, eager
+            # pushes, successors, then the lane's worker-free event.
+            for nd in (first,) if dirty is None else sorted(dirty):
+                fc = free_c[nd]
+                fg = free_g[nd]
+                q0, q1, q2 = queues[nd]
+                while fc or fg:
+                    best = None
+                    if q0 and fc:
+                        best = q0
+                        key = q0[0]
+                    if q1 and fg and (best is None or q1[0] < key):
+                        best = q1
+                        key = q1[0]
+                    if q2 and (best is None or q2[0] < key):
+                        tid = heappop(q2) & tid_mask
+                        gpu = fg and (not fc or prefer_gpu[tid])
+                    elif best is None:
+                        break
+                    else:
+                        tid = heappop(best) & tid_mask
+                        gpu = best is q1
+                    if gpu:
+                        lane = fg.pop(0)
+                        end = now + dur_gpu[tid]
+                    else:
+                        lane = fc.pop(0)
+                        end = now + dur_cpu[tid]
+
+                    if end > makespan_v:
+                        makespan_v = end
+                    for hid in writes_of[tid]:
+                        valid[hid] = {nd: end}
+                    pa = push_after[tid]
+                    if pa:
+                        if drop_pending:
+                            drop_pending = False  # seeded defect: lose one push
+                            pa = pa[:-1]
+                        for hid, consumer in pa:
+                            if consumer not in valid[hid]:
+                                fetch(hid, consumer)
+                    for s in succs[tid]:
+                        d = indeg[s]
+                        ready = pred_finish[s]
+                        if end > ready:
+                            ready = end
+                        if d > 1:
+                            indeg[s] = d - 1
+                            pred_finish[s] = ready
+                            continue
+                        # Last predecessor: the reference's
+                        # task_ready_time, then the task-ready event.
+                        dst = node_of[s]
+                        for hid in reads_dedup[s]:
+                            t = valid[hid].get(dst)
+                            if t is None:
+                                t = fetch(hid, dst)
+                            if t > ready:
+                                ready = t
+                        bucket = calendar.get(ready)
+                        if bucket is None:
+                            calendar[ready] = [s]
+                            heappush(times, ready)
+                        else:
+                            bucket.append(s)
+                    bucket = calendar.get(end)
+                    if bucket is None:
+                        calendar[end] = [~lane]
+                        heappush(times, end)
+                    else:
+                        bucket.append(~lane)
+
+                    scheduled += 1
+                    ph = phases_of[tid]
+                    span = phase_spans.get(ph)
+                    if span is None:
+                        phase_spans[ph] = [now, end]
+                    else:
+                        if now < span[0]:
+                            span[0] = now
+                        if end > span[1]:
+                            span[1] = end
+                    if trace:
+                        task_records.append(
+                            TaskRecord(
+                                tid, names[tid], ph, nd,
+                                GPU if gpu else CPU, now, end,
+                                worker=lane - lane_base[nd],
+                            )
+                        )
 
         if scheduled != n_tasks:
             raise ValueError(

@@ -45,6 +45,41 @@ class TestSweep:
         assert set(bank.rigid) == {3, 14}
         assert all(v > 0 for v in bank.rigid.values())
 
+    def test_rigid_sweep_simulates_each_plan_once(self, monkeypatch):
+        """The rigid (N, N) plan is the flexible one at n = N: one run.
+
+        The rigid line still equals the reference engine's makespans.
+        """
+        from repro.geostat import IterationPlan
+        from repro.geostat.phases import build_iteration_graph
+        from repro.measure.batch import ScenarioBatch
+        from repro.runtime import Simulator
+        from repro.workload import Workload
+
+        calls = []
+        simulate = ScenarioBatch.simulate
+
+        def counting(self, plan):
+            calls.append((plan.n_fact, plan.n_gen))
+            return simulate(self, plan)
+
+        monkeypatch.setattr(ScenarioBatch, "simulate", counting)
+        scenario = get_scenario("b")
+        actions = (3, 7, 14)
+        bank = sweep_scenario(
+            scenario, actions=actions, augment=3, include_rigid=True
+        )
+        assert len(calls) == 2 * len(actions) - 1
+        assert len(set(calls)) == len(calls)
+        cluster = scenario.build_cluster()
+        workload = Workload.from_name(scenario.workload)
+        assert bank.rigid == {
+            n: Simulator(cluster).run(build_iteration_graph(
+                cluster, workload, IterationPlan(n_fact=n, n_gen=n)
+            )).makespan
+            for n in actions
+        }
+
     def test_deterministic_given_seed(self):
         scenario = get_scenario("b")
         b1 = sweep_scenario(scenario, actions=[4, 14], augment=4, seed=1)

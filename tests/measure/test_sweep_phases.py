@@ -35,6 +35,25 @@ class TestSweepPhases:
         gens = [p["generation"] for p in spans.values()]
         assert max(gens) <= 3.0 * min(gens) + 1e-9
 
+    def test_spans_match_the_reference_engine(self, spans):
+        """The batched sweep reproduces each plan's reference run."""
+        from repro.geostat import IterationPlan
+        from repro.geostat.phases import build_iteration_graph
+        from repro.runtime import Simulator
+        from repro.workload import Workload
+
+        scenario = get_scenario("b")
+        cluster = scenario.build_cluster()
+        workload = Workload.from_name(scenario.workload)
+        for n, phases in spans.items():
+            ref = Simulator(cluster).run(build_iteration_graph(
+                cluster, workload,
+                IterationPlan(n_fact=n, n_gen=len(cluster)),
+            ))
+            expected = {p: e - s for p, (s, e) in ref.phase_spans.items()}
+            expected["makespan"] = ref.makespan
+            assert phases == expected
+
     def test_main_phases_dominate(self, spans):
         for phases in spans.values():
             main = max(phases["generation"], phases["factorization"])

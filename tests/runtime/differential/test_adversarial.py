@@ -2,13 +2,20 @@
 
 The fast engine reproduces the reference through precompiled plans
 (eager-push lists, queue classes, worker preferences), NIC stream
-accounting and push-sequence tie-breaking.  Each test here constructs
+accounting, a calendar of per-timestamp event lists and
+insertion-sequence queue ties.  Each test here constructs
 a graph whose *only* purpose is to stress one of them and then demands
 bit identity through the package oracle.
 """
 
 from repro.platform import Cluster, NetworkModel, NodeType
-from repro.runtime import DataRegistry, PerfModel, Placement, TaskGraph
+from repro.runtime import (
+    DataRegistry,
+    PerfModel,
+    Placement,
+    Simulator,
+    TaskGraph,
+)
 
 from .oracle import assert_equivalent
 
@@ -200,3 +207,43 @@ def test_diamond_fan_out_fan_in_across_nodes():
     out = g.registry.register("out", 0, home=3)
     g.submit("t", "p", 1e9, reads=mids, writes=[out])
     assert_equivalent(g, cluster, PM)
+
+
+def test_calendar_buckets_and_late_queue_ties():
+    """One timestamp shared by three nodes, zero-duration work, late ties.
+
+    At t=2 one timestamp holds, interleaved, each node's freed lane and
+    the ready events its first task ``a`` sends to the other nodes.  The
+    zero-flop tasks ``z`` then finish *at* t=2, mid-dispatch, and their
+    successors ``w`` arrive in a fresh t=2 batch -- ``w0`` on node 0
+    after node 0 has already dispatched.  On node 0, ``early`` (ready at
+    t=2) and ``late`` (ready at t=4, smaller tid) share a priority and
+    wait for the lane ``block`` frees at t=6: insertion order, not tid,
+    breaks their tie.
+    """
+    cluster = make_cluster(3)
+    g = TaskGraph(DataRegistry())
+    names = []
+
+    def task(name, node, flops, reads=(), priority=0):
+        names.append(name)
+        h = g.registry.register(name, 0, home=node)
+        g.submit(
+            "t", "p", flops, reads=list(reads), writes=[h], priority=priority
+        )
+        return h
+
+    a = [task(f"a{k}", k, 1e9) for k in range(3)]  # 2 s each
+    task("block", 0, 3e9)  # node 0 until t=6
+    d = task("d", 2, 2e9)  # node 2 until t=4
+    task("late", 0, 1e9, reads=[d], priority=5)
+    task("early", 0, 1e9, reads=[a[1]], priority=5)
+    task("c", 0, 4e9, reads=[a[0]], priority=10)
+    z = [task(f"z{k}", k, 0.0, reads=[a[k - 1]], priority=20) for k in range(3)]
+    for k in range(3):
+        task(f"w{k}", k, 0.0, reads=[z[k - 1]], priority=20)
+    assert_equivalent(g, cluster, PM)
+    ref = Simulator(cluster, PM, trace=True).run(g)
+    starts = {names[r.tid]: r.start for r in ref.task_records}
+    assert starts["z0"] == starts["w0"] == 2.0
+    assert (starts["early"], starts["late"]) == (6.0, 8.0)
