@@ -1,12 +1,13 @@
 """Content-keyed memo cache for simulated phase durations.
 
 The expensive operation behind every figure is the deterministic
-discrete-event simulation of one iteration plan (``ExaGeoStat.measure`` /
-``simulate``): sweeping a scenario touches it once per allowed node
-count, and the full Figure 5 driver runs 16 such sweeps.  Because the
-simulation is a pure function of its inputs, its results can be memoized
-under a *content key* -- a stable fingerprint of everything that
-determines the makespan:
+discrete-event simulation of one iteration plan
+(:meth:`repro.measure.batch.ScenarioBatch.measure`, which memoizes each
+plan within one process): sweeping a scenario touches it once per
+allowed node count, and the full Figure 5 driver runs 16 such sweeps.
+Because the simulation is a pure function of its inputs, its results
+can be memoized across processes under a *content key* -- a stable
+fingerprint of everything that determines the makespan:
 
 * the scenario (site, composition, workload, mode),
 * the workload resolution (tile count -> matrix/tile geometry),

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import config
-from ..geostat import ExaGeoStat, IterationPlan
+from ..geostat import IterationPlan, build_iteration_graph
 from ..gp import GaussianProcess
 from ..measure import MeasurementBank, cached_bank, sweep_2d
 from ..platform import FIGURE2_KEYS, all_scenarios, get_scenario, table2_rows
@@ -49,8 +49,7 @@ def figure1(scenario_key: str = "b") -> Figure1Result:
     scenario = get_scenario(scenario_key)
     cluster = scenario.build_cluster()
     workload = Workload.from_name(scenario.workload)
-    app = ExaGeoStat(cluster, workload)
-    app.simulator = FastSimulator(cluster, trace=True)
+    simulator = FastSimulator(cluster, trace=True)
 
     first_group = cluster.group_boundaries[0]
     fast_subset = min(8, len(cluster))
@@ -65,7 +64,7 @@ def figure1(scenario_key: str = "b") -> Figure1Result:
     ]
     result = Figure1Result([], [], [], [])
     for plan, text in plans:
-        sim = app.simulate(plan)
+        sim = simulator.run(build_iteration_graph(cluster, workload, plan))
         timeline = utilization_timeline(sim, cluster, nbins=72)
         result.descriptions.append(text)
         result.timelines.append(render_ascii(timeline, cluster))

@@ -76,14 +76,13 @@ def measure_overhead(
     space = strategy_space_for(scenario, workload)
     noise = for_mode(scenario.mode)
 
+    # One application for every repetition, so each node plan is
+    # simulated once; each repetition re-seeds the noise stream.
+    app = ExaGeoStat(cluster, workload, noise=noise.sample)
     overheads: List[List[float]] = []
     durations: List[List[float]] = []
     for rep in range(reps):
-        app = ExaGeoStat(
-            cluster, workload,
-            noise=lambda d, rng: noise.sample(d, rng),
-            seed=seed + rep,
-        )
+        app.rng = np.random.default_rng(seed + rep)
         strategy = GPDiscontinuousStrategy(space, seed=seed + rep)
         result = app.run(strategy, iterations)
         overheads.append(list(strategy.overheads))

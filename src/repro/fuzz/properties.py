@@ -39,6 +39,7 @@ from ..faults import FaultInjector
 from ..geostat import ExaGeoStat
 from ..measure.bank import MeasurementBank
 from ..measure.noisemodel import for_mode
+from ..platform.cluster import Cluster
 from ..strategies import registered_names
 from ..workload import Workload
 from .platforms import FUZZ_TAG, FuzzConfig, FuzzedPlatform
@@ -235,6 +236,22 @@ class PropertyReport:
 # -- bank materialization -----------------------------------------------------------
 
 
+def cholesky_space(
+    platform: FuzzedPlatform, cluster: Cluster
+) -> Tuple[Workload, Tuple[int, ...]]:
+    """The scaled-down ExaGeoStat workload of a Cholesky platform and
+    the factorization node counts its bank sweeps: from 2 (or the
+    fewest nodes that hold the matrix) to all of them."""
+    workload = Workload(
+        name=platform.scenario.workload,
+        t=platform.tiles,
+        nb=max(1, round(platform.matrix_order / platform.tiles)),
+    )
+    n = len(cluster)
+    lo = min(max(min(2, n), cluster.min_nodes_for(workload.matrix_bytes)), n)
+    return workload, tuple(range(lo, n + 1))
+
+
 def build_bank(
     platform: FuzzedPlatform, config: Optional[FuzzConfig] = None
 ) -> MeasurementBank:
@@ -251,22 +268,14 @@ def build_bank(
     cfg = config if config is not None else FuzzConfig()
     cluster = platform.build_cluster()
     n = len(cluster)
-    lo = min(2, n)
     if platform.family == "msr":
         app = MSRApp(cluster, platform.msr)
-        actions = tuple(range(lo, n + 1))
+        actions = tuple(range(min(2, n), n + 1))
         true_means = {a: app.measure(a) for a in actions}
         lp = {a: app.lp_bound(a) for a in actions}
     else:
-        workload = Workload(
-            name=platform.scenario.workload,
-            t=platform.tiles,
-            nb=max(1, round(platform.matrix_order / platform.tiles)),
-        )
-        lo = max(lo, cluster.min_nodes_for(workload.matrix_bytes))
-        lo = min(lo, n)
+        workload, actions = cholesky_space(platform, cluster)
         app = ExaGeoStat(cluster, workload)
-        actions = tuple(range(lo, n + 1))
         true_means = {a: app.measure(a) for a in actions}
         lp_calc = LPBoundCalculator(cluster, workload)
         lp = {a: lp_calc.iteration(a) for a in actions}

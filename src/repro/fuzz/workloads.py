@@ -16,16 +16,13 @@ phases/priorities/data handles, executed by
 :class:`repro.runtime.perfmodel.PerfModel`, and wrapped in an
 application object (:class:`MSRApp`) with the same ``measure(n)``
 contract as :class:`repro.geostat.application.ExaGeoStat` -- so timeline
-analytics, duration caching and the measurement-bank protocol all apply
-unchanged.
+analytics and the measurement-bank protocol apply unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from ..platform.cluster import Cluster
 from ..runtime import (
@@ -205,11 +202,12 @@ def build_msr_graph(
 class MSRApp:
     """Iterative map/shuffle/reduce application over the simulated runtime.
 
-    The :meth:`measure` contract mirrors
-    :class:`repro.geostat.application.ExaGeoStat`: the deterministic
-    simulation per node count is cached, observation noise (if any) is
-    layered per call, so banks built from it follow the paper's Section V
-    resampling methodology.
+    :meth:`measure` is the deterministic makespan of one node count,
+    the ``measure(n)`` contract of
+    :class:`repro.geostat.application.ExaGeoStat` without noise: the
+    bank builder (:func:`repro.fuzz.properties.build_bank`) measures
+    each node count once and adds the mode's observation noise itself,
+    the paper's Section V resampling methodology.
     """
 
     def __init__(
@@ -217,8 +215,6 @@ class MSRApp:
         cluster: Cluster,
         workload: MapShuffleReduceWorkload,
         perfmodel: Optional[PerfModel] = None,
-        noise=None,
-        seed: int = 0,
         trace: bool = False,
     ) -> None:
         self.cluster = cluster
@@ -228,22 +224,14 @@ class MSRApp:
             perfmodel if perfmodel is not None else msr_perfmodel(),
             trace=trace,
         )
-        self.noise = noise
-        self.rng = np.random.default_rng(seed)
-        self._duration_cache: Dict[int, float] = {}
 
     def simulate(self, n: int) -> SimulationResult:
         """Simulate one pipeline run over the ``n`` fastest nodes."""
         return self.simulator.run(build_msr_graph(self.cluster, self.workload, n))
 
     def measure(self, n: int) -> float:
-        """Duration of one run using ``n`` nodes (cached + optional noise)."""
-        if n not in self._duration_cache:
-            self._duration_cache[n] = self.simulate(n).makespan
-        duration = self._duration_cache[n]
-        if self.noise is not None:
-            duration = self.noise(duration, self.rng)
-        return max(duration, 0.0)
+        """Deterministic duration of one run using ``n`` nodes."""
+        return self.simulate(n).makespan
 
     def lp_bound(self, n: int) -> float:
         """Perfect-parallelism lower bound for ``n`` nodes, seconds.

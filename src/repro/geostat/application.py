@@ -9,24 +9,30 @@ execution" (contribution iii); the controller's wall-clock overhead is
 measured per iteration exactly as in Figure 7.
 
 As in the paper's methodology, all distributions/durations for a given
-node plan are precomputed (cached) after their first simulation, and
-observation noise is layered on top by a pluggable noise model.
+node plan are precomputed (cached) after their first simulation -- by
+the one :class:`~repro.measure.batch.ScenarioBatch` the application
+builds on first use -- and observation noise is layered on top by a
+pluggable noise model.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..platform.cluster import Cluster
-from ..runtime import FastSimulator, PerfModel, SimulationResult
+from ..runtime import PerfModel, SimulationResult
 from ..workload import Workload
 from .likelihood import golden_section_range_search
-from .phases import IterationPlan, build_iteration_graph
+from .phases import IterationPlan
 from .spatial import SpatialData
+
+if TYPE_CHECKING:
+    from ..measure.batch import ScenarioBatch
 
 #: A controller proposes a factorization node count and observes durations.
 #: (Duck-typed: every repro.strategies strategy satisfies it.)
@@ -99,51 +105,65 @@ class ExaGeoStat:
     ) -> None:
         self.cluster = cluster
         self.workload = workload
-        self.simulator = FastSimulator(cluster, perfmodel)
+        self.perfmodel = perfmodel
         self.noise = noise
         self.rng = np.random.default_rng(seed)
-        self._duration_cache: Dict[Tuple[int, int], float] = {}
+        self._batch: Optional[ScenarioBatch] = None
 
     # -- measurement ----------------------------------------------------------------
 
+    def _plans(self) -> "ScenarioBatch":
+        """The :class:`~repro.measure.batch.ScenarioBatch` that simulates
+        and memoizes every node plan, built on first use (imported here
+        because :mod:`repro.measure` imports this package)."""
+        if self._batch is None:
+            from ..measure.batch import ScenarioBatch
+
+            self._batch = ScenarioBatch(
+                self.cluster, self.workload, self.perfmodel
+            )
+        return self._batch
+
     def simulate(self, plan: IterationPlan) -> SimulationResult:
         """Simulate one iteration with the given plan (uncached, no noise)."""
-        graph = build_iteration_graph(self.cluster, self.workload, plan)
-        return self.simulator.run(graph)
+        return self._plans().simulate(plan)
 
     def measure(self, n_fact: int, n_gen: Optional[int] = None) -> float:
         """Duration of one iteration using ``n_fact`` factorization nodes.
 
-        The deterministic simulation per plan is cached ("all the possible
-        distributions were precomputed", Section V); noise is sampled per
-        call when a noise model is configured.
+        The deterministic simulation per plan is memoized by the batch
+        ("all the possible distributions were precomputed", Section V);
+        noise is sampled per call when a noise model is configured.
         """
-        if n_gen is None:
-            n_gen = len(self.cluster)
-        key = (n_fact, n_gen)
-        if key not in self._duration_cache:
-            result = self.simulate(IterationPlan(n_fact=n_fact, n_gen=n_gen))
-            self._duration_cache[key] = result.makespan
-        duration = self._duration_cache[key]
+        duration = self._plans().measure(n_fact, n_gen)
         if self.noise is not None:
             duration = self.noise(duration, self.rng)
         return max(duration, 0.0)
 
     # -- main loops -----------------------------------------------------------------
 
-    def run(self, controller, iterations: int) -> RunResult:
-        """Adaptive main loop: the controller picks n_fact per iteration."""
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
+    def _loop(
+        self,
+        controller,
+        steps: Iterable[Tuple[Optional[float], Optional[float]]],
+        pairs: bool = False,
+    ) -> RunResult:
+        """One iteration per ``(theta, log_likelihood)`` step.
+
+        The controller proposes ``n_fact`` (generation on every node), or
+        ``(n_gen, n_fact)`` pairs when ``pairs`` is set, and observes the
+        measured duration; its propose + observe time is the overhead.
+        """
         result = RunResult()
-        n_gen = len(self.cluster)
-        for it in range(iterations):
+        n_all = len(self.cluster)
+        for it, (theta, loglik) in enumerate(steps):
             t0 = time.perf_counter()
-            n_fact = controller.propose()
+            proposal = controller.propose()
             t1 = time.perf_counter()
+            n_gen, n_fact = proposal if pairs else (n_all, proposal)
             duration = self.measure(n_fact, n_gen)
             t2 = time.perf_counter()
-            controller.observe(n_fact, duration)
+            controller.observe((n_gen, n_fact) if pairs else n_fact, duration)
             t3 = time.perf_counter()
             result.records.append(
                 IterationRecord(
@@ -152,9 +172,22 @@ class ExaGeoStat:
                     n_gen=n_gen,
                     duration=duration,
                     controller_overhead=(t1 - t0) + (t3 - t2),
+                    theta=theta,
+                    log_likelihood=loglik,
                 )
             )
         return result
+
+    @staticmethod
+    def _steps(iterations: int):
+        """``iterations`` steps without a likelihood evaluation."""
+        if iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        return repeat((None, None), iterations)
+
+    def run(self, controller, iterations: int) -> RunResult:
+        """Adaptive main loop: the controller picks n_fact per iteration."""
+        return self._loop(controller, self._steps(iterations))
 
     def run_fixed(self, n_fact: int, iterations: int) -> RunResult:
         """Non-adaptive loop with a constant node count (baseline)."""
@@ -174,27 +207,7 @@ class ExaGeoStat:
     def run2d(self, controller, iterations: int) -> RunResult:
         """Adaptive loop over both phases: the controller proposes
         ``(n_gen, n_fact)`` pairs (the paper's future-work 2-D space)."""
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        result = RunResult()
-        for it in range(iterations):
-            t0 = time.perf_counter()
-            n_gen, n_fact = controller.propose()
-            t1 = time.perf_counter()
-            duration = self.measure(n_fact, n_gen)
-            t2 = time.perf_counter()
-            controller.observe((n_gen, n_fact), duration)
-            t3 = time.perf_counter()
-            result.records.append(
-                IterationRecord(
-                    index=it,
-                    n_fact=n_fact,
-                    n_gen=n_gen,
-                    duration=duration,
-                    controller_overhead=(t1 - t0) + (t3 - t2),
-                )
-            )
-        return result
+        return self._loop(controller, self._steps(iterations), pairs=True)
 
     def run_with_likelihood(
         self,
@@ -211,26 +224,7 @@ class ExaGeoStat:
         numerics at ``data``'s scale) and simulates the iteration's
         duration at the platform scale.
         """
-        search = golden_section_range_search(data, theta_lo, theta_hi, iterations)
-        result = RunResult()
-        n_gen = len(self.cluster)
-        for it, (theta, loglik) in enumerate(search):
-            t0 = time.perf_counter()
-            n_fact = controller.propose()
-            t1 = time.perf_counter()
-            duration = self.measure(n_fact, n_gen)
-            t2 = time.perf_counter()
-            controller.observe(n_fact, duration)
-            t3 = time.perf_counter()
-            result.records.append(
-                IterationRecord(
-                    index=it,
-                    n_fact=n_fact,
-                    n_gen=n_gen,
-                    duration=duration,
-                    controller_overhead=(t1 - t0) + (t3 - t2),
-                    theta=theta,
-                    log_likelihood=loglik,
-                )
-            )
-        return result
+        return self._loop(
+            controller,
+            golden_section_range_search(data, theta_lo, theta_hi, iterations),
+        )

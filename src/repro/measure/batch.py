@@ -13,10 +13,14 @@ configuration -- and per configuration only re-homes the tiles/vector
 blocks and rebinds the placement-dependent plan arrays before running
 :class:`~repro.runtime.simfast.FastSimulator`'s core engine.
 
-:func:`repro.measure.sweep.sweep_scenario`, ``sweep_phases`` and
-``sweep_2d`` all sweep serially through this class.  Every makespan produced this way is bit-identical
-to the naive ``build_iteration_graph`` + reference-``Simulator``
-pipeline (enforced by ``tests/runtime/differential/test_batch_sweep.py``).
+This is the one place that simulates and memoizes a plan's
+deterministic duration: :func:`repro.measure.sweep.sweep_scenario`,
+``sweep_phases`` and ``sweep_2d`` sweep serially through this class, and
+:class:`repro.geostat.application.ExaGeoStat` measures through one batch
+that it builds on first use, layering its observation noise on top.
+Every makespan produced this way is bit-identical to the naive
+``build_iteration_graph`` + reference-``Simulator`` pipeline (enforced
+by ``tests/runtime/differential/test_batch_sweep.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from ..distribution import factorization_distribution, generation_distribution
 from ..geostat.phases import IterationPlan, build_iteration_parts
 from ..platform.cluster import Cluster
 from ..runtime.perfmodel import PerfModel
-from ..runtime.simfast import FastSimulator, compile_template
+from ..runtime.simfast import FastSimulator, compile_template, traced_run
 from ..runtime.simulator import SimulationResult
 from ..workload import Workload
 
@@ -39,8 +43,8 @@ class ScenarioBatch:
     Builds the iteration graph a single time (at an arbitrary placement)
     and serves any ``(n_fact, n_gen)`` configuration by re-homing data
     handles and rebinding the compiled plan template.  Deterministic
-    makespans are memoized per configuration, mirroring
-    :meth:`repro.geostat.application.ExaGeoStat.measure` without noise.
+    makespans are memoized per configuration ("all the possible
+    distributions were precomputed", Section V).
     """
 
     def __init__(
@@ -122,29 +126,15 @@ class ScenarioBatch:
     def simulate(self, plan: IterationPlan) -> SimulationResult:
         """Simulate one configuration (uncached, no noise).
 
-        Emits the same ``simulator.run`` tracer event as
-        :meth:`Simulator.run` / :meth:`FastSimulator.run`, so a traced
-        batched sweep carries the per-configuration records the obs
-        stats layer aggregates -- byte-identical to the naive path.
+        Reports to the tracer through
+        :func:`~repro.runtime.simfast.traced_run`, as
+        :meth:`FastSimulator.run` does, so a traced batched sweep carries
+        the per-configuration records the obs stats layer aggregates --
+        byte-identical to the naive path.
         """
-        from ..obs import get_tracer
-
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return self._sim.run_plan(self.plan(plan.n_fact, plan.n_gen))
-        host_t0 = tracer.clock.now()
-        result = self._sim.run_plan(self.plan(plan.n_fact, plan.n_gen))
-        tracer.event(
-            "simulator.run",
-            makespan=result.makespan,
-            tasks=result.task_count,
-            transfers=result.transfer_count,
-            comm_s=result.comm_time,
-            host_s=tracer.clock.now() - host_t0,
-            phases={p: s[1] - s[0] for p, s in result.phase_spans.items()},
+        return traced_run(
+            lambda: self._sim.run_plan(self.plan(plan.n_fact, plan.n_gen))
         )
-        tracer.count("simulator.runs")
-        return result
 
     def measure(self, n_fact: int, n_gen: Optional[int] = None) -> float:
         """Deterministic makespan of one configuration, memoized."""

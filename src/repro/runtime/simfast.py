@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -389,6 +389,30 @@ def compile_plan(
     )
 
 
+def traced_run(run: Callable[[], SimulationResult]) -> SimulationResult:
+    """Call ``run`` and report it to the active tracer as ``Simulator.run``
+    does: one ``simulator.run`` event and ``simulator.runs`` count per
+    non-empty result, its ``host_s`` between two clock reads around the
+    call (an empty graph reads the clock once and reports nothing)."""
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return run()
+    host_t0 = tracer.clock.now()
+    result = run()
+    if result.task_count:
+        tracer.event(
+            "simulator.run",
+            makespan=result.makespan,
+            tasks=result.task_count,
+            transfers=result.transfer_count,
+            comm_s=result.comm_time,
+            host_s=tracer.clock.now() - host_t0,
+            phases={p: s[1] - s[0] for p, s in result.phase_spans.items()},
+        )
+        tracer.count("simulator.runs")
+    return result
+
+
 class FastSimulator:
     """Production engine; bit-identical to the reference (module docstring).
 
@@ -415,27 +439,14 @@ class FastSimulator:
 
     def run(self, graph: TaskGraph) -> SimulationResult:
         """Execute ``graph``; bit-identical to ``Simulator.run``."""
-        tracer = get_tracer()
-        host_t0 = tracer.clock.now() if tracer.enabled else 0.0
-        n_tasks = len(graph.tasks)
-        if n_tasks == 0:
-            return SimulationResult(0.0, 0, 0, 0.0, 0.0, {})
-        plan = compile_plan(graph, self.cluster, self.perfmodel)
-        result = self.run_plan(plan)
-        if tracer.enabled:
-            tracer.event(
-                "simulator.run",
-                makespan=result.makespan,
-                tasks=n_tasks,
-                transfers=result.transfer_count,
-                comm_s=result.comm_time,
-                host_s=tracer.clock.now() - host_t0,
-                phases={
-                    p: s[1] - s[0] for p, s in result.phase_spans.items()
-                },
-            )
-            tracer.count("simulator.runs")
-        return result
+
+        def execute() -> SimulationResult:
+            if not graph.tasks:
+                return SimulationResult(0.0, 0, 0, 0.0, 0.0, {})
+            plan = compile_plan(graph, self.cluster, self.perfmodel)
+            return self.run_plan(plan)
+
+        return traced_run(execute)
 
     # -- core engine ---------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Tests for the Figure 7 overhead measurement."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.evaluate import measure_overhead, strategy_space_for
@@ -38,3 +41,48 @@ class TestOverhead:
     def test_steady_state_defined(self, result):
         assert result.steady_state_mean >= 0
         assert len(result.mean_per_iteration) == 12
+
+
+class TestSharedMemo:
+    #: sha256 of the durations and chosen arms of the call below, as
+    #: recorded when every repetition built its own application.
+    DIGEST = "5538bd5b7c1768f20e9255a8df5d6fc3e6e5614e49f42af778ee87c0c936834a"
+
+    def test_each_visited_arm_is_simulated_once(self, monkeypatch):
+        """One template compile for the driver, one engine run per
+        distinct plan across every repetition, same numbers."""
+        from repro.geostat import ExaGeoStat
+        from repro.measure import batch
+        from repro.runtime import simfast
+
+        compiles, runs, arms = [], [], []
+        compile_template = simfast.compile_template
+        run_plan = simfast.FastSimulator.run_plan
+        run = ExaGeoStat.run
+
+        def counting_compile(*args):
+            compiles.append(args)
+            return compile_template(*args)
+
+        def counting_run_plan(self, plan):
+            runs.append(plan)
+            return run_plan(self, plan)
+
+        def recording_run(self, controller, iterations):
+            result = run(self, controller, iterations)
+            arms.append(result.chosen_counts)
+            return result
+
+        monkeypatch.setattr(simfast, "compile_template", counting_compile)
+        monkeypatch.setattr(batch, "compile_template", counting_compile)
+        monkeypatch.setattr(simfast.FastSimulator, "run_plan", counting_run_plan)
+        monkeypatch.setattr(ExaGeoStat, "run", recording_run)
+
+        result = measure_overhead("b", reps=4, iterations=20)
+        assert len(compiles) == 1
+        assert len(runs) == len({n for rep in arms for n in rep})
+        payload = json.dumps(
+            {"durations": result.iteration_durations.tolist(), "arms": arms},
+            sort_keys=True,
+        )
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGEST

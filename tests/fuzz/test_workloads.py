@@ -118,21 +118,10 @@ class TestGraph:
 
 
 class TestApp:
-    def test_measure_is_cached_and_noise_free_by_default(self, cluster):
+    def test_measure_is_the_deterministic_makespan(self, cluster):
         app = MSRApp(cluster, small_workload())
         assert app.measure(5) == app.measure(5)
         assert app.measure(5) == app.simulate(5).makespan
-
-    def test_noise_layers_on_top_of_the_cache(self, cluster):
-        # Same callable contract as ExaGeoStat: noise(duration, rng).
-        from repro.measure.noisemodel import for_mode
-
-        noise = for_mode("Simul").sample
-        app = MSRApp(cluster, small_workload(), noise=noise, seed=3)
-        values = {app.measure(5) for _ in range(6)}
-        assert len(values) > 1
-        base = app.simulate(5).makespan
-        assert all(abs(v - base) < 5.0 for v in values)
 
     def test_lp_bound_is_a_decreasing_lower_bound(self, cluster):
         app = MSRApp(cluster, small_workload())

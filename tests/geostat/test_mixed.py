@@ -14,12 +14,11 @@ def small(monkeypatch):
 class TestTradeoff:
     @pytest.fixture(scope="class")
     def rows(self):
-        import os
-
-        os.environ["REPRO_TILES_128"] = "10"
-        return mixed_precision_tradeoff(
-            [1, 3, 10], scenario_key="c", n_points=48, seed=1
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_TILES_128", "10")
+            return mixed_precision_tradeoff(
+                [1, 3, 10], scenario_key="c", n_points=48, seed=1
+            )
 
     def test_rows_structure(self, rows):
         assert [r.dp_bands for r in rows] == [1, 3, 10]

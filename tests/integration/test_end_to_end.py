@@ -30,10 +30,9 @@ class TestSweepToStrategyPipeline:
     @pytest.fixture(scope="class")
     def bank(self):
         # Class-scoped: env fixture above is function-scoped, so re-set here.
-        import os
-
-        os.environ["REPRO_TILES_101"] = "12"
-        return sweep_scenario(get_scenario("b"), augment=10, seed=5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_TILES_101", "12")
+            return sweep_scenario(get_scenario("b"), augment=10, seed=5)
 
     def test_lp_is_lower_bound_everywhere(self, bank):
         for n in bank.actions:

@@ -21,11 +21,9 @@ def small(monkeypatch):
 
 @pytest.fixture(scope="module")
 def setup():
-    import os
-
-    os.environ["REPRO_TILES_101"] = "10"
-    cluster = get_scenario("b").build_cluster()
-    return cluster, Workload.from_name("101")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_TILES_101", "10")
+        return get_scenario("b").build_cluster(), Workload.from_name("101")
 
 
 class TestIndividualChecks:
@@ -52,9 +50,6 @@ class TestIndividualChecks:
 
 class TestReport:
     def test_all_checks_pass_on_sd_scenario(self):
-        import os
-
-        os.environ["REPRO_TILES_128"] = "10"
         cluster = get_scenario("c").build_cluster()
         wl = Workload.from_name("128")
         checks = consistency_report(cluster, wl, n_fact=8)

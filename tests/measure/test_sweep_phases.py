@@ -14,10 +14,9 @@ def small(monkeypatch):
 class TestSweepPhases:
     @pytest.fixture(scope="class")
     def spans(self):
-        import os
-
-        os.environ["REPRO_TILES_101"] = "8"
-        return sweep_phases(get_scenario("b"), actions=[2, 7, 14])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_TILES_101", "8")
+            return sweep_phases(get_scenario("b"), actions=[2, 7, 14])
 
     def test_all_phases_present(self, spans):
         for n, phases in spans.items():

@@ -9,6 +9,8 @@ reference engine.
 
 import pytest
 
+from repro.fuzz import sample_corpus
+from repro.fuzz.properties import cholesky_space
 from repro.geostat import IterationPlan
 from repro.geostat.phases import build_iteration_graph
 from repro.measure.batch import ScenarioBatch
@@ -77,6 +79,23 @@ def test_batched_records_match_reference():
             assert getattr(fast, name) == getattr(ref, name)
         assert fast.task_records == ref.task_records
         assert fast.transfer_records == ref.transfer_records
+
+
+def test_batched_fuzz_corpus_matches_reference():
+    """The fuzzer's Cholesky platforms: heterogeneous clusters, 8-12
+    tiles, every node count ``build_bank`` sweeps."""
+    configs = 0
+    for platform in sample_corpus(50, 0):
+        if platform.family != "cholesky":
+            continue
+        cluster = platform.build_cluster()
+        workload, actions = cholesky_space(platform, cluster)
+        batch = ScenarioBatch(cluster, workload)
+        for n in actions:
+            ref = _naive(cluster, workload, n, len(cluster))
+            assert batch.measure(n) == ref.makespan, (platform.label, n)
+            configs += 1
+    assert configs >= 300
 
 
 def test_plan_rejects_out_of_range_configs():
