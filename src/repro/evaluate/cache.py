@@ -17,8 +17,8 @@ fingerprint of everything that determines the makespan:
 
 Keys never depend on wall-clock, process identity or insertion order, so
 a warm cache returns bit-identical durations to a cold run.  The cache
-is a bounded in-memory LRU with an optional JSON spill, so a later
-process can start warm.
+is an in-memory dict with a JSON spill, so a later process can start
+warm.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -38,20 +37,12 @@ from ..runtime import PerfModel
 SPILL_FORMAT_VERSION = 1
 
 
-def _obs_count(name: str, delta: int = 1) -> None:
-    """Increment an obs counter when tracing is on (inert otherwise)."""
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.registry.counter(name).inc(delta)
-
-
 def simulation_fingerprint(
     scenario: Scenario,
     tiles: int,
     n_fact: int,
     n_gen: int,
     perfmodel: Optional[PerfModel] = None,
-    faults: Optional[str] = None,
 ) -> str:
     """Stable content key of one deterministic simulation.
 
@@ -60,13 +51,6 @@ def simulation_fingerprint(
     weeks apart) computing the same plan agree on the key, while any
     recalibration of the performance model or bump of the sweep
     ``MODEL_VERSION`` invalidates old entries.
-
-    ``faults`` is the content fingerprint of an active fault schedule
-    (:meth:`repro.faults.models.FaultSchedule.fingerprint`): a faulted
-    simulation produces different durations for the *same* plan, so the
-    schedule must be part of the key or a warm cache would serve stale
-    stationary results.  ``None`` (no injection) leaves keys byte-identical
-    to the pre-fault layout, keeping existing spills valid.
     """
     from ..measure.sweep import MODEL_VERSION
 
@@ -83,119 +67,45 @@ def simulation_fingerprint(
         "tiles": int(tiles),
         "plan": {"n_fact": int(n_fact), "n_gen": int(n_gen)},
     }
-    if faults is not None:
-        payload["faults"] = str(faults)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class DurationCache:
-    """Bounded LRU memo of ``content key -> simulated duration``.
+    """Memo of ``content key -> simulated duration``.
 
-    Parameters
-    ----------
-    maxsize:
-        Maximum number of in-memory entries; least-recently-used entries
-        are evicted beyond it.
-    spill_path:
-        Optional JSON file for persisting entries across processes (see
-        :meth:`spill` / :meth:`load`).
+    Unbounded: all 16 scenarios with the rigid line make 1,344 entries.
+    ``hits`` and ``misses`` count :meth:`get` outcomes.
     """
 
-    def __init__(
-        self, maxsize: int = 4096, spill_path: Optional[Path] = None
-    ) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self.spill_path = Path(spill_path) if spill_path is not None else None
-        self._entries: "OrderedDict[str, float]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-
-    # -- keying ------------------------------------------------------------------
-
-    def key_for(
-        self,
-        scenario: Scenario,
-        tiles: int,
-        n_fact: int,
-        n_gen: int,
-        perfmodel: Optional[PerfModel] = None,
-        faults: Optional[str] = None,
-    ) -> str:
-        """Content key of one simulation (see :func:`simulation_fingerprint`)."""
-        return simulation_fingerprint(
-            scenario, tiles, n_fact, n_gen, perfmodel, faults
-        )
-
-    # -- core LRU ----------------------------------------------------------------
+    def __init__(self) -> None:
+        self._entries: Dict[str, float] = {}
+        self.hits = 0
+        self.misses = 0
 
     def get(self, key: str) -> Optional[float]:
-        """Cached duration, or None; counts a hit/miss and refreshes LRU."""
-        if key in self._entries:
-            self._hits += 1
-            _obs_count("cache.hit")
-            self._entries.move_to_end(key)
-            return self._entries[key]
-        self._misses += 1
-        _obs_count("cache.miss")
-        return None
+        """Cached duration, or None; counts a hit or a miss."""
+        duration = self._entries.get(key)
+        if duration is not None:
+            self.hits += 1
+            get_tracer().count("cache.hit")
+        else:
+            self.misses += 1
+            get_tracer().count("cache.miss")
+        return duration
 
     def put(self, key: str, duration: float) -> None:
-        """Insert (or refresh) an entry, evicting the LRU beyond maxsize."""
+        """Insert (or overwrite) an entry."""
         self._entries[key] = float(duration)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            _obs_count("cache.evict")
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        # Pure membership probe: no stats, no LRU refresh.
-        return key in self._entries
-
-    # -- stats -------------------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        """Number of :meth:`get` calls answered from the cache."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Number of :meth:`get` calls that found nothing."""
-        return self._misses
-
-    @property
-    def hit_rate(self) -> float:
-        """hits / (hits + misses); 0.0 before any lookup."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (entries are kept)."""
-        self._hits = 0
-        self._misses = 0
-
-    def stats(self) -> Dict[str, float]:
-        """Plain-dict statistics snapshot."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "hit_rate": self.hit_rate,
-            "entries": len(self._entries),
-        }
-
     # -- disk spill --------------------------------------------------------------
 
-    def spill(self, path: Optional[Path] = None) -> Path:
-        """Write all entries to a JSON file (default: ``spill_path``)."""
-        target = Path(path) if path is not None else self.spill_path
-        if target is None:
-            raise ValueError("no spill path configured")
+    def spill(self, path: Path) -> Path:
+        """Write all entries to the JSON file ``path``."""
+        target = Path(path)
         from ..measure.sweep import MODEL_VERSION
 
         payload = {
@@ -205,10 +115,10 @@ class DurationCache:
         }
         target.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(target, json.dumps(payload, sort_keys=True))
-        _obs_count("cache.spill", len(self._entries))
+        get_tracer().count("cache.spill", len(self._entries))
         return target
 
-    def load(self, path: Optional[Path] = None) -> int:
+    def load(self, path: Path) -> int:
         """Merge entries from a spill file; returns how many were loaded.
 
         Silently ignores a missing file and discards spills written under
@@ -218,9 +128,7 @@ class DurationCache:
         warning on stderr: only memo hits are lost, and the next
         :meth:`spill` rewrites the file.
         """
-        source = Path(path) if path is not None else self.spill_path
-        if source is None:
-            raise ValueError("no spill path configured")
+        source = Path(path)
         if not source.exists():
             return 0
         from ..measure.sweep import MODEL_VERSION
@@ -239,5 +147,5 @@ class DurationCache:
         for key, value in payload.get("entries", {}).items():
             self.put(str(key), float(value))
             loaded += 1
-        _obs_count("cache.load", loaded)
+        get_tracer().count("cache.load", loaded)
         return loaded

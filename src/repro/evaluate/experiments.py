@@ -78,31 +78,20 @@ def figure1(scenario_key: str = "b") -> Figure1Result:
 # ---------------------------------------------------------------------------
 
 
-def figure2_banks(
-    progress: bool = False, cache=None
-) -> Dict[str, MeasurementBank]:
+def figure2_banks(progress: bool = False) -> Dict[str, MeasurementBank]:
     """The three representative sweeps of Figure 2 ((c), (i), (p))."""
     return {
-        key: cached_bank(get_scenario(key), progress=progress, cache=cache)
+        key: cached_bank(get_scenario(key), progress=progress)
         for key in FIGURE2_KEYS
     }
 
 
 def figure5_banks(
-    progress: bool = False,
-    include_rigid: bool = True,
-    cache=None,
+    progress: bool = False, include_rigid: bool = True
 ) -> Dict[str, MeasurementBank]:
-    """All 16 sweeps of Figure 5 (with the rigid gen=fact line).
-
-    ``cache`` is an optional :class:`~repro.evaluate.cache.DurationCache`
-    shared across the 16 sweeps so repeated drivers skip the simulations
-    entirely.
-    """
+    """All 16 sweeps of Figure 5 (with the rigid gen=fact line)."""
     return {
-        s.key: cached_bank(
-            s, include_rigid=include_rigid, progress=progress, cache=cache,
-        )
+        s.key: cached_bank(s, include_rigid=include_rigid, progress=progress)
         for s in all_scenarios()
     }
 

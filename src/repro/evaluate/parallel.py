@@ -189,7 +189,8 @@ def run_cell_captured(
     captured byte stream depends only on the cell's identity -- not on
     which cells ran before it.  Captured events are annotated with the
     cell id and a worker attribution (the stable cell id in deterministic
-    mode, the pid in wall mode) and then forwarded to the active tracer.
+    mode, the pid in wall mode) and then forwarded to the active tracer;
+    its counters are added to the active tracer's.
     """
     parent = get_tracer()
     if not parent.enabled:
@@ -199,8 +200,11 @@ def run_cell_captured(
     tracer = Tracer(sink=sink, clock=TickClock() if ticks else WallClock())
     with scoped(tracer):
         result = execute_cell(cell, bank, iterations, base_seed, injector)
-    # No tracer.close(): cells emit no registry counters, and a per-cell
-    # summary record would only bloat the merged trace.
+    # No tracer.close(): a per-cell summary record would only bloat the
+    # merged trace.  The cell's counters (fault.*, from the injector and
+    # Resilient(...)) join the active trace's summary instead.
+    for name, value in tracer.counters.items():
+        parent.count(name, value)
     cell_id = f"{cell.scenario}/{cell.strategy}/{cell.rep}"
     worker = cell_id if ticks else f"pid{os.getpid()}"
     for record in sink.records:

@@ -6,10 +6,9 @@ the non-stationary experiment axis the ROADMAP asks for, in four layers:
 * :mod:`repro.faults.models` -- declarative, JSON-serializable fault
   schedules (stragglers, crashes, interference bursts, network
   degradation), content-fingerprinted and seed-deterministic;
-* :mod:`repro.faults.injector` -- applies a schedule at the
-  bank/PerfModel boundary as a pure function of ``(iteration,
-  action)``, so every cell is perturbed identically and the duration
-  cache never serves stale stationary results;
+* :mod:`repro.faults.injector` -- applies a schedule to resampled bank
+  durations as a pure function of ``(iteration, action)``, so every
+  cell is perturbed identically;
 * :mod:`repro.faults.detector` -- online Page-Hinkley change-point
   detection with a pinned stationary false-positive bound;
 * :mod:`repro.faults.resilience` -- the ``Resilient(<strategy>)``
@@ -22,7 +21,7 @@ which this package must not import); the ``repro faults`` CLI fronts it.
 """
 
 from .detector import Alarm, PageHinkleyDetector, STATIONARY_FP_BOUND
-from .injector import FaultEvent, FaultInjector, Injection, faulted_perfmodel
+from .injector import FaultEvent, FaultInjector, Injection
 from .models import (
     FAULT_KINDS,
     FAULT_SCHEMA_VERSION,
@@ -57,6 +56,5 @@ __all__ = [
     "canned_schedules",
     "fault_from_dict",
     "fault_to_dict",
-    "faulted_perfmodel",
     "resilient_name",
 ]

@@ -6,17 +6,12 @@ banks themselves come from the deterministic simulator through
 :class:`~repro.runtime.perfmodel.PerfModel`.  Faults therefore inject at
 exactly that boundary:
 
-* :class:`FaultInjector` perturbs the *resampled* duration of each
-  iteration -- a pure function of ``(iteration, action)`` given the
-  schedule, so every cell of the harness in :mod:`repro.evaluate.parallel`
-  sees the same perturbations whatever ran before it;
-* :func:`faulted_perfmodel` derives a degraded
-  :class:`~repro.runtime.perfmodel.PerfModel` snapshot for
-  timeline-level studies, whose :meth:`fingerprint` differs from the
-  stationary model -- combined with the ``faults`` field of
-  :func:`repro.evaluate.cache.simulation_fingerprint` this keeps the
-  duration cache honest (a stationary cached duration can never be
-  served for a faulted plan).
+:class:`FaultInjector` perturbs the *resampled* duration of each
+iteration -- a pure function of ``(iteration, action)`` given the
+schedule, so every cell of the harness in :mod:`repro.evaluate.parallel`
+sees the same perturbations whatever ran before it.  Faults never reach
+the simulator, so the duration cache only ever holds stationary
+durations.
 
 The injector is **stateless across cells**: it precomputes per-iteration
 state (crash counts, jittered interference shifts) once at construction
@@ -25,14 +20,14 @@ instance serves every cell of a campaign.
 
 Observability: when a tracer is active, applied perturbations emit
 ``fault.*`` counters and a per-iteration ``fault`` event through the
-standard :mod:`repro.obs` registry/tracer -- captured per cell and
+standard :mod:`repro.obs` tracer -- captured per cell and
 merged in cell order, so trace bytes are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -136,10 +131,6 @@ class FaultInjector:
 
     # -- feasibility --------------------------------------------------------------
 
-    def crashed_at(self, iteration: int) -> Tuple[int, ...]:
-        """Node ranks down at ``iteration``."""
-        return self._crashed[iteration]
-
     def max_feasible(self, iteration: int) -> int:
         """Largest node count that can actually run at ``iteration``."""
         down = len(self._crashed[iteration])
@@ -202,14 +193,14 @@ class FaultInjector:
         tracer = get_tracer()
         if tracer.enabled:
             if injection.degraded:
-                tracer.registry.counter("fault.crash.degraded").inc()
+                tracer.count("fault.crash.degraded")
             # Exact sentinels: an untouched injection carries precisely
             # scale 1.0 / shift 0.0 by construction, never a computed
             # approximation of them.
             if injection.scale != 1.0:
-                tracer.registry.counter("fault.scaled").inc()
+                tracer.count("fault.scaled")
             if injection.shift != 0.0:
-                tracer.registry.counter("fault.shifted").inc()
+                tracer.count("fault.shifted")
             if (injection.degraded
                     or injection.scale != 1.0
                     or injection.shift != 0.0):
@@ -223,10 +214,6 @@ class FaultInjector:
                     degraded=injection.degraded,
                 )
         return perturbed
-
-    def perturb(self, iteration: int, proposed_n: int, duration: float) -> float:
-        """Convenience: :meth:`plan` + :meth:`apply` in one call."""
-        return self.apply(self.plan(iteration, proposed_n), duration)
 
     # -- expected-value queries (regret accounting) -------------------------------
 
@@ -262,41 +249,3 @@ class FaultInjector:
     def fingerprint(self) -> str:
         """Content hash: the schedule's (the geometry adds nothing)."""
         return self.schedule.fingerprint()
-
-
-def faulted_perfmodel(
-    base,
-    schedule: FaultSchedule,
-    iteration: int,
-    n_nodes: Optional[int] = None,
-):
-    """Degraded :class:`PerfModel` snapshot under the faults at ``iteration``.
-
-    For timeline-level studies (``repro timeline`` on a faulted
-    platform): every kernel efficiency is scaled by the product of the
-    active slowdowns' ``gflops_factor`` (the lock-step approximation of
-    :class:`~repro.faults.models.NodeSlowdown`, applied when the slowed
-    node is inside the ``n_nodes`` working set -- all nodes when
-    ``n_nodes`` is None), and active interference adds to the per-task
-    overhead.  The returned model is a plain frozen ``PerfModel``, so
-    its :meth:`fingerprint` reflects the degradation and the duration
-    cache keys faulted simulations separately from stationary ones.
-    """
-    from ..runtime.perfmodel import PerfModel
-
-    factor = 1.0
-    for slow in schedule.of_kind("slowdown"):
-        included = n_nodes is None or slow.node <= n_nodes
-        if slow.active(iteration) and included:
-            factor *= slow.gflops_factor
-    overhead = base.overhead_s
-    for burst in schedule.of_kind("interference"):
-        if burst.active(iteration):
-            overhead += burst.magnitude_s * 1e-3
-    # Exact sentinel: no active fault leaves factor at precisely 1.0.
-    if factor == 1.0 and overhead == base.overhead_s:
-        return base
-    efficiency = {
-        key: eff * factor for key, eff in base.efficiency.items()
-    }
-    return PerfModel(efficiency=efficiency, overhead_s=overhead)

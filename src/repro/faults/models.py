@@ -15,9 +15,8 @@ dataclasses composed into a :class:`FaultSchedule` that is
   :meth:`FaultSchedule.to_json` / :meth:`FaultSchedule.from_json`, so a
   campaign config can be committed, diffed and replayed;
 * **content-fingerprinted** -- :meth:`FaultSchedule.fingerprint` is a
-  SHA-256 over the canonical JSON rendering, used by
-  :func:`repro.evaluate.cache.simulation_fingerprint` so a cached
-  stationary duration can never be served for a faulted run;
+  SHA-256 over the canonical JSON rendering, stamped into campaign
+  reports;
 * **seed-deterministic** -- the only randomness (per-iteration jitter of
   an :class:`InterferenceBurst`) is derived from the schedule's ``seed``
   through ``np.random.default_rng`` seed sequences, the repository's
@@ -252,13 +251,6 @@ class FaultSchedule:
             f.node for f in self.of_kind("crash") if f.active(iteration)
         }))
 
-    def max_concurrent_crashes(self, iterations: int) -> int:
-        """Largest number of nodes simultaneously down over the run."""
-        return max(
-            (len(self.crashed_nodes(t)) for t in range(iterations)),
-            default=0,
-        )
-
     def validate_for(self, n_total: int, lo: int = 1) -> None:
         """Check the schedule is feasible on an ``lo..n_total`` space.
 
@@ -313,9 +305,8 @@ class FaultSchedule:
     def fingerprint(self) -> str:
         """SHA-256 content hash of the canonical JSON rendering.
 
-        Folded into :func:`repro.evaluate.cache.simulation_fingerprint`
-        so the :class:`~repro.evaluate.cache.DurationCache` can never
-        serve a stale stationary duration for a faulted simulation.
+        Stamped into campaign reports, so a report names the exact
+        schedules it ran.
         """
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 

@@ -196,7 +196,7 @@ class ResilientStrategy(Strategy):
         self._inner = self._build_inner(self.current_space, replay=replay)
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.registry.counter("fault.reexplore").inc()
+            tracer.count("fault.reexplore")
             tracer.event(
                 "resilience",
                 strategy=self.name,
@@ -232,7 +232,7 @@ class ResilientStrategy(Strategy):
         self._inner = self._build_inner(self.current_space, replay=True)
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.registry.counter("fault.contract").inc()
+            tracer.count("fault.contract")
             tracer.event(
                 "resilience",
                 strategy=self.name,
@@ -299,7 +299,7 @@ class ResilientStrategy(Strategy):
             return
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.registry.counter("fault.transient").inc()
+            tracer.count("fault.transient")
         if self._retry_arm == n:
             self._retry_count += 1
             if self._retry_count > self.max_retries:
@@ -321,7 +321,7 @@ class ResilientStrategy(Strategy):
         self.quarantined_total += 1
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.registry.counter("fault.quarantine").inc()
+            tracer.count("fault.quarantine")
             tracer.event(
                 "resilience",
                 strategy=self.name,

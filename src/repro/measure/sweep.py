@@ -48,15 +48,17 @@ def _cache_probe(cache, scenario, tiles: int, n: int, n_total: int,
 
     The flexible duration is the plan ``(n_fact=n, n_gen=N)`` and the
     rigid one ``(n_fact=n, n_gen=n)`` -- both keyed through
-    :meth:`repro.evaluate.cache.DurationCache.key_for`, so the two sweep
+    :func:`repro.evaluate.cache.simulation_fingerprint`, so the two sweep
     variants share entries.
     """
-    duration = cache.get(cache.key_for(scenario, tiles, n, n_total))
+    from ..evaluate.cache import simulation_fingerprint as key
+
+    duration = cache.get(key(scenario, tiles, n, n_total))
     if duration is None:
         return None
     if not include_rigid:
         return duration, None
-    rigid = cache.get(cache.key_for(scenario, tiles, n, n))
+    rigid = cache.get(key(scenario, tiles, n, n))
     if rigid is None:
         return None
     return duration, rigid
@@ -65,9 +67,11 @@ def _cache_probe(cache, scenario, tiles: int, n: int, n_total: int,
 def _cache_store(cache, scenario, tiles: int, n: int, n_total: int,
                  duration: float, rigid) -> None:
     """Memoize one configuration's simulated durations."""
-    cache.put(cache.key_for(scenario, tiles, n, n_total), duration)
+    from ..evaluate.cache import simulation_fingerprint as key
+
+    cache.put(key(scenario, tiles, n, n_total), duration)
     if rigid is not None:
-        cache.put(cache.key_for(scenario, tiles, n, n), rigid)
+        cache.put(key(scenario, tiles, n, n), rigid)
 
 
 def sweep_scenario(

@@ -6,7 +6,8 @@ The paper's two measured claims -- per-iteration strategy overhead of
 instruments the hot paths with:
 
 * monotonic-clock **spans** (``tracer.span("cell", strategy=...)``),
-* **counters/gauges/histograms** in a process-local :class:`Registry`,
+* named monotonic **counters** (``tracer.count("cache.hit")``), emitted
+  once in the trace's closing summary record,
 * a per-iteration strategy **decision log** (arm chosen, posterior
   mean/sd at the chosen arm, acquisition value, wall-clock overhead),
 * a **JSONL event sink** whose clock can be swapped for an injected tick
@@ -21,7 +22,6 @@ experiment outputs are bit-identical with tracing on or off
 """
 
 from .clock import Clock, TickClock, WallClock
-from .registry import Counter, Gauge, Histogram, Registry
 from .sink import (
     JsonlSink,
     MemorySink,
@@ -61,14 +61,10 @@ from .trace import (
 __all__ = [
     "Clock",
     "STATS_SCHEMA_VERSION",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "JsonlSink",
     "MemorySink",
     "NULL_TRACER",
     "NullSink",
-    "Registry",
     "Sink",
     "Span",
     "TRACE_SCHEMA_VERSION",

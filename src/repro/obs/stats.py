@@ -101,7 +101,6 @@ class TraceStats:
     strategies: Dict[str, StrategyStats] = field(default_factory=dict)
     spans: Dict[str, List[float]] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
-    histograms: Dict[str, dict] = field(default_factory=dict)
 
 
 def aggregate(records: Sequence[dict]) -> TraceStats:
@@ -148,47 +147,7 @@ def aggregate(records: Sequence[dict]) -> TraceStats:
                 stats.counters[name] = (
                     stats.counters.get(name, 0) + int(value)
                 )
-            for name, body in dict(registry.get("histograms", {})).items():
-                _merge_histogram(stats.histograms, name, dict(body))
     return stats
-
-
-def _merge_histogram(into: Dict[str, dict], name: str, body: dict) -> None:
-    """Pool one summary-record histogram block into the aggregate.
-
-    Counts and totals add exactly; min/max take the extremes.  Quantiles
-    are not mergeable across summaries, so the pooled p95/p99 are the
-    count-weighted average of the per-summary values -- an approximation,
-    flagged as such in the rendered table header (``~p95``).
-    """
-    count = int(body.get("count", 0))
-    entry = into.setdefault(name, {
-        "count": 0, "total": 0.0,
-        "min": float("inf"), "max": float("-inf"),
-        "_wp95": 0.0, "_wp99": 0.0,
-    })
-    entry["count"] += count
-    entry["total"] += float(body.get("total", 0.0))
-    if count:
-        entry["min"] = min(entry["min"], float(body.get("min", 0.0)))
-        entry["max"] = max(entry["max"], float(body.get("max", 0.0)))
-        entry["_wp95"] += count * float(body.get("p95", 0.0))
-        entry["_wp99"] += count * float(body.get("p99", 0.0))
-
-
-def _histogram_row(name: str, entry: dict) -> dict:
-    """Plain rendering of one pooled histogram aggregate."""
-    count = entry["count"]
-    return {
-        "name": name,
-        "count": count,
-        "total": entry["total"],
-        "min": entry["min"] if count else 0.0,
-        "max": entry["max"] if count else 0.0,
-        "mean": entry["total"] / count if count else 0.0,
-        "p95": entry["_wp95"] / count if count else 0.0,
-        "p99": entry["_wp99"] / count if count else 0.0,
-    }
 
 
 def load_trace(path: Union[str, Path]) -> TraceStats:
@@ -198,8 +157,9 @@ def load_trace(path: Union[str, Path]) -> TraceStats:
 
 #: Bump when the `repro stats --format json` layout changes incompatibly.
 #: v2: strategy blocks carry overhead tails (p95/p99) and GP telemetry
-#: (mean acquisition / posterior sd); new top-level ``histograms``.
-STATS_SCHEMA_VERSION = 2
+#: (mean acquisition / posterior sd).  v3: no ``histograms`` block
+#: (counters are the only metric a trace summary carries).
+STATS_SCHEMA_VERSION = 3
 
 
 def stats_to_json(stats: TraceStats) -> dict:
@@ -243,11 +203,6 @@ def stats_to_json(stats: TraceStats) -> dict:
             for name, durs in stats.spans.items()
         },
         "counters": dict(stats.counters),
-        "histograms": {
-            name: {k: v for k, v in _histogram_row(name, entry).items()
-                   if k != "name"}
-            for name, entry in stats.histograms.items()
-        },
     }
 
 
@@ -310,16 +265,5 @@ def render_stats(stats: TraceStats) -> str:
         out.append(format_table(
             ["counter", "value"],
             [[name, stats.counters[name]] for name in sorted(stats.counters)],
-        ))
-    if stats.histograms:
-        out.append("")
-        out.append("histograms (pooled; ~p95/~p99 are count-weighted):")
-        out.append(format_table(
-            ["histogram", "count", "mean", "min", "max", "~p95", "~p99"],
-            [[row["name"], row["count"], f"{row['mean']:.3f}",
-              f"{row['min']:.3f}", f"{row['max']:.3f}",
-              f"{row['p95']:.3f}", f"{row['p99']:.3f}"]
-             for row in (_histogram_row(name, stats.histograms[name])
-                         for name in sorted(stats.histograms))],
         ))
     return "\n".join(out)

@@ -143,41 +143,6 @@ class TimelineAnalysis:
         return self.critical_path_s / self.makespan
 
 
-def _task_lanes(result: SimulationResult, cluster) -> Dict[int, int]:
-    """tid -> worker lane index.
-
-    Uses the lane the simulator recorded; records predating the
-    ``worker`` field (-1) are assigned greedily per (node, kind) in
-    deterministic (start, end, tid) order, GPU lanes first -- the
-    :func:`~repro.runtime.simulator.build_workers` layout.
-    """
-    lanes: Dict[int, int] = {}
-    pending: Dict[Tuple[int, str], List] = {}
-    for rec in result.task_records:
-        if rec.worker >= 0:
-            lanes[rec.tid] = rec.worker
-        else:
-            pending.setdefault((rec.node, rec.worker_kind), []).append(rec)
-    for (node, kind), recs in sorted(pending.items()):
-        nt = cluster[node].node_type
-        base = 0 if kind == "gpu" else nt.gpus
-        count = max(nt.gpus if kind == "gpu" else nt.cpu_slots, 1)
-        free = [0.0] * count
-        for rec in sorted(recs, key=lambda r: (r.start, r.end, r.tid)):
-            # Lowest-index lane already free at rec.start, else the one
-            # freeing earliest (defensive: a valid schedule always has one).
-            choice = 0
-            for i in range(count):
-                if free[i] <= rec.start + 1e-12:
-                    choice = i
-                    break
-            else:
-                choice = min(range(count), key=lambda i: (free[i], i))
-            free[choice] = rec.end
-            lanes[rec.tid] = base + choice
-    return lanes
-
-
 def critical_path(
     result: SimulationResult,
     graph: TaskGraph,
@@ -257,10 +222,9 @@ def analyze(
         count_by_phase[rec.phase] += 1
 
     # Per-lane busy time.
-    lanes_of = _task_lanes(result, cluster)
     lane_busy: Dict[Tuple[int, int], float] = {}
     for rec in result.task_records:
-        key = (rec.node, lanes_of[rec.tid])
+        key = (rec.node, rec.worker)
         lane_busy[key] = lane_busy.get(key, 0.0) + (rec.end - rec.start)
 
     lanes: List[LaneStats] = []
@@ -409,7 +373,6 @@ def chrome_trace(
         raise ValueError(
             "simulation has no task records; run the Simulator with trace=True"
         )
-    lanes_of = _task_lanes(result, cluster)
     events: List[dict] = []
     for node in range(len(cluster)):
         nt = cluster[node].node_type
@@ -441,7 +404,7 @@ def chrome_trace(
                       key=lambda r: (r.start, r.node, r.tid)):
         events.append({
             "ph": "X", "name": rec.name, "cat": rec.phase,
-            "pid": rec.node, "tid": lanes_of[rec.tid],
+            "pid": rec.node, "tid": rec.worker,
             "ts": rec.start * 1e6, "dur": (rec.end - rec.start) * 1e6,
             "args": {"tid": rec.tid, "worker_kind": rec.worker_kind},
         })
@@ -492,13 +455,12 @@ def paje_csv(result: SimulationResult, cluster) -> str:
         raise ValueError(
             "simulation has no task records; run the Simulator with trace=True"
         )
-    lanes_of = _task_lanes(result, cluster)
     lines = [PAJE_HEADER]
     for rec in sorted(result.task_records,
                       key=lambda r: (r.start, r.node, r.tid)):
         host = cluster[rec.node].hostname
         lines.append(
-            f"State,{host}_w{lanes_of[rec.tid]},Worker State,"
+            f"State,{host}_w{rec.worker},Worker State,"
             f"{rec.start:.9f},{rec.end:.9f},{rec.end - rec.start:.9f},"
             f"{rec.phase}:{rec.name},tid={rec.tid}"
         )
@@ -536,7 +498,6 @@ def _svg_gantt(
     width: int = 1100,
 ) -> str:
     """Inline SVG Gantt: one row per worker lane, NIC lane per node."""
-    lanes_of = _task_lanes(result, cluster)
     horizon = max(result.makespan, 1e-12)
     phases: List[str] = []
     for rec in result.task_records:
@@ -572,7 +533,7 @@ def _svg_gantt(
             continue
         x = 120 + rec.start * scale
         w = max((rec.end - rec.start) * scale, 0.3)
-        ry = lane_y[(rec.node, lanes_of[rec.tid])]
+        ry = lane_y[(rec.node, rec.worker)]
         color = phase_color(rec.phase, phases)
         rects.append(
             f'<rect x="{x:.2f}" y="{ry}" width="{w:.2f}" height="{row_h - 1}"'

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 from .clock import Clock, TickClock, WallClock
-from .registry import Registry
 from .sink import (
     JsonlSink,
     MemorySink,
@@ -90,19 +89,19 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Spans + events + metrics over one clock and one sink."""
+    """Spans + events + counters over one clock and one sink."""
 
     def __init__(
         self,
         sink: Optional[Sink] = None,
         clock: Optional[Clock] = None,
-        registry: Optional[Registry] = None,
         enabled: bool = True,
     ) -> None:
         self.enabled = enabled
         self.sink = sink if sink is not None else NullSink()
         self.clock = clock if clock is not None else WallClock()
-        self.registry = registry if registry is not None else Registry()
+        #: Named monotonic counts, emitted sorted in the summary record.
+        self.counters: Dict[str, int] = {}
         self._span_stack: List[str] = []
         self._closed = False
 
@@ -128,9 +127,11 @@ class Tracer:
         return Span(self, name, attrs)
 
     def count(self, name: str, delta: int = 1) -> None:
-        """Increment the registry counter ``name`` (no-op when disabled)."""
+        """Add ``delta`` (>= 0) to counter ``name`` (no-op when disabled)."""
         if self.enabled:
-            self.registry.counter(name).inc(delta)
+            if delta < 0:
+                raise ValueError("counters only go up")
+            self.counters[name] = self.counters.get(name, 0) + int(delta)
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -144,7 +145,7 @@ class Tracer:
         )
 
     def close(self) -> None:
-        """Emit the final registry summary and close the sink (idempotent).
+        """Emit the final counter summary and close the sink (idempotent).
 
         The sink is closed even when emitting the summary raises (say the
         disk filled mid-write): whatever was buffered before the failure
@@ -155,7 +156,8 @@ class Tracer:
         self._closed = True
         try:
             if self.enabled:
-                self.event("summary", registry=self.registry.snapshot())
+                self.event("summary", registry={
+                    "counters": dict(sorted(self.counters.items()))})
         finally:
             self.sink.close()
 

@@ -43,8 +43,7 @@ class TaskRecord:
 
     ``worker`` is the lane index of the executing worker within its
     node's worker list (GPUs first, then CPU slots -- the
-    :func:`build_workers` ordering); -1 on records predating the field
-    (timeline exporters then fall back to a greedy lane assignment).
+    :func:`build_workers` ordering).
     """
 
     tid: int
@@ -54,7 +53,7 @@ class TaskRecord:
     worker_kind: str
     start: float
     end: float
-    worker: int = -1
+    worker: int
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..measure.bank import MeasurementBank
-from ..obs.registry import Registry
 from ..obs.sink import write_root_report
 from ..obs.stats import quantile
 from . import protocol
@@ -250,7 +249,6 @@ def run_bench(
     service = TuningService(
         num_shards=shards, base_seed=seed,
         bank_store=bank_store if bank_store is not None else BankStore(),
-        registry=Registry(),
     )
     if progress:
         progress(f"materializing banks for {tenants} tenants")
@@ -344,16 +342,12 @@ def run_bench(
         "serve.mean_regret": (total_regret / len(sessions)
                               if sessions else 0.0),
         "serve.slo_failures": float(slo_failures),
-        "serve.errors": float(
-            service.registry.counter("serve.error").value),
+        "serve.errors": float(service.errors),
     }
+    # Bank-registry hits/misses are a pure function of the tenant
+    # population, so they belong in the byte-identical report.
     for key, value in service.bank_store.stats().items():
-        # The duration-cache counters depend on disk-cache warmth
-        # (cold first run vs warm rerun), so they stay out of the
-        # byte-identical report; bank-registry hits/misses are a pure
-        # function of the tenant population.
-        if not key.startswith("durations."):
-            metrics[f"serve.banks.{key}"] = value
+        metrics[f"serve.banks.{key}"] = value
     ok = (p99 <= p99_bound and slo_failures == 0
           and len(sessions) == len(specs) and metrics["serve.errors"] == 0)
     report: Dict[str, object] = {

@@ -5,10 +5,10 @@ Determinism model (DESIGN, "Shard determinism"):
 * **Stable tenant hashing** -- a tenant lands on shard
   ``crc32(tenant_id) % num_shards``: stable across processes and
   registration orders (never the salted builtin ``hash``).
-* **Per-shard tick clocks** -- every shard owns its own injected
-  :class:`~repro.obs.clock.TickClock`; :meth:`TuningService.tick`
-  advances all shards in index order, so shard tick *k* is global
-  tick *k* regardless of shard count.
+* **One tick count** -- the service counts its own ticks;
+  :meth:`TuningService.tick` services every shard in index order at
+  the same tick number, so shard tick *k* is service tick *k*
+  regardless of shard count.
 * **Ordered batch collection** -- within a tick, each shard services
   its sessions in sorted-tenant order and the service concatenates
   shard outputs in index order, so the response stream is a
@@ -21,21 +21,13 @@ Determinism model (DESIGN, "Shard determinism"):
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..evaluate.cache import DurationCache, simulation_fingerprint
 from ..measure.bank import MeasurementBank
-from ..obs.clock import Clock, TickClock
-from ..obs.registry import Registry
 from ..strategies.registry import registered_names
 from . import protocol
-from .session import (
-    DEFAULT_OBSERVE_BATCH,
-    DEFAULT_PROPOSE_BATCH,
-    TenantSession,
-    derive_tenant_seed,
-    space_from_wire,
-)
+from .session import TenantSession, derive_tenant_seed, space_from_wire
 
 
 def shard_for(tenant_id: str, num_shards: int) -> int:
@@ -108,41 +100,32 @@ class BankStore:
         return bank
 
     def stats(self) -> Dict[str, float]:
-        """Deterministic summary (bank registry + duration cache)."""
-        out = {
+        """Deterministic bank-registry summary (banks, hits, misses)."""
+        return {
             "banks": float(len(self._banks)),
             "hits": float(self.hits),
             "misses": float(self.misses),
         }
-        for key, value in self.cache.stats().items():
-            out[f"durations.{key}"] = float(value)
-        return out
 
 
 class ShardWorker:
-    """One shard: a tick clock and the sessions hashed onto it."""
+    """One shard: the sessions hashed onto it."""
 
-    def __init__(self, index: int, clock: Optional[Clock] = None) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.clock = clock if clock is not None else TickClock()
         self.sessions: Dict[str, TenantSession] = {}
-        #: Tick number the *next* :meth:`tick` will run as; mirrored
-        #: outside the clock so arrival stamping never advances it.
-        self.next_tick = 0
 
     def pending(self) -> int:
         """Requests queued across this shard's sessions."""
         return sum(s.pending() for s in self.sessions.values())
 
-    def tick(self) -> List[Dict[str, object]]:
-        """Service every session once, in sorted-tenant order.
+    def tick(self, tick: int) -> List[Dict[str, object]]:
+        """Service every session once at ``tick``, in sorted-tenant order.
 
         Closed (``bye``) sessions stay in the map; the owning
         :class:`TuningService` moves them to its retired set so their
         stats survive for the report.
         """
-        tick = int(self.clock.now())
-        self.next_tick = tick + 1
         responses: List[Dict[str, object]] = []
         for tenant_id in sorted(self.sessions):
             responses.extend(self.sessions[tenant_id].step(tick))
@@ -160,11 +143,6 @@ class TuningService:
         Folded into every tenant's strategy seed derivation.
     bank_store:
         Shared scenario-bank registry (created on demand).
-    registry:
-        Metric registry: counts requests/responses, tracks active
-        tenants and the propose-latency histogram.
-    clock_factory:
-        Called once per shard; defaults to deterministic tick clocks.
     """
 
     def __init__(
@@ -172,21 +150,16 @@ class TuningService:
         num_shards: int = 4,
         base_seed: int = 0,
         bank_store: Optional[BankStore] = None,
-        registry: Optional[Registry] = None,
-        observe_batch: int = DEFAULT_OBSERVE_BATCH,
-        propose_batch: int = DEFAULT_PROPOSE_BATCH,
-        clock_factory: Callable[[], Clock] = TickClock,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        self.shards = [ShardWorker(i, clock_factory())
-                       for i in range(num_shards)]
+        self.shards = [ShardWorker(i) for i in range(num_shards)]
         self.base_seed = base_seed
         self.bank_store = bank_store if bank_store is not None else BankStore()
-        self.registry = registry if registry is not None else Registry()
-        self.observe_batch = observe_batch
-        self.propose_batch = propose_batch
+        #: Ticks run so far; also the tick the next :meth:`tick` runs as.
         self.ticks = 0
+        #: Protocol errors answered by :meth:`handle_line`.
+        self.errors = 0
         #: Sessions that completed (said ``bye``), kept for reporting.
         self.retired: Dict[str, TenantSession] = {}
 
@@ -248,15 +221,8 @@ class TuningService:
             space = self._resolve_space(message)
         seed = derive_tenant_seed(
             tenant_id, self.base_seed + int(message["seed"]))
-        session = TenantSession(
-            tenant_id, strategy, space, seed=seed,
-            observe_batch=self.observe_batch,
-            propose_batch=self.propose_batch,
-        )
-        shard.sessions[tenant_id] = session
-        self.registry.counter("serve.hello").inc()
-        self.registry.gauge("serve.active_tenants").set(
-            self.active_tenants())
+        shard.sessions[tenant_id] = TenantSession(
+            tenant_id, strategy, space, seed=seed)
         return protocol.welcome(tenant_id, shard=shard.index,
                                 actions=space.actions)
 
@@ -279,8 +245,7 @@ class TuningService:
         if session is None:
             raise protocol.ProtocolError(
                 "unknown-tenant", f"tenant {tenant_id!r} never said hello")
-        session.enqueue(message, shard.next_tick)
-        self.registry.counter(f"serve.{kind}").inc()
+        session.enqueue(message, self.ticks)
         return None
 
     def handle_line(self, line: str) -> Optional[str]:
@@ -293,7 +258,7 @@ class TuningService:
             message = protocol.parse_request(line)
             response = self.handle(message)
         except protocol.ProtocolError as err:
-            self.registry.counter("serve.error").inc()
+            self.errors += 1
             return protocol.render(protocol.error_response(err))
         return protocol.render(response) if response is not None else None
 
@@ -303,62 +268,18 @@ class TuningService:
         """Advance every shard once, in index order.
 
         Returns the concatenated responses (shard order, sorted-tenant
-        order within each shard) and feeds the metric registry:
-        response counters, the active-tenant gauge and the
-        propose-latency histogram.
+        order within each shard).
         """
+        tick = self.ticks
         self.ticks += 1
         responses: List[Dict[str, object]] = []
         for shard in self.shards:
-            shard_responses = shard.tick()
+            responses.extend(shard.tick(tick))
             for tenant_id in sorted(shard.sessions):
                 if shard.sessions[tenant_id].closed:
                     self.retired[tenant_id] = shard.sessions.pop(tenant_id)
-            for response in shard_responses:
-                responses.append(response)
-                self._observe_response(response)
-        self.registry.gauge("serve.active_tenants").set(
-            self.active_tenants())
         return responses
-
-    def _observe_response(self, response: Dict[str, object]) -> None:
-        kind = response["kind"]
-        self.registry.counter(f"serve.response.{kind}").inc()
-        if kind == "proposal":
-            session = self._any_session(str(response["tenant"]))
-            if session is not None and session.propose_latencies:
-                latency = float(session.propose_latencies[-1])
-                self.registry.histogram(
-                    "serve.propose_latency_ticks").observe(latency)
-
-    def _any_session(self, tenant_id: str) -> Optional[TenantSession]:
-        """Find a session whether live or already retired this tick."""
-        session = self.session_of(tenant_id)
-        if session is not None:
-            return session
-        return self.retired.get(tenant_id)
 
     def pending(self) -> int:
         """Requests queued across all shards."""
         return sum(shard.pending() for shard in self.shards)
-
-    def drain(self, max_ticks: int = 100_000) -> List[Dict[str, object]]:
-        """Tick until every inbox is empty; returns all responses."""
-        responses: List[Dict[str, object]] = []
-        while self.pending():
-            if self.ticks >= max_ticks:
-                raise RuntimeError(
-                    f"service did not drain within {max_ticks} ticks")
-            responses.extend(self.tick())
-        return responses
-
-    def snapshot(self) -> Dict[str, object]:
-        """Deterministic service-level summary."""
-        return {
-            "ticks": self.ticks,
-            "shards": self.num_shards,
-            "active_tenants": self.active_tenants(),
-            "retired_tenants": len(self.retired),
-            "bank_store": self.bank_store.stats(),
-            "registry": self.registry.snapshot(),
-        }

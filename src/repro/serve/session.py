@@ -8,12 +8,12 @@ seed, never of co-tenants or of which shard hosts it.  That invariant
 is what makes the bench report byte-identical across shard counts (see
 DESIGN, "Shard determinism").
 
-Updates are *batched per shard tick*: requests enqueue immediately, and
-the owning shard services each session once per tick, applying up to
-``observe_batch`` queued observations as one strategy update and
-answering at most ``propose_batch`` proposals.  The recorded latency of
-a request is the number of ticks from enqueue to service (>= 1), i.e.
-the batching delay a live client would experience.
+Updates are *batched per tick*: requests enqueue immediately, and the
+owning shard services each session once per tick, applying up to
+:data:`OBSERVE_BATCH` queued observations as one strategy update and
+answering at most :data:`PROPOSE_BATCH` proposals.  The recorded
+latency of a request is the number of ticks from enqueue to service
+(>= 1), i.e. the batching delay a live client would experience.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from . import protocol
 #: platforms (0xF022).
 SERVE_TAG = 0x5E12
 
-#: Observations applied per session per shard tick (one batched
-#: strategy update); the warm-start backlog of a freshly connected
-#: tenant drains at this rate.
-DEFAULT_OBSERVE_BATCH = 8
+#: Observations applied per session per tick (one batched strategy
+#: update); the warm-start backlog of a freshly connected tenant drains
+#: at this rate.
+OBSERVE_BATCH = 8
 
-#: Proposals answered per session per shard tick.
-DEFAULT_PROPOSE_BATCH = 1
+#: Proposals answered per session per tick.
+PROPOSE_BATCH = 1
 
 
 def derive_tenant_seed(tenant_id: str, base_seed: int = 0) -> int:
@@ -63,8 +63,6 @@ class TenantSession:
         Action space the strategy explores.
     seed:
         Strategy seed (see :func:`derive_tenant_seed`).
-    observe_batch / propose_batch:
-        Per-tick servicing budgets (see module docstring).
     """
 
     def __init__(
@@ -73,16 +71,10 @@ class TenantSession:
         strategy_name: str,
         space: ActionSpace,
         seed: int = 0,
-        observe_batch: int = DEFAULT_OBSERVE_BATCH,
-        propose_batch: int = DEFAULT_PROPOSE_BATCH,
     ) -> None:
-        if observe_batch < 1 or propose_batch < 1:
-            raise ValueError("per-tick budgets must be >= 1")
         self.tenant_id = tenant_id
         self.strategy_name = strategy_name
         self.strategy = make_strategy(strategy_name, space, seed=seed)
-        self.observe_batch = observe_batch
-        self.propose_batch = propose_batch
         #: FIFO of (message, arrival_tick) awaiting the shard tick.
         self.inbox: Deque[Tuple[Dict[str, object], int]] = deque()
         self.proposes = 0
@@ -107,19 +99,19 @@ class TenantSession:
         self.inbox.append((message, tick))
 
     def pending(self) -> int:
-        """Requests still waiting for a shard tick."""
+        """Requests still waiting for a tick."""
         return len(self.inbox)
 
     # -- servicing ---------------------------------------------------------------------
 
     def step(self, tick: int) -> List[Dict[str, object]]:
-        """Service this session for one shard tick.
+        """Service this session for one tick.
 
-        Applies at most ``observe_batch`` queued observations as one
-        batched strategy update and answers at most ``propose_batch``
-        proposals, strictly in arrival order (an unserviced proposal
-        also blocks later observations so the client's stream ordering
-        is preserved).  Returns the response messages, oldest first.
+        Applies at most :data:`OBSERVE_BATCH` queued observations as one
+        batched strategy update and answers at most :data:`PROPOSE_BATCH`
+        proposals, strictly in arrival order (an unserviced proposal also
+        blocks later observations so the client's stream ordering is
+        preserved).  Returns the response messages, oldest first.
         """
         responses: List[Dict[str, object]] = []
         observed = 0
@@ -128,7 +120,7 @@ class TenantSession:
             message, arrival = self.inbox[0]
             kind = message["kind"]
             if kind == "observe":
-                if observed >= self.observe_batch:
+                if observed >= OBSERVE_BATCH:
                     break
                 self.strategy.observe(int(message["n"]),
                                       float(message["duration"]))
@@ -138,7 +130,7 @@ class TenantSession:
                 responses.append(protocol.ack(
                     self.tenant_id, observed=self.observes, tick=tick))
             elif kind == "propose":
-                if proposed >= self.propose_batch:
+                if proposed >= PROPOSE_BATCH:
                     break
                 n = self.strategy.propose()
                 proposed += 1
@@ -155,18 +147,6 @@ class TenantSession:
                 return responses
             self.inbox.popleft()
         return responses
-
-    # -- reporting ---------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        """Deterministic per-tenant summary for the bench report."""
-        return {
-            "tenant": self.tenant_id,
-            "strategy": self.strategy_name,
-            "proposes": self.proposes,
-            "observes": self.observes,
-            "closed": self.closed,
-        }
 
 
 def space_from_wire(body: Dict[str, object]) -> ActionSpace:

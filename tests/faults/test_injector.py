@@ -155,7 +155,7 @@ class TestArithmetic:
             label="odd", faults=(InterferenceBurst(magnitude_s=1.0),),
         )
         injector = FaultInjector(schedule, ACTIONS, 3)
-        assert injector.perturb(0, 4, 0.0) >= 0.0
+        assert injector.apply(injector.plan(0, 4), 0.0) >= 0.0
 
 
 class TestRegretQueries:

@@ -104,7 +104,6 @@ class TestFaultSchedule:
         assert s.crashed_nodes(5) == ()
         assert s.crashed_nodes(12) == (7, 8)
         assert s.crashed_nodes(25) == (8,)   # node 7 came back
-        assert s.max_concurrent_crashes(30) == 2
 
     def test_json_round_trip(self):
         s = self.schedule()

@@ -158,15 +158,11 @@ class TestDecisionLog:
 
         tracer = obs.start_trace(ticks=True)
         try:
-            cache = DurationCache(maxsize=2)
+            cache = DurationCache()
             cache.put("k1", 1.0)
             assert cache.get("k1") == 1.0
             assert cache.get("nope") is None
-            cache.put("k2", 2.0)
-            cache.put("k3", 3.0)  # evicts k1
-            snap = tracer.registry.snapshot()["counters"]
+            counters = dict(tracer.counters)
         finally:
             obs.finish_trace()
-        assert snap["cache.hit"] == 1
-        assert snap["cache.miss"] == 1
-        assert snap["cache.evict"] == 1
+        assert counters == {"cache.hit": 1, "cache.miss": 1}

@@ -1,106 +1,73 @@
-"""Registry semantics: get-or-create, kind uniqueness, snapshots."""
+"""The summary's counter registry: ``Tracer.count``, the one metric.
+
+Every trace ends with ``{"kind":"summary","registry":{"counters":{...}}}``;
+counters are the only instrument that block carries.
+"""
 
 import pytest
 
-from repro.obs import Registry
+from repro.obs import NULL_TRACER, MemorySink, TickClock, Tracer
+
+
+def _tracer() -> Tracer:
+    return Tracer(sink=MemorySink(), clock=TickClock())
 
 
 class TestCounter:
     def test_starts_at_zero_and_accumulates(self):
-        reg = Registry()
-        c = reg.counter("cache.hit")
-        assert c.value == 0
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
-    def test_same_name_same_instrument(self):
-        reg = Registry()
-        assert reg.counter("x") is reg.counter("x")
+        tr = _tracer()
+        assert tr.counters == {}
+        tr.count("cache.hit")
+        tr.count("cache.hit", 4)
+        assert tr.counters == {"cache.hit": 5}
 
     def test_negative_delta_rejected(self):
+        tr = _tracer()
         with pytest.raises(ValueError, match="only go up"):
-            Registry().counter("x").inc(-1)
+            tr.count("x", -1)
+        assert tr.counters == {}
 
-
-class TestGauge:
-    def test_last_write_wins(self):
-        g = Registry().gauge("queue.depth")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
-
-
-class TestHistogram:
-    def test_summary_statistics(self):
-        h = Registry().histogram("dur")
-        for v in (2.0, 8.0, 5.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.total == 15.0
-        assert h.min == 2.0
-        assert h.max == 8.0
-        assert h.mean == 5.0
-
-    def test_empty_mean_is_zero(self):
-        assert Registry().histogram("dur").mean == 0.0
-
-    def test_quantiles_nearest_rank(self):
-        h = Registry().histogram("dur")
-        for v in range(1, 101):  # 1..100
-            h.observe(float(v))
-        assert h.quantile(0.50) == 50.0
-        assert h.quantile(0.95) == 95.0
-        assert h.quantile(0.99) == 99.0
-
-    def test_empty_quantile_is_zero(self):
-        assert Registry().histogram("dur").quantile(0.99) == 0.0
-
-    def test_quantile_window_is_bounded(self):
-        from repro.obs.registry import HISTOGRAM_SAMPLE_CAPACITY
-
-        h = Registry().histogram("dur")
-        n = HISTOGRAM_SAMPLE_CAPACITY * 2
-        for v in range(n):
-            h.observe(float(v))
-        # Ring keeps the newest window; the old half is gone.
-        assert h.quantile(0.0) == float(HISTOGRAM_SAMPLE_CAPACITY)
-        assert h.count == n
+    def test_disabled_tracer_records_nothing(self):
+        tr = Tracer(sink=MemorySink(), clock=TickClock(), enabled=False)
+        tr.count("x", 3)
+        tr.close()
+        assert tr.counters == {}
+        assert tr.sink.records == []
+        NULL_TRACER.count("x", -1)  # disabled: not even checked
+        assert NULL_TRACER.counters == {}
 
 
 class TestRegistry:
-    def test_name_means_one_kind(self):
-        reg = Registry()
-        reg.counter("x")
-        with pytest.raises(ValueError, match="different kind"):
-            reg.gauge("x")
-        with pytest.raises(ValueError, match="different kind"):
-            reg.histogram("x")
-
-    def test_len_counts_all_instruments(self):
-        reg = Registry()
-        reg.counter("a")
-        reg.gauge("b")
-        reg.histogram("c")
-        assert len(reg) == 3
-
     def test_snapshot_is_sorted_and_plain(self):
-        reg = Registry()
-        reg.counter("zeta").inc(2)
-        reg.counter("alpha").inc(1)
-        reg.gauge("g").set(7)
-        reg.histogram("h").observe(3.0)
-        snap = reg.snapshot()
-        assert list(snap["counters"]) == ["alpha", "zeta"]
-        assert snap["counters"]["zeta"] == 2
-        assert snap["gauges"] == {"g": 7.0}
-        assert snap["histograms"]["h"] == {
-            "count": 1, "total": 3.0, "min": 3.0, "max": 3.0, "mean": 3.0,
-            "p50": 3.0, "p95": 3.0, "p99": 3.0,
-        }
+        tr = _tracer()
+        tr.count("zeta", 2)
+        tr.count("alpha")
+        tr.close()
+        summary = tr.sink.records[-1]
+        assert summary["kind"] == "summary"
+        assert summary["registry"] == {"counters": {"alpha": 1, "zeta": 2}}
+        assert list(summary["registry"]["counters"]) == ["alpha", "zeta"]
 
-    def test_snapshot_empty_histogram_min_max_zero(self):
-        reg = Registry()
-        reg.histogram("h")
-        snap = reg.snapshot()["histograms"]["h"]
-        assert snap["min"] == 0.0 and snap["max"] == 0.0
+
+class TestCellCounters:
+    def test_captured_cells_add_their_counters_to_the_summary(self):
+        from repro import obs
+        from repro.evaluate.parallel import EvalCell, run_cells
+        from repro.faults import FaultInjector, FaultSchedule, NodeSlowdown
+        from repro.measure.bank import synthetic_bank
+
+        bank = synthetic_bank(lambda n: 30.0 / n, actions=range(1, 9),
+                              seed=3, label="s")
+        schedule = FaultSchedule(
+            label="slow", faults=(NodeSlowdown(node=1, gflops_factor=0.5),))
+        injector = FaultInjector(schedule, bank.actions, 5)
+        cells = [EvalCell("s", "DC", rep) for rep in range(2)]
+        tracer = obs.start_trace(ticks=True)
+        try:
+            run_cells({"s": bank}, cells, 5, injector=injector)
+        finally:
+            obs.finish_trace()
+        # Node 1 is in every working set: all 2 x 5 iterations scale.
+        assert tracer.counters == {"fault.scaled": 10}
+        assert tracer.sink.records[-1]["registry"] == {
+            "counters": {"fault.scaled": 10}}

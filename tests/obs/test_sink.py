@@ -86,8 +86,8 @@ class TestSchemaGolden:
         tr.count("cache.hit", 2)
         tr.close()
         assert tr.sink.lines() == [
-            '{"kind":"summary","registry":{"counters":{"cache.hit":2},'
-            '"gauges":{},"histograms":{}},"t":0.0}'
+            '{"kind":"summary","registry":{"counters":{"cache.hit":2}},'
+            '"t":0.0}'
         ]
 
 

@@ -9,7 +9,7 @@ from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
 from repro.serve.service import BankStore, TuningService, shard_for
 from repro.serve.session import (
-    DEFAULT_OBSERVE_BATCH,
+    OBSERVE_BATCH,
     TenantSession,
     derive_tenant_seed,
     space_from_wire,
@@ -130,11 +130,11 @@ class TestBatching:
     def test_observe_backlog_drains_at_batch_rate(self):
         service = _service(num_shards=1)
         _register(service, "t1")
-        backlog = DEFAULT_OBSERVE_BATCH + 3
+        backlog = OBSERVE_BATCH + 3
         for _ in range(backlog):
             service.handle(protocol.observe("t1", 4, 5.0))
         first = [r["kind"] for r in service.tick()]
-        assert first == ["ack"] * DEFAULT_OBSERVE_BATCH
+        assert first == ["ack"] * OBSERVE_BATCH
         second = [r["kind"] for r in service.tick()]
         assert second == ["ack"] * 3
 
@@ -169,7 +169,9 @@ class TestHandleLine:
         body = json.loads(reply)
         assert body["kind"] == "error"
         assert body["code"] == "malformed-json"
-        assert service.registry.counter("serve.error").value == 1
+        assert service.errors == 1
+        service.handle_line('{"kind":"nope"}')
+        assert service.errors == 2
 
     def test_wire_hello_round_trip(self):
         service = _service()
@@ -226,9 +228,3 @@ class TestSessionUnits:
         with pytest.raises(ProtocolError) as exc:
             session.enqueue(protocol.propose("t1"), 1)
         assert exc.value.code == "unknown-tenant"
-
-    def test_budgets_must_be_positive(self):
-        space = space_from_wire({"actions": [1, 2],
-                                 "group_boundaries": []})
-        with pytest.raises(ValueError):
-            TenantSession("t1", "UCB", space, observe_batch=0)

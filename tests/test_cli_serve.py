@@ -37,7 +37,9 @@ class TestServeBench:
         handle = TuningService.handle
 
         def erring(self, message):
-            self.registry.counter("serve.error").inc()
+            # A malformed line alongside every request: handle_line
+            # counts it in service.errors, which the report reads.
+            self.handle_line("{broken")
             return handle(self, message)
 
         monkeypatch.setattr(TuningService, "handle", erring)

@@ -83,7 +83,6 @@ JSON_SCHEMA = {
     "strategies": dict,
     "spans": dict,
     "counters": dict,
-    "histograms": dict,
 }
 
 
@@ -97,7 +96,8 @@ class TestStatsJson:
         assert set(payload) == set(JSON_SCHEMA)
         for key, expected in JSON_SCHEMA.items():
             assert isinstance(payload[key], expected), (key, payload[key])
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
+        assert "histograms" not in payload
         assert payload["clock"] == "ticks"
 
     def test_phase_and_strategy_blocks(self, payload):
@@ -117,11 +117,6 @@ class TestStatsJson:
               if name.startswith("GP")]
         assert gp, "compare runs include GP strategies"
         assert any(b["mean_posterior_sd"] > 0.0 for b in gp)
-
-    def test_histograms_have_quantiles(self, payload):
-        for block in payload["histograms"].values():
-            assert {"count", "total", "min", "max", "mean",
-                    "p95", "p99"} == set(block)
 
     def test_json_agrees_with_text_rendering(self, payload, trace_path,
                                              capsys):
