@@ -13,7 +13,7 @@ Examples
     python -m repro grid f                  # Figure 8 heatmap
     python -m repro compare i --trace t.jsonl --trace-ticks
     python -m repro stats t.jsonl           # aggregate a trace
-    python -m repro timeline b              # Figure 1 grade exports
+    python -m repro timeline b              # Figure 1 grade Chrome trace
     python -m repro timeline b --report BENCH_timeline.json
     python -m repro faults list             # canned fault schedules
     python -m repro faults run i --reps 5   # raw vs resilient campaign
@@ -222,7 +222,6 @@ def _cmd_timeline(args) -> None:
         Path(args.out),
         n_fact=args.n_fact or None,
         n_gen=args.n_gen or None,
-        max_nodes=args.max_nodes,
     )
     analysis = out["analysis"]
     cfg = out["config"]
@@ -241,13 +240,9 @@ def _cmd_timeline(args) -> None:
         [[p.phase, f"{p.start:.3f}", f"{p.end:.3f}", f"{p.span_s:.3f}",
           p.tasks, f"{p.critical_path_s:.3f}"] for p in analysis.phases],
     ))
-    if args.ascii:
-        timeline = utilization_timeline(
-            out["result"], out["cluster"], nbins=args.nbins
-        )
-        print(render_ascii(timeline, out["cluster"], show_transfers=True))
-    for kind, path in sorted(out["paths"].items()):
-        print(f"  {kind:6} : {path}")
+    timeline = utilization_timeline(out["result"], out["cluster"], nbins=72)
+    print(render_ascii(timeline, out["cluster"], show_transfers=True))
+    print(f"  chrome : {out['path']}")
     if args.report:
         from .obs import write_root_report
         from .obs.timeline import METRIC_UNITS
@@ -581,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "timeline",
-        help="task-level timeline exports (Chrome trace, Paje CSV, HTML)",
+        help="task-level timeline export (Chrome/Perfetto trace)",
     )
     p.add_argument("scenario", nargs="?", default="b", type=_scenario,
                    help="scenario key a..p")
@@ -590,13 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-gen", type=_non_negative, default=0,
                    help="generation node count (default: all nodes)")
     p.add_argument("--out", default=str(Path("benchmarks") / "out"),
-                   help="output directory for the three artifacts")
-    p.add_argument("--nbins", type=_count, default=72,
-                   help="time bins of the ASCII rendering")
-    p.add_argument("--max-nodes", type=_count, default=16,
-                   help="nodes drawn in the SVG Gantt")
-    p.add_argument("--no-ascii", dest="ascii", action="store_false",
-                   help="skip the terminal utilization art")
+                   help="output directory of the trace")
     p.add_argument("--report", default="", metavar="PATH",
                    help="also write the metrics report (BENCH_timeline.json)"
                         " to PATH")
@@ -745,9 +734,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_node_counts(parser: argparse.ArgumentParser, args) -> None:
+    """Reject ``--n-fact``/``--n-gen`` above the scenario's node count.
+
+    The bound depends on the scenario argument, so it is checked right
+    after parsing rather than by a converter; it still exits 2 before
+    any graph is built.
+    """
+    from .platform import get_scenario
+
+    nodes = get_scenario(args.scenario).total_nodes
+    for flag in ("n_fact", "n_gen"):
+        value = getattr(args, flag, 0)
+        if value > nodes:
+            parser.error(
+                f"argument --{flag.replace('_', '-')}: must be <= {nodes}, "
+                f"the node count of scenario {args.scenario!r}; got {value}")
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "n_fact"):
+        _check_node_counts(parser, args)
     try:
         args.fn(args)
     except BrokenPipeError:

@@ -65,10 +65,6 @@ class ScenarioEvaluation:
                 return s
         raise KeyError(name)
 
-    def best_strategy(self) -> StrategySummary:
-        """Summary with the lowest mean total."""
-        return min(self.summaries, key=lambda s: s.mean_total)
-
 
 def assemble_evaluations(
     banks: Dict[str, MeasurementBank],

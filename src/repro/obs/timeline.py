@@ -1,4 +1,4 @@
-"""Simulation timeline observability: trace exports + schedule analytics.
+"""Simulation timeline observability: the trace export + schedule analytics.
 
 The paper's Figure 1 (a StarVZ per-node Gantt) is the instrument behind
 its whole diagnosis of the factorization-nodes trade-off: idleness of the
@@ -6,21 +6,16 @@ slow nodes, phase overlap, and the communication lanes are what make the
 "fewer nodes can be faster" effect visible.  This module turns the
 simulator's :class:`~repro.runtime.simulator.TaskRecord` /
 :class:`~repro.runtime.simulator.TransferRecord` streams into the same
-class of artifacts, with zero new dependencies:
+view, with zero new dependencies:
 
-* :func:`analyze` -- per-node / per-worker **idleness**, per-phase
-  busy time and pairwise **overlap**, NIC **transfer utilization**, and
-  the DAG **critical path** (longest dependency chain, total and
-  per-phase);
+* :func:`analyze` -- per-node **idleness**, per-phase spans and pairwise
+  **overlap**, and the DAG **critical path** (longest dependency chain,
+  total and per-phase);
 * :func:`chrome_trace` -- a ``chrome://tracing`` / Perfetto-loadable
   JSON object (one process per node, one thread per worker lane, NIC
-  send/recv lanes);
-* :func:`paje_csv` -- a Paje-style CSV of state and link records, the
-  ``paje.csv`` shape StarVZ-like tooling consumes;
-* :func:`render_html` -- a fully self-contained HTML report (inline SVG
-  Gantt + summary tables, no scripts, no network requests).
+  send/recv lanes), the one timeline artifact.
 
-Because the simulator is deterministic in simulated time, every export
+Because the simulator is deterministic in simulated time, the export
 is a pure function of (code, scenario, plan): :func:`encode_json` uses
 canonical key order and the traversal orders below are all explicitly
 sorted, so two runs -- on any machine -- produce byte-identical
@@ -29,11 +24,10 @@ artifacts (asserted by ``tests/test_cli_timeline``).
 
 from __future__ import annotations
 
-import html
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..runtime.dag import TaskGraph
 from ..runtime.simulator import SimulationResult
@@ -42,45 +36,9 @@ from .sink import write_atomic
 #: Bump when the exported artifact layout changes incompatibly.
 TIMELINE_SCHEMA_VERSION = 1
 
-#: Stable phase palette (hex fill colors for SVG/HTML); phases outside
-#: this map get :data:`_FALLBACK_COLORS` entries by first-seen index.
-PHASE_COLORS = {
-    "generation": "#59a14f",
-    "factorization": "#4e79a7",
-    "solve": "#f28e2b",
-    "determinant": "#b07aa1",
-    "dot": "#e15759",
-}
-
-_FALLBACK_COLORS = ("#76b7b2", "#edc948", "#ff9da7", "#9c755f", "#bab0ac")
-
-#: Color of NIC lanes in the Gantt.
-_COMM_COLOR = "#8a8a8a"
-
-
-def phase_color(phase: str, phases: Sequence[str]) -> str:
-    """Fill color for ``phase`` (stable across exports of one run)."""
-    if phase in PHASE_COLORS:
-        return PHASE_COLORS[phase]
-    known = [p for p in phases if p not in PHASE_COLORS]
-    idx = known.index(phase) if phase in known else 0
-    return _FALLBACK_COLORS[idx % len(_FALLBACK_COLORS)]
-
-
 # ---------------------------------------------------------------------------
 # Analytics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaneStats:
-    """Busy/idle accounting of one worker lane (one node, one worker)."""
-
-    node: int
-    worker: int
-    kind: str
-    busy_s: float
-    idle_frac: float
 
 
 @dataclass(frozen=True)
@@ -91,7 +49,6 @@ class PhaseTimeline:
     start: float
     end: float
     tasks: int
-    busy_s: float
     critical_path_s: float
 
     @property
@@ -110,18 +67,9 @@ class TimelineAnalysis:
     comm_bytes: float
     comm_time: float
     phases: List[PhaseTimeline]
-    lanes: List[LaneStats]
     node_idleness: List[float]
-    node_send_util: List[float]
-    node_recv_util: List[float]
     overlap_s: Dict[str, float]
     critical_path_s: float
-    critical_path_tasks: List[int] = field(default_factory=list)
-
-    @property
-    def phase_names(self) -> List[str]:
-        """Phase names in first-seen order."""
-        return [p.phase for p in self.phases]
 
     @property
     def mean_idleness(self) -> float:
@@ -200,65 +148,35 @@ def analyze(
     """Compute the full timeline analytics of one traced run.
 
     ``graph`` (the submitted :class:`TaskGraph`) enables the critical
-    path; without it the critical-path fields are zero/empty.
+    path; without it the critical-path fields are zero.
     """
     if not result.task_records:
         raise ValueError(
             "simulation has no task records; run the Simulator with trace=True"
         )
     horizon = max(result.makespan, 1e-12)
-    n_nodes = len(cluster)
 
-    # Phase aggregates in first-seen order.
-    phase_order: List[str] = []
-    busy_by_phase: Dict[str, float] = {}
+    # Tasks per phase (first-seen order) and busy seconds per worker lane.
     count_by_phase: Dict[str, int] = {}
-    for rec in result.task_records:
-        if rec.phase not in busy_by_phase:
-            phase_order.append(rec.phase)
-            busy_by_phase[rec.phase] = 0.0
-            count_by_phase[rec.phase] = 0
-        busy_by_phase[rec.phase] += rec.end - rec.start
-        count_by_phase[rec.phase] += 1
-
-    # Per-lane busy time.
     lane_busy: Dict[Tuple[int, int], float] = {}
     for rec in result.task_records:
+        count_by_phase[rec.phase] = count_by_phase.get(rec.phase, 0) + 1
         key = (rec.node, rec.worker)
         lane_busy[key] = lane_busy.get(key, 0.0) + (rec.end - rec.start)
+    phase_order = list(count_by_phase)
 
-    lanes: List[LaneStats] = []
+    # Node idleness: lane busy times summed in worker order.
     node_idleness: List[float] = []
-    for node in range(n_nodes):
+    for node in range(len(cluster)):
         nt = cluster[node].node_type
         workers = nt.gpus + nt.cpu_slots
         node_busy = 0.0
         for w in range(workers):
-            kind = "gpu" if w < nt.gpus else "cpu"
-            busy = lane_busy.get((node, w), 0.0)
-            node_busy += busy
-            lanes.append(
-                LaneStats(
-                    node=node, worker=w, kind=kind, busy_s=busy,
-                    idle_frac=min(max(1.0 - busy / horizon, 0.0), 1.0),
-                )
-            )
+            node_busy += lane_busy.get((node, w), 0.0)
         capacity = workers * horizon
         node_idleness.append(
             min(max(1.0 - node_busy / capacity, 0.0), 1.0) if capacity else 1.0
         )
-
-    # NIC utilization per node and direction.
-    streams = cluster.network.streams
-    send_busy = [0.0] * n_nodes
-    recv_busy = [0.0] * n_nodes
-    for rec in result.transfer_records:
-        dur = rec.end - rec.start
-        send_busy[rec.src] += dur
-        recv_busy[rec.dst] += dur
-    cap = streams * horizon
-    node_send_util = [min(b / cap, 1.0) for b in send_busy]
-    node_recv_util = [min(b / cap, 1.0) for b in recv_busy]
 
     # Pairwise phase-span overlap (seconds).
     overlap: Dict[str, float] = {}
@@ -268,10 +186,10 @@ def analyze(
             (qs, qe) = result.phase_spans[q]
             overlap[f"{p}+{q}"] = max(0.0, min(pe, qe) - max(ps, qs))
 
-    cp_total, cp_path = 0.0, []
+    cp_total = 0.0
     cp_by_phase: Dict[str, float] = {p: 0.0 for p in phase_order}
     if graph is not None:
-        cp_total, cp_path = critical_path(result, graph)
+        cp_total = critical_path(result, graph)[0]
         for p in phase_order:
             cp_by_phase[p] = critical_path(result, graph, phase=p)[0]
 
@@ -281,7 +199,6 @@ def analyze(
             start=result.phase_spans[p][0],
             end=result.phase_spans[p][1],
             tasks=count_by_phase[p],
-            busy_s=busy_by_phase[p],
             critical_path_s=cp_by_phase[p],
         )
         for p in phase_order
@@ -294,13 +211,9 @@ def analyze(
         comm_bytes=result.comm_bytes,
         comm_time=result.comm_time,
         phases=phases,
-        lanes=lanes,
         node_idleness=node_idleness,
-        node_send_util=node_send_util,
-        node_recv_util=node_recv_util,
         overlap_s=overlap,
         critical_path_s=cp_total,
-        critical_path_tasks=cp_path,
     )
 
 
@@ -438,240 +351,6 @@ def chrome_trace(
 
 
 # ---------------------------------------------------------------------------
-# Paje-style CSV export
-# ---------------------------------------------------------------------------
-
-#: Column header of the Paje-style CSV (StarVZ ``paje.csv`` shape).
-PAJE_HEADER = "Nature,ResourceId,Type,Start,End,Duration,Value,Detail"
-
-
-def paje_csv(result: SimulationResult, cluster) -> str:
-    """Paje-style CSV: ``State`` rows per task, ``Link`` rows per transfer.
-
-    Times are simulated seconds with 9 fractional digits (format-stable
-    across platforms).
-    """
-    if not result.task_records:
-        raise ValueError(
-            "simulation has no task records; run the Simulator with trace=True"
-        )
-    lines = [PAJE_HEADER]
-    for rec in sorted(result.task_records,
-                      key=lambda r: (r.start, r.node, r.tid)):
-        host = cluster[rec.node].hostname
-        lines.append(
-            f"State,{host}_w{rec.worker},Worker State,"
-            f"{rec.start:.9f},{rec.end:.9f},{rec.end - rec.start:.9f},"
-            f"{rec.phase}:{rec.name},tid={rec.tid}"
-        )
-    for rec in sorted(result.transfer_records,
-                      key=lambda r: (r.start, r.src, r.dst, r.hid)):
-        lines.append(
-            f"Link,{cluster[rec.src].hostname},{cluster[rec.dst].hostname},"
-            f"{rec.start:.9f},{rec.end:.9f},{rec.end - rec.start:.9f},"
-            f"h{rec.hid},bytes={rec.nbytes:.0f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Self-contained HTML report (inline SVG Gantt)
-# ---------------------------------------------------------------------------
-
-_CSS = """
-body { font-family: sans-serif; margin: 1.5em; color: #222; }
-h1 { font-size: 1.3em; } h2 { font-size: 1.05em; margin-top: 1.4em; }
-table { border-collapse: collapse; margin: 0.5em 0; }
-th, td { border: 1px solid #ccc; padding: 0.25em 0.6em; text-align: right; }
-th { background: #f2f2f2; } td.l, th.l { text-align: left; }
-.legend span { display: inline-block; margin-right: 1.2em; }
-.swatch { display: inline-block; width: 0.9em; height: 0.9em;
-          margin-right: 0.3em; vertical-align: -0.1em; }
-svg { background: #fafafa; border: 1px solid #ddd; }
-"""
-
-
-def _svg_gantt(
-    result: SimulationResult,
-    cluster,
-    max_nodes: int = 16,
-    width: int = 1100,
-) -> str:
-    """Inline SVG Gantt: one row per worker lane, NIC lane per node."""
-    horizon = max(result.makespan, 1e-12)
-    phases: List[str] = []
-    for rec in result.task_records:
-        if rec.phase not in phases:
-            phases.append(rec.phase)
-    scale = (width - 120) / horizon
-    row_h, node_gap = 8, 6
-    n_nodes = min(len(cluster), max_nodes)
-
-    # Row layout: per node, worker lanes then one NIC lane.
-    y = 18
-    lane_y: Dict[Tuple[int, int], int] = {}
-    nic_y: Dict[int, int] = {}
-    labels: List[str] = []
-    for node in range(n_nodes):
-        nt = cluster[node].node_type
-        workers = nt.gpus + nt.cpu_slots
-        labels.append(
-            f'<text x="4" y="{y + row_h}" font-size="9">'
-            f"{html.escape(cluster[node].hostname)}</text>"
-        )
-        for w in range(workers):
-            lane_y[(node, w)] = y
-            y += row_h
-        nic_y[node] = y
-        y += row_h + node_gap
-    height = y + 24
-
-    rects: List[str] = []
-    for rec in sorted(result.task_records,
-                      key=lambda r: (r.start, r.node, r.tid)):
-        if rec.node >= n_nodes:
-            continue
-        x = 120 + rec.start * scale
-        w = max((rec.end - rec.start) * scale, 0.3)
-        ry = lane_y[(rec.node, rec.worker)]
-        color = phase_color(rec.phase, phases)
-        rects.append(
-            f'<rect x="{x:.2f}" y="{ry}" width="{w:.2f}" height="{row_h - 1}"'
-            f' fill="{color}"><title>{html.escape(rec.name)} tid={rec.tid} '
-            f"{rec.phase} [{rec.start:.4f}, {rec.end:.4f}]s"
-            f"</title></rect>"
-        )
-    for rec in sorted(result.transfer_records,
-                      key=lambda r: (r.start, r.src, r.dst, r.hid)):
-        x = 120 + rec.start * scale
-        w = max((rec.end - rec.start) * scale, 0.3)
-        for node, half in ((rec.src, 0), (rec.dst, 1)):
-            if node >= n_nodes:
-                continue
-            ry = nic_y[node] + half * (row_h // 2)
-            rects.append(
-                f'<rect x="{x:.2f}" y="{ry}" width="{w:.2f}"'
-                f' height="{row_h // 2 - 1}" fill="{_COMM_COLOR}">'
-                f"<title>h{rec.hid} {rec.src}-&gt;{rec.dst} "
-                f"{rec.nbytes:.0f} B [{rec.start:.4f}, {rec.end:.4f}]s"
-                f"</title></rect>"
-            )
-
-    # Time axis: 10 ticks.
-    axis: List[str] = []
-    for i in range(11):
-        t = horizon * i / 10.0
-        x = 120 + t * scale
-        axis.append(
-            f'<line x1="{x:.2f}" y1="14" x2="{x:.2f}" y2="{height - 20}"'
-            f' stroke="#ddd" stroke-width="1"/>'
-        )
-        axis.append(
-            f'<text x="{x:.2f}" y="{height - 8}" font-size="9"'
-            f' text-anchor="middle">{t:.2f}s</text>'
-        )
-
-    return (
-        f'<svg width="{width}" height="{height}"'
-        f' role="img" aria-label="per-worker Gantt timeline">'
-        + "".join(axis) + "".join(labels) + "".join(rects)
-        + "</svg>"
-    )
-
-
-def render_html(
-    analysis: TimelineAnalysis,
-    result: SimulationResult,
-    cluster,
-    title: str = "simulation timeline",
-    max_nodes: int = 16,
-) -> str:
-    """Self-contained HTML report: SVG Gantt + summary tables.
-
-    No scripts, no external resources -- the file renders offline and its
-    bytes are a pure function of the simulated run.
-    """
-    phases = analysis.phase_names
-    legend = "".join(
-        f'<span><span class="swatch" style="background:'
-        f'{phase_color(p, phases)}"></span>{html.escape(p)}</span>'
-        for p in phases
-    ) + (f'<span><span class="swatch" style="background:{_COMM_COLOR}">'
-         "</span>nic send/recv</span>")
-
-    summary_rows = [
-        ("makespan [s]", f"{analysis.makespan:.6f}"),
-        ("tasks", f"{analysis.task_count}"),
-        ("transfers", f"{analysis.transfer_count}"),
-        ("communicated bytes", f"{analysis.comm_bytes:.0f}"),
-        ("communication time [s]", f"{analysis.comm_time:.6f}"),
-        ("critical path [s]", f"{analysis.critical_path_s:.6f}"),
-        ("critical path / makespan", f"{analysis.critical_path_frac:.4f}"),
-        ("mean node idleness", f"{analysis.mean_idleness:.4f}"),
-        ("max node idleness", f"{analysis.max_idleness:.4f}"),
-    ]
-    summary = "".join(
-        f'<tr><td class="l">{html.escape(k)}</td><td>{v}</td></tr>'
-        for k, v in summary_rows
-    )
-
-    phase_rows = "".join(
-        f'<tr><td class="l">{html.escape(p.phase)}</td>'
-        f"<td>{p.start:.4f}</td><td>{p.end:.4f}</td><td>{p.span_s:.4f}</td>"
-        f"<td>{p.tasks}</td><td>{p.busy_s:.4f}</td>"
-        f"<td>{p.critical_path_s:.4f}</td></tr>"
-        for p in analysis.phases
-    )
-
-    overlap_rows = "".join(
-        f'<tr><td class="l">{html.escape(pair)}</td><td>{sec:.4f}</td></tr>'
-        for pair, sec in sorted(analysis.overlap_s.items())
-    )
-
-    node_rows = []
-    for node in range(len(cluster)):
-        nt = cluster[node].node_type
-        node_rows.append(
-            f'<tr><td class="l">{html.escape(cluster[node].hostname)}</td>'
-            f"<td>{nt.gpus + nt.cpu_slots}</td>"
-            f"<td>{analysis.node_idleness[node]:.4f}</td>"
-            f"<td>{analysis.node_send_util[node]:.4f}</td>"
-            f"<td>{analysis.node_recv_util[node]:.4f}</td></tr>"
-        )
-
-    gantt = _svg_gantt(result, cluster, max_nodes=max_nodes)
-    truncated = (
-        f"<p>(first {max_nodes} of {len(cluster)} nodes shown)</p>"
-        if len(cluster) > max_nodes else ""
-    )
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>{html.escape(title)}</title>
-<style>{_CSS}</style></head><body>
-<h1>{html.escape(title)}</h1>
-<p>schema v{TIMELINE_SCHEMA_VERSION}; simulated time; deterministic export.</p>
-<h2>Summary</h2>
-<table>{summary}</table>
-<h2>Timeline</h2>
-<p class="legend">{legend}</p>
-{gantt}
-{truncated}
-<h2>Phases</h2>
-<table><tr><th class="l">phase</th><th>start [s]</th><th>end [s]</th>
-<th>span [s]</th><th>tasks</th><th>busy [s]</th><th>critical path [s]</th></tr>
-{phase_rows}</table>
-<h2>Phase overlap (span intersection)</h2>
-<table><tr><th class="l">pair</th><th>overlap [s]</th></tr>
-{overlap_rows}</table>
-<h2>Nodes</h2>
-<table><tr><th class="l">node</th><th>workers</th><th>idleness</th>
-<th>NIC send util</th><th>NIC recv util</th></tr>
-{''.join(node_rows)}</table>
-</body></html>
-"""
-
-
-# ---------------------------------------------------------------------------
 # Scenario-level driver (used by `repro timeline`)
 # ---------------------------------------------------------------------------
 
@@ -681,16 +360,13 @@ def export_timeline(
     out_dir: Union[str, Path],
     n_fact: Optional[int] = None,
     n_gen: Optional[int] = None,
-    stem: Optional[str] = None,
-    max_nodes: int = 16,
 ) -> dict:
-    """Run one traced iteration and write all three artifacts.
+    """Run one traced iteration and write its Chrome trace.
 
-    Writes ``<stem>.trace.json`` (Chrome trace), ``<stem>.csv``
-    (Paje-style) and ``<stem>.html`` (self-contained report) under
-    ``out_dir``; returns a summary dict (paths, analysis, metrics and
-    ``config``, the experiment fingerprint: scenario, workload, tile
-    count, plan, node count).
+    Writes ``TIMELINE_<scenario_key>.trace.json`` under ``out_dir``;
+    returns a summary dict (path, analysis, metrics and ``config``, the
+    experiment fingerprint: scenario, workload, tile count, plan, node
+    count).
     """
     from .. import config as repro_config
     from ..geostat.phases import IterationPlan, build_iteration_graph
@@ -724,25 +400,14 @@ def export_timeline(
     analysis = analyze(result, cluster, graph)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = stem or f"TIMELINE_{scenario_key}"
-    chrome_path = out / f"{stem}.trace.json"
-    csv_path = out / f"{stem}.csv"
-    html_path = out / f"{stem}.html"
-    write_atomic(chrome_path,
+    path = out / f"TIMELINE_{scenario_key}.trace.json"
+    write_atomic(path,
                  encode_json(chrome_trace(result, cluster, analysis)) + "\n")
-    write_atomic(csv_path, paje_csv(result, cluster))
-    title = f"timeline {scenario_key}: n_gen={cfg['n_gen']}, n_fact={cfg['n_fact']}"
-    write_atomic(html_path, render_html(analysis, result, cluster,
-                                        title=title, max_nodes=max_nodes))
     return {
         "schema": TIMELINE_SCHEMA_VERSION,
         "config": cfg,
         "metrics": flat_metrics(analysis),
-        "paths": {
-            "chrome": str(chrome_path),
-            "csv": str(csv_path),
-            "html": str(html_path),
-        },
+        "path": str(path),
         "analysis": analysis,
         "result": result,
         "cluster": cluster,

@@ -15,7 +15,6 @@ from .simulator import SimulationResult, Simulator, TaskRecord, TransferRecord
 from .task import Placement, Task
 from .trace import (
     UtilizationTimeline,
-    phase_rows,
     render_ascii,
     utilization_timeline,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "UtilizationTimeline",
     "chain",
     "compile_plan",
-    "phase_rows",
     "render_ascii",
     "utilization_timeline",
 ]

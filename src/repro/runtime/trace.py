@@ -10,7 +10,7 @@ tasks of each phase.  :func:`render_ascii` draws it as terminal art.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -188,11 +188,3 @@ def render_ascii(
     if comm:
         lines.append("comm rows: NIC occupancy (=: >50% of stream capacity)")
     return "\n".join(lines)
-
-
-def phase_rows(result: SimulationResult) -> List[Tuple[str, float, float, float]]:
-    """Tabular phase summary: (phase, start, end, duration)."""
-    rows = []
-    for phase, (start, end) in sorted(result.phase_spans.items(), key=lambda kv: kv[1]):
-        rows.append((phase, start, end, end - start))
-    return rows

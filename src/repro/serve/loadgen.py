@@ -256,10 +256,9 @@ def run_bench(
     clients = {spec.tenant_id: _Client(spec, banks[spec.scenario_key], seed)
                for spec in specs}
 
-    def submit(message: Dict[str, object]) -> Optional[Dict[str, object]]:
-        """Full wire round trip into the service."""
-        parsed = protocol.parse_request(protocol.render(message))
-        return service.handle(parsed)
+    def submit(message: Dict[str, object]) -> None:
+        """Full wire round trip; a refused request counts in ``errors``."""
+        service.handle_line(protocol.render(message))
 
     arrivals: Dict[int, List[TenantSpec]] = {}
     for spec in specs:

@@ -173,14 +173,6 @@ class TuningService:
         """The shard worker owning ``tenant_id``."""
         return self.shards[shard_for(tenant_id, self.num_shards)]
 
-    def session_of(self, tenant_id: str) -> Optional[TenantSession]:
-        """The live session of ``tenant_id``, if registered."""
-        return self.shard_of(tenant_id).sessions.get(tenant_id)
-
-    def active_tenants(self) -> int:
-        """Live (registered, not yet retired) tenant count."""
-        return sum(len(shard.sessions) for shard in self.shards)
-
     # -- request handling --------------------------------------------------------------
 
     def _resolve_space(self, message: Dict[str, object]):

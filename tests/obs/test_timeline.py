@@ -1,9 +1,8 @@
 """Unit tests for the timeline exporter (repro.obs.timeline).
 
-Covers the analytics invariants the ISSUE pins as acceptance criteria
-(critical path <= makespan, idleness in [0, 1]) both on hand-built
-graphs and on stdlib-``random`` DAGs, plus the three export formats
-(Chrome trace, Paje CSV, self-contained HTML).
+Covers the analytics invariants (critical path <= makespan, idleness in
+[0, 1]) both on hand-built graphs and on stdlib-``random`` DAGs, plus
+the one export format, the Chrome trace.
 """
 
 import json
@@ -117,27 +116,17 @@ class TestAnalyze:
         a = tl.analyze(res, cluster, g)
         assert a.task_count == 2
         assert a.transfer_count == 1
-        assert a.phase_names == ["generation", "factorization"]
+        assert [p.phase for p in a.phases] == ["generation", "factorization"]
         assert a.phases[0].tasks == 1
 
     def test_idleness_bounds_and_busy_accounting(self):
         cluster, g, res = cross_node_run()
         a = tl.analyze(res, cluster, g)
         assert all(0.0 <= x <= 1.0 for x in a.node_idleness)
-        assert all(0.0 <= lane.idle_frac <= 1.0 for lane in a.lanes)
-        total_busy = sum(lane.busy_s for lane in a.lanes)
+        # One single-slot lane per node: busy = (1 - idleness) * makespan.
+        total_busy = sum((1.0 - x) * a.makespan for x in a.node_idleness)
         expected = sum(r.end - r.start for r in res.task_records)
         assert total_busy == pytest.approx(expected)
-
-    def test_nic_utilization_sides(self):
-        cluster, g, res = cross_node_run()
-        a = tl.analyze(res, cluster, g)
-        assert a.node_send_util[0] > 0.0
-        assert a.node_recv_util[1] > 0.0
-        assert a.node_send_util[1] == 0.0
-        assert a.node_recv_util[0] == 0.0
-        assert all(0.0 <= u <= 1.0
-                   for u in a.node_send_util + a.node_recv_util)
 
     def test_worker_lanes_cover_cpu_slots(self):
         cluster = Cluster([(WIDE, 1)], network=NET)
@@ -146,10 +135,18 @@ class TestAnalyze:
             h = g.registry.register(f"h{i}", 8.0, home=0)
             g.submit("t", "generation", 1e9, writes=[h])
         res = Simulator(cluster, PM, trace=True).run(g)
-        a = tl.analyze(res, cluster, g)
-        assert {lane.worker for lane in a.lanes} == {0, 1}
+        events = tl.chrome_trace(res, cluster)["traceEvents"]
+        lanes = {e["tid"]: e["args"]["name"] for e in events
+                 if e["name"] == "thread_name"}
+        assert lanes == {0: "cpu0", 1: "cpu1", 2: "nic-send", 3: "nic-recv"}
         # Two slots at 1 GF/s each, 4 x 1 GF tasks: both lanes busy 2 s.
-        assert all(lane.busy_s == pytest.approx(2.0) for lane in a.lanes)
+        busy = {0: 0.0, 1: 0.0}
+        for e in events:
+            if e["ph"] == "X":
+                busy[e["tid"]] += e["dur"]
+        assert busy == pytest.approx({0: 2e6, 1: 2e6})
+        assert tl.analyze(res, cluster, g).node_idleness == \
+            pytest.approx([0.0], abs=1e-12)
 
     def test_overlap_keys_and_bounds(self):
         cluster, g, res = cross_node_run()
@@ -184,9 +181,6 @@ class TestRandomDagProperties:
         assert 0.0 <= a.mean_idleness <= 1.0
         assert 0.0 <= a.max_idleness <= 1.0
         assert all(0.0 <= x <= 1.0 for x in a.node_idleness)
-        assert all(0.0 <= lane.idle_frac <= 1.0 for lane in a.lanes)
-        assert all(0.0 <= u <= 1.0
-                   for u in a.node_send_util + a.node_recv_util)
         assert all(sec >= 0.0 for sec in a.overlap_s.values())
         for p in a.phases:
             assert p.critical_path_s <= a.critical_path_s + 1e-9
@@ -200,11 +194,6 @@ class TestRandomDagProperties:
         trace = tl.chrome_trace(res, cluster, a)
         xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert len(xs) == len(res.task_records) + 2 * len(res.transfer_records)
-        csv = tl.paje_csv(res, cluster)
-        assert csv.count("\n") == (1 + len(res.task_records)
-                                   + len(res.transfer_records))
-        page = tl.render_html(a, res, cluster)
-        assert "<svg" in page
 
 
 class TestChromeTrace:
@@ -224,6 +213,14 @@ class TestChromeTrace:
                and e["args"]["name"].startswith("nic-")]
         assert len(nic) == 2 * len(cluster)
 
+    def test_transfers_on_sender_and_receiver_nic_lanes(self):
+        cluster, g, res = cross_node_run()
+        transfers = [e for e in tl.chrome_trace(res, cluster)["traceEvents"]
+                     if e.get("cat") == "transfer"]
+        # One worker lane (tid 0) per node: nic-send is tid 1, nic-recv 2.
+        assert sorted((e["pid"], e["tid"], e["args"]["peer"])
+                      for e in transfers) == [(0, 1, 1), (1, 2, 0)]
+
     def test_durations_in_microseconds(self):
         cluster, g, res = chain_run(2)
         trace = tl.chrome_trace(res, cluster)
@@ -241,35 +238,3 @@ class TestChromeTrace:
         cluster, g, res = cross_node_run()
         trace = tl.chrome_trace(res, cluster)
         assert json.loads(tl.encode_json(trace)) == trace
-
-
-class TestPajeCsv:
-    def test_header_and_rows(self):
-        cluster, g, res = cross_node_run()
-        csv = tl.paje_csv(res, cluster)
-        lines = csv.splitlines()
-        assert lines[0] == tl.PAJE_HEADER
-        states = [l for l in lines if l.startswith("State,")]
-        links = [l for l in lines if l.startswith("Link,")]
-        assert len(states) == len(res.task_records)
-        assert len(links) == len(res.transfer_records)
-        assert all(len(l.split(",")) == 8 for l in lines[1:])
-
-
-class TestHtmlReport:
-    def test_self_contained(self):
-        cluster, g, res = cross_node_run()
-        a = tl.analyze(res, cluster, g)
-        page = tl.render_html(a, res, cluster, title="test run")
-        lower = page.lower()
-        assert "<svg" in lower
-        assert "<script" not in lower
-        assert "http" not in lower  # no external resources at all
-        assert "test run" in page
-        assert "generation" in page and "factorization" in page
-
-    def test_phase_colors_stable(self):
-        assert tl.phase_color("generation", ["generation"]) == "#59a14f"
-        custom = tl.phase_color("warmup", ["warmup", "cooldown"])
-        assert custom == tl.phase_color("warmup", ["warmup", "cooldown"])
-        assert custom.startswith("#")

@@ -9,7 +9,6 @@ from repro.runtime import (
     PerfModel,
     Simulator,
     TaskGraph,
-    phase_rows,
     render_ascii,
     utilization_timeline,
 )
@@ -168,9 +167,3 @@ class TestRendering:
         assert "unit-0" in art
         assert "legend" in art
         assert "G" in art or "g" in art  # generation glyph somewhere
-
-    def test_phase_rows_sorted_by_time(self, traced_result):
-        _, res = traced_result
-        rows = phase_rows(res)
-        assert [r[0] for r in rows] == ["generation", "factorization"]
-        assert rows[0][3] == pytest.approx(1.0)

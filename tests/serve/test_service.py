@@ -87,7 +87,7 @@ class TestLifecycle:
         responses = service.tick()
         assert responses[-1]["kind"] == "goodbye"
         assert responses[-1]["proposes"] == 1
-        assert service.active_tenants() == 0
+        assert not service.shard_of("t1").sessions
         assert "t1" in service.retired
         assert service.retired["t1"].proposes == 1
 
@@ -158,7 +158,7 @@ class TestBatching:
         service.handle(protocol.propose("t1"))
         service.tick()
         service.tick()
-        session = service.retired.get("t1") or service.session_of("t1")
+        session = service.shard_of("t1").sessions["t1"]
         assert session.propose_latencies == [1, 2]
 
 

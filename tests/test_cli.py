@@ -38,6 +38,7 @@ BAD_ARGUMENTS = [
     (["timeline", "b", "--nbins", "0"], "--nbins"),
     (["timeline", "b", "--n-fact", "-1"], "--n-fact"),
     (["checks", "b", "--n-fact", "-2"], "--n-fact"),
+    (["checks", "b", "--n-fact", "999"], "--n-fact: must be <= 14"),
     (["serve", "bench", "--arrival-window", "0"], "--arrival-window"),
     (["serve", "bench", "--seed", "-1"], "--seed"),
     (["fuzz", "promote", "-1", "--strategy", "UCB", "--check", "replay"],

@@ -31,22 +31,27 @@ class TestServeBench:
                                                     "unit": "count"}
         assert blob["ok"] is True
 
-    def test_request_errors_fail_the_bench(self, capsys, monkeypatch):
-        from repro.serve.service import TuningService
+    def test_request_errors_fail_the_bench(self, capsys, monkeypatch,
+                                           tmp_path):
+        from repro.serve import loadgen, protocol
 
-        handle = TuningService.handle
+        on_proposal = loadgen._Client.on_proposal
 
-        def erring(self, message):
-            # A malformed line alongside every request: handle_line
-            # counts it in service.errors, which the report reads.
-            self.handle_line("{broken")
-            return handle(self, message)
+        def with_a_stranger(self, n):
+            # An observe from a tenant that never said hello: the service
+            # refuses it, and the refusal must reach serve.errors.
+            return [*on_proposal(self, n),
+                    protocol.observe("stranger", n, 1.0)]
 
-        monkeypatch.setattr(TuningService, "handle", erring)
+        monkeypatch.setattr(loadgen._Client, "on_proposal", with_a_stranger)
+        out = tmp_path / "BENCH_serve.json"
         with pytest.raises(SystemExit) as exc:
-            main(self.ARGS + ["--out", ""])
+            main(self.ARGS + ["--out", str(out)])
         assert exc.value.code == 1
         assert "FAILED" in capsys.readouterr().out
+        blob = json.loads(out.read_text())
+        assert blob["ok"] is False
+        assert blob["metrics"]["serve.errors"]["value"] > 0
 
     def test_empty_out_disables_the_artifact(self, capsys, tmp_path):
         assert main(self.ARGS + ["--out", ""]) == 0

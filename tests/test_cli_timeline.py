@@ -1,8 +1,7 @@
-"""`repro timeline`: CLI behaviour and byte-determinism of the exports.
+"""`repro timeline`: CLI behaviour and byte-determinism of the export.
 
-The Chrome-trace JSON, Paje CSV and HTML report must be byte-identical
-across two consecutive runs (the artifacts are pure functions of the
-simulated plan).
+The Chrome-trace JSON must be byte-identical across two consecutive
+runs (the artifact is a pure function of the simulated plan).
 """
 
 import json
@@ -12,7 +11,7 @@ import pytest
 
 from repro.cli import main
 
-ARTIFACTS = ("TIMELINE_b.trace.json", "TIMELINE_b.csv", "TIMELINE_b.html")
+ARTIFACTS = ("TIMELINE_b.trace.json",)
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -26,8 +25,8 @@ def small(monkeypatch, tmp_path):
 
 def export(tmp_path, name, extra=()):
     out = tmp_path / name
-    assert main(["timeline", "b", "--out", str(out), "--no-ascii",
-                 *extra]) == 0
+    assert main(["timeline", "b", "--out", str(out), *extra]) == 0
+    assert sorted(f.name for f in out.iterdir()) == list(ARTIFACTS)
     return {a: (out / a).read_bytes() for a in ARTIFACTS}
 
 
@@ -48,20 +47,6 @@ class TestArtifacts:
         assert 0.0 < other["critical_path_s"] <= other["makespan_s"] + 1e-9
         assert 0.0 <= other["mean_idleness"] <= 1.0
 
-    def test_html_is_self_contained(self, tmp_path, capsys):
-        files = export(tmp_path, "out")
-        page = files["TIMELINE_b.html"].decode("utf-8").lower()
-        assert "<svg" in page
-        assert "<script" not in page
-        assert "http" not in page
-
-    def test_csv_header(self, tmp_path, capsys):
-        files = export(tmp_path, "out")
-        first_line = files["TIMELINE_b.csv"].decode("utf-8").splitlines()[0]
-        assert first_line == (
-            "Nature,ResourceId,Type,Start,End,Duration,Value,Detail"
-        )
-
 
 class TestOutput:
     def test_summary_and_ascii(self, tmp_path, capsys):
@@ -70,8 +55,8 @@ class TestOutput:
         text = capsys.readouterr().out
         assert "makespan" in text
         assert "critical path" in text
-        assert "~comm" in text  # NIC occupancy rows from --ascii default
-        assert "TIMELINE_b.html" in text
+        assert "~comm" in text  # NIC occupancy rows of the ASCII art
+        assert "TIMELINE_b.trace.json" in text
 
     def test_explicit_plan_changes_config(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -79,10 +64,17 @@ class TestOutput:
                      "--n-fact", "2", "--n-gen", "3"]) == 0
         assert "n_gen=3, n_fact=2" in capsys.readouterr().out
 
-    def test_invalid_plan_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="node counts"):
-            main(["timeline", "b", "--out", str(tmp_path / "out"),
-                  "--n-fact", "999"])
+    def test_invalid_plan_rejected(self, tmp_path, capsys):
+        """Scenario b has 14 nodes: a larger count is a usage error."""
+        out = tmp_path / "out"
+        for flag in ("--n-fact", "--n-gen"):
+            with pytest.raises(SystemExit) as exc:
+                main(["timeline", "b", "--out", str(out), flag, "999"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{flag}: must be <= 14" in err
+            assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestReport:

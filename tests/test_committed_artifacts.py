@@ -166,8 +166,6 @@ GENERATED = {
     ".repro_cache/": "any sweep (`repro sweep`, `compare`, `fig6`): "
                      "the default REPRO_CACHE_DIR",
     "TIMELINE_<s>.trace.json": "repro timeline <s>",
-    "TIMELINE_<s>.csv": "repro timeline <s>",
-    "TIMELINE_<s>.html": "repro timeline <s>",
     "BENCH_fuzz.json": "repro fuzz run",
 }
 
