@@ -112,17 +112,37 @@ class MeasurementBank:
 
     @classmethod
     def load(cls, path: Path) -> "MeasurementBank":
-        """Deserialize a bank saved with :meth:`save`."""
+        """Deserialize a bank saved with :meth:`save`.
+
+        Raises ``ValueError`` for invalid JSON, a top-level value that
+        is not an object, a missing key, a mapping that is not an
+        object, and ``samples`` values that do not convert to 1-D float
+        arrays.  The values under ``lp``, ``true_means`` and ``rigid``
+        are taken as they are.
+        """
         payload = json.loads(path.read_text())
-        return cls(
-            label=payload["label"],
-            actions=tuple(payload["actions"]),
-            samples={int(n): np.asarray(v) for n, v in payload["samples"].items()},
-            lp={int(n): v for n, v in payload["lp"].items()},
-            group_boundaries=tuple(payload.get("group_boundaries", ())),
-            true_means={int(n): v for n, v in payload.get("true_means", {}).items()},
-            rigid={int(n): v for n, v in payload.get("rigid", {}).items()},
-        )
+        try:
+            bank = cls(
+                label=payload["label"],
+                actions=tuple(payload["actions"]),
+                samples={
+                    int(n): np.asarray(v, dtype=np.float64)
+                    for n, v in payload["samples"].items()
+                },
+                lp={int(n): v for n, v in payload["lp"].items()},
+                group_boundaries=tuple(payload.get("group_boundaries", ())),
+                true_means={
+                    int(n): v for n, v in payload.get("true_means", {}).items()
+                },
+                rigid={int(n): v for n, v in payload.get("rigid", {}).items()},
+            )
+        except (TypeError, AttributeError, KeyError) as exc:
+            raise ValueError(
+                f"{path}: not a saved measurement bank ({exc!r})"
+            ) from exc
+        if any(v.ndim != 1 for v in bank.samples.values()):
+            raise ValueError(f"{path}: samples are not lists of durations")
+        return bank
 
 
 class DriftingBank:

@@ -190,15 +190,15 @@ def cached_bank(
 
     ``cache`` is a finer-grained duration memo consulted only when the
     whole-bank JSON is absent (see :func:`sweep_scenario`).  An
-    unreadable (e.g. truncated) bank file counts as absent, with one
-    warning on stderr: the bank is swept again and the file rewritten
-    atomically.
+    unreadable bank file (truncated, or valid JSON of another shape)
+    counts as absent, with one warning on stderr: the bank is swept
+    again and the file rewritten atomically.
     """
     path = _cache_path(scenario, augment, seed, include_rigid)
     if path.exists():
         try:
             return MeasurementBank.load(path)
-        except (ValueError, KeyError):
+        except ValueError:
             print(f"warning: {path}: rebuilding the unreadable cached "
                   "bank (interrupted write?)", file=sys.stderr)
     bank = sweep_scenario(

@@ -1,10 +1,12 @@
 """Tests for sweeps through the duration cache and the bank-file cache."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.evaluate import DurationCache
-from repro.measure import cached_bank, sweep_scenario
+from repro.measure import MeasurementBank, cached_bank, sweep_scenario
 from repro.platform import get_scenario
 
 
@@ -68,3 +70,26 @@ class TestCachedBankFile:
         assert path.read_text() == text
         cached_bank(scenario, augment=3, seed=8)
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda payload: [],
+            lambda payload: {**payload, "samples": list(payload["samples"].values())},
+            lambda payload: {**payload, "samples": dict.fromkeys(payload["samples"], 1.0)},
+        ],
+        ids=["list", "list-samples", "scalar-samples"],
+    )
+    def test_wrong_shape_bank_file_is_rebuilt(self, tmp_path, capsys, corrupt):
+        """Valid JSON of another shape is unreadable too, not fatal."""
+        scenario = get_scenario("b")
+        cached_bank(scenario, augment=3, seed=8)
+        (path,) = tmp_path.glob("bank_v*_b_*.json")
+        text = path.read_text()
+        path.write_text(json.dumps(corrupt(json.loads(text))))
+        rebuilt = cached_bank(scenario, augment=3, seed=8)
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "unreadable cached bank" in err
+        assert path.read_text() == text
+        assert rebuilt.actions == MeasurementBank.load(path).actions

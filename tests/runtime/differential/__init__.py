@@ -12,10 +12,12 @@ engine's plan binding emits:
   workload families (cholesky iterations + map/shuffle/reduce);
 * ``test_adversarial`` -- hand-built DAGs aimed at the engine's
   tie-break and bookkeeping corners (cross-node chains, NIC
-  contention, priority inversions and ties, heterogeneous ready sets);
+  contention, priority inversions and ties, heterogeneous ready sets,
+  a pure WAR edge, initial pushes from the home), plus the pin that
+  the b, c and m iteration graphs have no pure WAR/WAW edge;
 * ``test_defects`` -- the seeded-defect harness: each engine mutation
   in ``repro.runtime.simfast.DEFECT_KINDS`` (``drop_transfer``,
-  ``tie_break``) must be caught;
+  ``tie_break``, ``stale_send_min``, ``untracked``) must be caught;
 * ``test_batch_sweep`` -- :class:`repro.measure.batch.ScenarioBatch`
   against the naive per-configuration sweep;
 * ``test_push_plan`` -- the array-built eager-push plan against the

@@ -1,14 +1,17 @@
 """Hand-built adversarial DAGs aimed at the fast engine's weak points.
 
 The fast engine reproduces the reference through precompiled plans
-(eager-push lists, queue classes, worker preferences), NIC stream
-accounting, a calendar of per-timestamp event lists and
-insertion-sequence queue ties.  Each test here constructs
-a graph whose *only* purpose is to stress one of them and then demands
-bit identity through the package oracle.
+(eager-push lists, queue classes, worker preferences, readiness
+tracking), NIC stream accounting with a per-node send minimum, a
+calendar of per-timestamp event lists and insertion-sequence queue
+ties.  Each test here constructs a graph whose *only* purpose is to
+stress one of them and then demands bit identity through the package
+oracle.
 """
 
-from repro.platform import Cluster, NetworkModel, NodeType
+from repro.geostat import IterationPlan
+from repro.geostat.phases import build_iteration_graph
+from repro.platform import Cluster, NetworkModel, NodeType, get_scenario
 from repro.runtime import (
     DataRegistry,
     PerfModel,
@@ -16,6 +19,8 @@ from repro.runtime import (
     Simulator,
     TaskGraph,
 )
+from repro.runtime.simfast import compile_template
+from repro.workload import Workload
 
 from .oracle import assert_equivalent
 
@@ -247,3 +252,84 @@ def test_calendar_buckets_and_late_queue_ties():
     starts = {names[r.tid]: r.start for r in ref.task_records}
     assert starts["z0"] == starts["w0"] == 2.0
     assert (starts["early"], starts["late"]) == (6.0, 8.0)
+
+
+def pure_war_graph():
+    """A writer whose ready time only a pure WAR edge decides.
+
+    ``r`` (node 0, 10 s) reads ``h``; ``p`` (node 1, 2 s) writes ``y``;
+    ``w`` (node 1) reads ``y`` and writes ``h``.  Its edge from ``r`` is
+    write-after-read: ``w`` reads nothing ``r`` wrote, so no arrival
+    carries ``r``'s end.  Both start at t=0 and node 0 dispatches
+    first, so ``r`` completes first, and the last predecessor's end
+    (``p``'s, 2 s) does not carry it either.  Returns the
+    cluster, the graph and the tids of ``r`` and ``w``.
+    """
+    cluster = make_cluster(2)
+    g = TaskGraph(DataRegistry())
+    h = g.registry.register("h", 0, home=1)
+    x = g.registry.register("x", 0, home=0)
+    y = g.registry.register("y", 0, home=1)
+    r = g.submit("t", "p", 5e9, reads=[h], writes=[x])
+    g.submit("t", "p", 1e9, writes=[y])
+    w = g.submit("t", "p", 1e9, reads=[y], writes=[h])
+    return cluster, g, r.tid, w.tid
+
+
+def test_pure_war_edge_decides_ready_time():
+    """The writer starts at the reader's end, not at its inputs'
+    arrival: ``w`` is the one tracked task."""
+    cluster, g, r, w = pure_war_graph()
+    assert compile_template(g, cluster, PM).tracked == [False, False, True]
+    assert_equivalent(g, cluster, PM)
+    ref = Simulator(cluster, PM, trace=True).run(g)
+    rec = {t.tid: t for t in ref.task_records}
+    assert rec[w].start == rec[r].end == 10.0
+
+
+def initial_push_graph(streams=1):
+    """Two initial pushes of the never-written ``g`` (home node 1)
+    through NICs of ``streams`` streams, first to node 0, then to
+    node 2.
+
+    With one stream, a best-holder choice would tie for the second
+    push: the home's send stream frees when the first push lands on
+    node 0, the moment node 0 holds ``g``, and the lower node id would
+    relay from node 0.
+    """
+    cluster = make_cluster(3, streams=streams)
+    g = TaskGraph(DataRegistry())
+    h = g.registry.register("g", 1 << 20, home=1)
+    for node in (0, 2):
+        out = g.registry.register(f"o{node}", 0, home=node)
+        g.submit("t", "p", 1e9, reads=[h], writes=[out])
+    return cluster, g
+
+
+def test_initial_pushes_leave_the_home():
+    cluster, g = initial_push_graph()
+    assert_equivalent(g, cluster, PM)
+    ref = Simulator(cluster, PM, trace=True).run(g)
+    first, second = ref.transfer_records
+    assert (first.src, first.dst, second.src, second.dst) == (1, 0, 1, 2)
+    assert second.start == first.end
+
+
+def test_iteration_graphs_are_read_covered():
+    """Traffic pin: every dependency edge of the b, c and m iteration
+    graphs (16 tiles) is covered by a read of the predecessor's last
+    write, so no task needs its predecessors' finish times.  A graph
+    change that adds pure WAR or WAW edges shows up here, not as a
+    silent slowdown of the engine."""
+    for key in ("b", "c", "m"):
+        scenario = get_scenario(key)
+        cluster = scenario.build_cluster()
+        workload = Workload.from_name(scenario.workload)
+        assert workload.t == 16
+        graph = build_iteration_graph(
+            cluster, workload, IterationPlan(n_fact=2, n_gen=len(cluster))
+        )
+        assert sum(graph.indegree) > 0
+        tmpl = compile_template(graph, cluster, PerfModel())
+        assert not any(tmpl.tracked), key
+        assert_equivalent(graph, cluster)

@@ -24,6 +24,8 @@ from repro.runtime.simfast import DEFECT_KINDS
 from repro.workload import Workload
 
 from .oracle import results_differ
+from .test_adversarial import PM as ADVERSARIAL_PM
+from .test_adversarial import initial_push_graph, pure_war_graph
 
 
 def _scenario_graph(key="b", n_fact=1):
@@ -37,7 +39,9 @@ def _scenario_graph(key="b", n_fact=1):
 
 
 def test_defect_kinds_is_the_locked_set():
-    assert DEFECT_KINDS == ("drop_transfer", "tie_break")
+    assert DEFECT_KINDS == (
+        "drop_transfer", "tie_break", "stale_send_min", "untracked"
+    )
 
 
 def test_unknown_defect_rejected():
@@ -133,15 +137,50 @@ def test_tie_break_defect_is_caught():
     ]
 
 
+def test_stale_send_min_defect_is_caught():
+    """A send minimum set to the slot just booked delays the next send.
+
+    The home sends both initial pushes at t=0 on its two streams; with
+    the defect the second waits for the first stream to free.
+    """
+    cluster, g = initial_push_graph(streams=2)
+    ref = Simulator(cluster, ADVERSARIAL_PM, trace=True).run(g)
+    bad = FastSimulator(
+        cluster, ADVERSARIAL_PM, trace=True, _defects=("stale_send_min",)
+    ).run(g)
+    assert results_differ(ref, bad)
+    assert [t.start for t in ref.transfer_records] == [0.0, 0.0]
+    first, second = bad.transfer_records
+    assert second.start == first.end > 0.0
+
+
+def test_untracked_defect_is_caught():
+    """Skipping the pure WAR edge's finish time starts the writer early."""
+    cluster, g, r, w = pure_war_graph()
+    ref = Simulator(cluster, ADVERSARIAL_PM, trace=True).run(g)
+    bad = FastSimulator(
+        cluster, ADVERSARIAL_PM, trace=True, _defects=("untracked",)
+    ).run(g)
+    assert results_differ(ref, bad)
+    assert bad.task_records[-1].tid == w
+    assert bad.task_records[-1].start < ref.task_records[-1].start
+
+
 @pytest.mark.parametrize("kind", DEFECT_KINDS)
 def test_every_defect_kind_has_a_catching_workload(kind):
     """Umbrella: each mutation in DEFECT_KINDS is caught by the suite.
 
     Mirrors the dedicated tests above but iterates the locked tuple, so
     adding a new defect kind without a catching workload fails here.
+    The iteration graphs have no tracked task, so ``untracked`` needs
+    the hand-built pure WAR edge.
     """
-    if kind == "tie_break":
-        test_tie_break_defect_is_caught()
+    dedicated = {
+        "tie_break": test_tie_break_defect_is_caught,
+        "untracked": test_untracked_defect_is_caught,
+    }
+    if kind in dedicated:
+        dedicated[kind]()
         return
     graph, cluster = _scenario_graph(n_fact=2)
     ref = Simulator(cluster, PerfModel(), trace=True).run(graph)

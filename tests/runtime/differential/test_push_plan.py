@@ -8,7 +8,9 @@ destination)`` -- as the test-only reference.  Both must yield the same
 entries in the same order, per writer and for the initial pushes, on
 the scenario table, the fuzz corpus, the adversarial DAGs and a few
 edge cases.  The engine replays pushes in list order, so an order
-change alone could move a transfer onto another NIC lane.
+change alone could move a transfer onto another NIC lane.  On the same
+graphs, the template's readiness flags must match
+:func:`loop_tracked`, a per-edge loop.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.geostat import IterationPlan
 from repro.geostat.phases import build_iteration_graph
 from repro.platform import get_scenario
 from repro.runtime import DataRegistry, PerfModel, TaskGraph
+from repro.runtime.dag import chain
 from repro.runtime.simfast import compile_template
 from repro.workload import Workload
 
@@ -58,6 +61,26 @@ def loop_push_plan(tmpl, nodes, homes):
     return push_after, initial_push
 
 
+def loop_tracked(graph):
+    """Reference readiness flags: a task is tracked when some incoming
+    edge ``p -> s`` is not covered by a read, i.e. ``s`` reads no handle
+    whose last writer at its submission is ``p``."""
+    last_writer = {}
+    covered_by = []
+    for task in graph.tasks:
+        covered_by.append(
+            {last_writer[h] for h in task.reads if h in last_writer}
+        )
+        for h in task.writes:
+            last_writer[h] = task.tid
+    tracked = [False] * len(graph.tasks)
+    for p, succs in enumerate(graph.successors):
+        for s in succs:
+            if p not in covered_by[s]:
+                tracked[s] = True
+    return tracked
+
+
 def bound_push_plan(tmpl, nodes, homes):
     """``bind``'s push plan, as lists for an element-wise comparison."""
     plan = tmpl.bind(nodes, homes)
@@ -65,8 +88,10 @@ def bound_push_plan(tmpl, nodes, homes):
 
 
 def assert_same_push_plan(graph, cluster, perfmodel=None):
-    """Bind ``graph`` at its own placement; both constructions agree."""
+    """Bind ``graph`` at its own placement; both constructions agree,
+    and so do both constructions of the readiness flags."""
     tmpl = compile_template(graph, cluster, perfmodel or PerfModel())
+    assert tmpl.tracked == loop_tracked(graph)
     nodes = [t.node for t in graph.tasks]
     homes = [h.home for h in graph.registry]
     want = loop_push_plan(tmpl, nodes, homes)
@@ -178,3 +203,19 @@ def test_many_remote_readers_share_one_push():
     assert push_after[0] == [(written.hid, 1)]
     assert not any(push_after[1:])
     assert initial_push == [(unwritten.hid, 1)]
+
+
+def test_explicit_edge_is_tracked():
+    """An edge added without a read (``dag.chain``) makes its
+    successor tracked; the STF edges here are all read-covered."""
+    cluster = test_adversarial.make_cluster(2)
+    g = TaskGraph(DataRegistry())
+    a = g.registry.register("a", 8, home=0)
+    b = g.registry.register("b", 8, home=1)
+    g.submit("t", "p", 1e9, writes=[a])
+    g.submit("t", "p", 1e9, writes=[b])
+    g.submit("t", "p", 1e9, reads=[a, b], writes=[b])
+    chain(g, [0, 1])
+    assert_same_push_plan(g, cluster, test_adversarial.PM)
+    tmpl = compile_template(g, cluster, test_adversarial.PM)
+    assert tmpl.tracked == [False, True, False]
